@@ -440,7 +440,7 @@ class ThresholdScanResult:
 
 
 def _first_squeezed(p_values: np.ndarray, theta: np.ndarray, pure_partner: bool,
-                    jobs: int, backend) -> float:
+                    jobs: int) -> float:
     from .scan import IDX_Q_VALUE, evaluate_points
 
     nt = theta.size
@@ -448,7 +448,7 @@ def _first_squeezed(p_values: np.ndarray, theta: np.ndarray, pure_partner: bool,
     for p in p_values:
         p1 = np.full(nt, p)
         p2 = ones if pure_partner else p1
-        out = evaluate_points(p1, p2, theta, np.zeros(nt), jobs=jobs, backend=backend)
+        out = evaluate_points(p1, p2, theta, np.zeros(nt), jobs=jobs)
         q = out[:, IDX_Q_VALUE]
         if np.any(q > MARGIN_TOL):
             return float(p)
@@ -456,7 +456,7 @@ def _first_squeezed(p_values: np.ndarray, theta: np.ndarray, pure_partner: bool,
 
 
 def threshold_scan(config: ThresholdScanConfig = ThresholdScanConfig(),
-                   jobs: int = 1, backend: Optional[str] = None) -> ThresholdScanResult:
+                   jobs: int = 1) -> ThresholdScanResult:
     """Least polarization magnitudes that admit squeezing.
 
     (a) equal magnitudes |p1| = |p2| = P: scan (P, theta) at phi = 0 for
@@ -470,10 +470,8 @@ def threshold_scan(config: ThresholdScanConfig = ThresholdScanConfig(),
     """
     p_values = np.linspace(0.0, 1.0, config.p_points)
     theta = np.linspace(0.0, math.pi, config.theta_points + 2)[1:-1]
-    equal = _first_squeezed(p_values, theta, pure_partner=False,
-                            jobs=jobs, backend=backend)
-    vs_pure = _first_squeezed(p_values, theta, pure_partner=True,
-                              jobs=jobs, backend=backend)
+    equal = _first_squeezed(p_values, theta, pure_partner=False, jobs=jobs)
+    vs_pure = _first_squeezed(p_values, theta, pure_partner=True, jobs=jobs)
     return ThresholdScanResult(
         min_polarization_equal=equal,
         min_polarization_vs_pure=vs_pure,

@@ -23,8 +23,7 @@ from .errors import (AngularMomentumError, HermiticityError,
                      LakinFrameUndefined, NoAlignment, SchemaError,
                      UnphysicalStateError)
 from .halfint import HalfInt
-from .scan import (ScanConfig, rows_as_dicts, run_scan, scan_backend,
-                   write_csv)
+from .scan import ScanConfig, rows_as_dicts, run_scan, write_csv
 from .squeezing import analyze
 from .table1 import evaluate_table
 
@@ -38,20 +37,30 @@ def _angle(value: float, degrees: bool) -> float:
     return math.radians(value) if degrees else value
 
 
+# default --theta: the full physical range in degrees, with or without --degrees
+DEFAULT_THETA_DEG = "0:180:1"
+
+
 def _parse_axis(spec: str, default_step: float, scale=lambda x: x) -> np.ndarray:
     """Parse 'value' or 'start:stop[:step]' into a grid array."""
     parts = spec.split(":")
-    if len(parts) == 1:
-        return np.array([scale(float(parts[0]))])
-    if len(parts) not in (2, 3):
+    if len(parts) not in (1, 2, 3):
         raise SchemaError(f"bad range {spec!r}; expected START:STOP[:STEP]")
-    start, stop = float(parts[0]), float(parts[1])
-    step = float(parts[2]) if len(parts) == 3 else default_step
+    values = [float(x) for x in parts]
+    if not all(math.isfinite(x) for x in values):
+        raise SchemaError(f"non-finite value in {spec!r}")
+    if len(values) == 1:
+        return np.array([scale(values[0])])
+    start, stop = values[0], values[1]
+    step = values[2] if len(values) == 3 else default_step
     if step <= 0:
         raise SchemaError(f"step must be positive in {spec!r}")
     if stop < start:
         raise SchemaError(f"empty range {spec!r}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    count = (stop - start) / step
+    if not math.isfinite(count):
+        raise SchemaError(f"too many values in {spec!r}")
+    count = int(math.floor(count + 1e-9)) + 1
     return scale(start + step * np.arange(count))
 
 
@@ -120,15 +129,18 @@ def cmd_table1(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    angle = np.radians if args.degrees else (lambda x: x)
+    if args.theta is None:
+        theta = _parse_axis(DEFAULT_THETA_DEG, args.grid_step, scale=np.radians)
+    else:
+        theta = _parse_axis(args.theta, args.grid_step, scale=angle)
     config = ScanConfig(
         p1=_parse_axis(args.p1, args.grid_step_p),
         p2=_parse_axis(args.p2, args.grid_step_p),
-        theta=_parse_axis(args.theta, args.grid_step,
-                          scale=lambda x: np.radians(x) if args.degrees else x),
-        phi=_parse_axis(args.phi, args.grid_step,
-                        scale=lambda x: np.radians(x) if args.degrees else x),
+        theta=theta,
+        phi=_parse_axis(args.phi, args.grid_step, scale=angle),
     )
-    result = run_scan(config, jobs=args.jobs, backend=args.backend)
+    result = run_scan(config, jobs=args.jobs)
     if args.output == "-":
         _write_scan(result, sys.stdout, args.format)
     else:
@@ -226,7 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="channel-pair sweep to CSV/JSON")
     p.add_argument("--p1", default="0.9", help="magnitude or START:STOP[:STEP]")
     p.add_argument("--p2", default="0.85", help="magnitude or START:STOP[:STEP]")
-    p.add_argument("--theta", default="0:180:1", help="angle or range between the polarizations")
+    p.add_argument("--theta", default=None,
+                   help="angle or range between the polarizations, in [0, pi] "
+                        f"(default: {DEFAULT_THETA_DEG} degrees)")
     p.add_argument("--phi", default="0", help="transverse azimuth or range")
     p.add_argument("--degrees", action="store_true", help="angles in degrees")
     p.add_argument("--grid-step", type=float, default=1.0,
@@ -235,9 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default magnitude step for ranges without one")
     p.add_argument("--output", default="-", help="output path ('-' = stdout)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--jobs", type=int, default=1, help="parallel chunks")
-    p.add_argument("--backend", choices=["python", "cython"], default=None,
-                   help=f"kernel override (default: {scan_backend()})")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="parallel chunks (threads capped at the CPU count)")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("validate", help="positivity/purity/orientation report")

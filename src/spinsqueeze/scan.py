@@ -1,11 +1,8 @@
-"""Grid evaluation of the channel pair, backend selection and CSV output.
+"""Grid evaluation of the channel pair and CSV output.
 
-The per-point kernel exists twice: a compiled extension
-(``spinsqueeze._scan_kernel``, Cython) and a pure-Python twin
-(``spinsqueeze._scan_kernel_py``). The compiled one is preferred at
-import; both are kept expression-identical, so a scan gives the same
-bytes either way. ``benchmarks/bench_scan.py`` times them against each
-other.
+The per-point closed forms live in one numpy-vectorised kernel,
+:mod:`spinsqueeze._kernel`; the tests hold it bit for bit to the scalar
+loop kept as their reference.
 
 Grids are evaluated in deterministic row order (p1 outer, then p2, then
 theta, phi innermost). Parallel evaluation splits the flat index range
@@ -16,18 +13,14 @@ output array, so the CSV is byte-identical for every ``jobs`` value.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, TextIO
+from typing import TextIO
 
 import numpy as np
 
-from . import _scan_kernel_py
-
-try:
-    from . import _scan_kernel as _compiled_kernel
-except ImportError:
-    _compiled_kernel = None
+from . import _kernel
 
 __all__ = [
     "COLUMNS", "CSV_HEADER", "IDX_Q_VALUE", "IDX_SQUEEZED",
@@ -44,47 +37,41 @@ CSV_HEADER = "theta_rad,phi_rad,p1_mag,p2_mag," + ",".join(COLUMNS)
 
 
 def available_backends() -> dict:
-    out = {"python": _scan_kernel_py}
-    if _compiled_kernel is not None:
-        out["cython"] = _compiled_kernel
-    return out
+    """Kernels by name; there is one."""
+    return {"numpy": _kernel}
 
 
 def scan_backend() -> str:
-    """Name of the kernel selected at import time."""
-    return "cython" if _compiled_kernel is not None else "python"
+    """Name of the scan kernel."""
+    return "numpy"
 
 
-def get_kernel(backend: Optional[str] = None):
-    backends = available_backends()
-    if backend is None:
-        return backends[scan_backend()]
-    try:
-        return backends[backend]
-    except KeyError:
-        raise ValueError(
-            f"unknown backend {backend!r}; available: {sorted(backends)}") from None
+def get_kernel():
+    """The kernel module; :func:`evaluate_points` calls its
+    ``evaluate_into`` through this lookup on every call."""
+    return _kernel
 
 
-def evaluate_points(p1m, p2m, theta, phi, jobs: int = 1,
-                    backend: Optional[str] = None) -> np.ndarray:
+def evaluate_points(p1m, p2m, theta, phi, jobs: int = 1) -> np.ndarray:
     """Evaluate the kernel on flat, equal-length coordinate arrays.
 
     Returns an (N, 14) array with the :data:`COLUMNS` layout. ``jobs``
-    only affects wall time, never the values or their order.
+    only affects wall time, never the values or their order; at most
+    ``os.cpu_count()`` threads run. theta must lie in [0, pi].
     """
-    kernel = get_kernel(backend)
+    kernel = get_kernel()
     arrays = [np.ascontiguousarray(np.asarray(x, dtype=float).ravel())
               for x in (p1m, p2m, theta, phi)]
     n = arrays[0].size
     if any(a.size != n for a in arrays):
         raise ValueError("coordinate arrays must have equal length")
     out = np.empty((n, len(COLUMNS)), dtype=float)
-    if jobs <= 1 or n < 2:
+    workers = min(jobs, n, os.cpu_count() or 1)
+    if workers <= 1:
         kernel.evaluate_into(*arrays, out)
         return out
-    bounds = np.linspace(0, n, min(jobs, n) + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=min(jobs, n)) as pool:
+    bounds = np.linspace(0, n, workers + 1).astype(int)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [
             pool.submit(kernel.evaluate_into,
                         *(a[lo:hi] for a in arrays), out[lo:hi])
@@ -109,10 +96,16 @@ class ScanConfig:
             arr = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
             if arr.size == 0:
                 raise ValueError(f"{name} axis is empty")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} axis has a non-finite value")
             object.__setattr__(self, name, arr)
         if np.any(self.p1 < 0) or np.any(self.p1 > 1) \
                 or np.any(self.p2 < 0) or np.any(self.p2 > 1):
             raise ValueError("polarization magnitudes must lie in [0, 1]")
+        # the kernel takes |p1 x p2| = a b sin(theta), so theta > pi
+        # would flip the signs of c_xz and c_zy
+        if np.any(self.theta < 0) or np.any(self.theta > math.pi):
+            raise ValueError("theta must lie in [0, pi] radians")
 
     @property
     def size(self) -> int:
@@ -128,14 +121,12 @@ class ScanResult:
     data: np.ndarray     # (N, len(COLUMNS))
 
 
-def run_scan(config: ScanConfig, jobs: int = 1,
-             backend: Optional[str] = None) -> ScanResult:
+def run_scan(config: ScanConfig, jobs: int = 1) -> ScanResult:
     """Evaluate the full grid in deterministic row order."""
     p1g, p2g, tg, fg = np.meshgrid(config.p1, config.p2, config.theta,
                                    config.phi, indexing="ij")
     flat = [g.ravel() for g in (p1g, p2g, tg, fg)]
-    data = evaluate_points(flat[0], flat[1], flat[2], flat[3],
-                           jobs=jobs, backend=backend)
+    data = evaluate_points(flat[0], flat[1], flat[2], flat[3], jobs=jobs)
     return ScanResult(theta=flat[2], phi=flat[3], p1=flat[0], p2=flat[1],
                       data=data)
 

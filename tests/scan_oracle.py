@@ -1,8 +1,10 @@
-"""Pure-Python scan kernel: per-point channel-pair evaluation.
+"""Scalar reference for the scan kernel: one point per loop iteration.
 
-Fallback for the compiled extension, selected at import time by
-:mod:`spinsqueeze.scan`. The two implementations must stay expression-
-for-expression identical so their outputs agree to the last bit.
+This is the per-point loop the vectorised kernel in
+``spinsqueeze._kernel`` replaced, kept verbatim so the tests can require
+the kernel to reproduce it bit for bit. A numpy or libm change that moves
+any column by one ulp then fails a test instead of silently changing
+scan CSVs.
 
 Column layout (matches scan.COLUMNS):
   0 weight, 1 t1_0, 2 t2_0, 3 t2_2, 4 variance_perp, 5 sz_half,

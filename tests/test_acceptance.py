@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one status line
 per criterion, including measured runtimes where a budget applies.
 """
 
+import dataclasses
 import io
 import math
 import time
@@ -11,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+import scan_oracle
 from conftest import random_density, random_oriented, random_polarization
 from spinsqueeze import (HalfInt, ScanConfig, ThresholdScanConfig, analyze,
                          build_tau, channel_squeezing, clebsch_gordan,
@@ -21,7 +23,7 @@ from spinsqueeze import (HalfInt, ScanConfig, ThresholdScanConfig, analyze,
 from spinsqueeze.angular import EulerAngles, wigner_d_matrix
 from spinsqueeze.cli import main
 from spinsqueeze.frames import euler_from_rotation, rotation_matrix
-from spinsqueeze.scan import CSV_HEADER, available_backends
+from spinsqueeze.scan import CSV_HEADER
 from spinsqueeze.table1 import evaluate_table
 from spinsqueeze.tensor_ops import spin_matrices
 
@@ -303,15 +305,18 @@ def test_criterion_9_scan_determinism():
                         theta=np.linspace(0.01, 3.13, 50),
                         phi=np.linspace(0.0, 1.5, 4))
 
-    def csv_bytes(jobs, backend=None):
+    def csv_bytes(result):
         buf = io.StringIO()
-        write_csv(run_scan(config, jobs=jobs, backend=backend), buf)
+        write_csv(result, buf)
         return buf.getvalue().encode()
 
-    reference = csv_bytes(jobs=1)
+    reference = csv_bytes(run_scan(config, jobs=1))
     for jobs in (1, 2, 4, 7):
-        assert csv_bytes(jobs=jobs) == reference
-    for backend in available_backends():
-        assert csv_bytes(jobs=3, backend=backend) == reference
+        assert csv_bytes(run_scan(config, jobs=jobs)) == reference
+    result = run_scan(config, jobs=3)
+    scalar = np.empty_like(result.data)
+    scan_oracle.evaluate_into(result.p1, result.p2, result.theta, result.phi,
+                              scalar)
+    assert csv_bytes(dataclasses.replace(result, data=scalar)) == reference
     report(9, "scan CSV is byte-identical across runs, parallelism levels, "
-              "and kernel backends")
+              "and the scalar reference kernel")

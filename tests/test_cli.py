@@ -202,6 +202,36 @@ def test_scan_bad_range_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("axis, spec", [
+    ("--p1", "nan"), ("--p2", "inf"), ("--phi", "nan"), ("--theta", "nan"),
+    ("--theta", "0:inf:1"), ("--theta", "-inf:1"), ("--phi", "0:1:nan"),
+    ("--p1", "0:1e308:1e-300"),
+])
+def test_scan_non_finite_axis_exits_2(capsys, axis, spec):
+    code, out, err = run(capsys, ["scan", f"{axis}={spec}"])
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+
+
+def test_scan_default_theta_is_0_to_pi(capsys):
+    for argv in (["scan"], ["scan", "--degrees"]):
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        rows = out.strip().split("\n")[1:]
+        assert len(rows) == 181
+        assert rows[0].split(",")[0] == "0"
+        assert rows[-1].split(",")[0] == "%.12g" % math.pi
+
+
+@pytest.mark.parametrize("spec", ["0:4", "-0.1", "3.1416"])
+def test_scan_theta_outside_0_pi_exits_2(capsys, spec):
+    code, out, err = run(capsys, ["scan", f"--theta={spec}"])
+    assert code == 2
+    assert out == ""
+    assert "theta" in err
+
+
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------
