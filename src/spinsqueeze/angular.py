@@ -239,30 +239,49 @@ def wigner_9j(j11, j12, j13, j21, j22, j23, j31, j32, j33) -> float:
 
 
 @lru_cache(maxsize=None)
-def _d_prefactor(tk: int, tqp: int, tq: int) -> float:
-    num = (_fact2(tk + tq) * _fact2(tk - tq)
-           * _fact2(tk + tqp) * _fact2(tk - tqp))
-    return math.sqrt(num)
+def _d_table(tk: int) -> np.ndarray:
+    """Wigner's sum for every d^k_{q'q}, regrouped by power.
+
+    ``table[i, j, p]`` is the coefficient of c^p s^(2k-p), with
+    c = cos(beta/2) and s = sin(beta/2), in d^k_{q'q}(beta) for row
+    q' = k - i and column q = k - j:
+
+        d^k_{q'q} = sqrt((k+q)! (k-q)! (k+q')! (k-q')!)
+            sum_n (-1)^(n-q+q') c^(2k-2n+q-q') s^(2n-q+q')
+                  / ((k+q-n)! n! (k-q'-n)! (n-q+q')!).
+
+    Each term of the sum has its own power p = 2k - 2n + q - q', so the
+    table holds the terms themselves. Read-only.
+    """
+    size = tk + 1
+    table = np.zeros((size, size, size))
+    for i, tqp in enumerate(range(tk, -tk - 1, -2)):
+        for j, tq in enumerate(range(tk, -tk - 1, -2)):
+            pre = math.sqrt(_fact2(tk + tq) * _fact2(tk - tq)
+                            * _fact2(tk + tqp) * _fact2(tk - tqp))
+            shift = (tq - tqp) // 2                  # q - q'
+            for n in range(max(0, shift), min(tk + tq, tk - tqp) // 2 + 1):
+                den = (_fact2(tk + tq - 2 * n) * math.factorial(n)
+                       * _fact2(tk - tqp - 2 * n) * math.factorial(n - shift))
+                sign = -1.0 if (n - shift) % 2 else 1.0
+                table[i, j, tk - 2 * n + shift] = sign * pre / den
+    table.flags.writeable = False
+    return table
+
+
+def _d_powers(tk: int, beta: float) -> np.ndarray:
+    """c^p s^(2k-p) for p = 0..2k, the basis :func:`_d_table` expands in."""
+    p = np.arange(tk + 1)
+    return math.cos(beta / 2.0) ** p * math.sin(beta / 2.0) ** (tk - p)
 
 
 def little_d(k, qp, q, beta: float) -> float:
     """Reduced rotation matrix element d^k_{q'q}(beta), Wigner's sum formula."""
     kh, qph = _coerce_pair(k, qp, "(k, q')")
     _, qh = _coerce_pair(k, q, "(k, q)")
-    tk, tqp, tq = kh.twice, qph.twice, qh.twice
-    c, s = math.cos(beta / 2.0), math.sin(beta / 2.0)
-    nmin = max(0, (tq - tqp) // 2)
-    nmax = min((tk + tq) // 2, (tk - tqp) // 2)
-    pre = _d_prefactor(tk, tqp, tq)
-    total = 0.0
-    for n in range(nmin, nmax + 1):
-        den = (_fact2(tk + tq - 2 * n) * math.factorial(n)
-               * _fact2(tk - tqp - 2 * n) * _fact2(2 * n - tq + tqp))
-        power_c = tk - 2 * n + (tq - tqp) // 2   # 2k - 2n + q - q'
-        power_s = 2 * n - (tq - tqp) // 2        # 2n - q + q'
-        sign = -1.0 if (n - (tq - tqp) // 2) % 2 else 1.0
-        total += sign * (c ** power_c) * (s ** power_s) / den
-    return pre * total
+    tk = kh.twice
+    row = _d_table(tk)[(tk - qph.twice) // 2, (tk - qh.twice) // 2]
+    return float(row @ _d_powers(tk, beta))
 
 
 def wigner_d(k, qp, q, angles: EulerAngles) -> complex:
@@ -280,14 +299,8 @@ def wigner_d(k, qp, q, angles: EulerAngles) -> complex:
 
 def wigner_d_matrix(k, angles: EulerAngles) -> np.ndarray:
     """Full D^k matrix with rows q' = k..-k and columns q = k..-k."""
-    kh = check_magnitude(HalfInt.of(k), "k")
-    tk = kh.twice
-    n = tk + 1
-    out = np.empty((n, n), dtype=complex)
-    ea, eg = angles.alpha, angles.gamma
-    for i, tqp in enumerate(range(tk, -tk - 1, -2)):
-        pa = cmath.exp(-1j * (tqp / 2.0) * ea)
-        for j, tq in enumerate(range(tk, -tk - 1, -2)):
-            d = little_d(kh, HalfInt(tqp), HalfInt(tq), angles.beta)
-            out[i, j] = pa * d * cmath.exp(-1j * (tq / 2.0) * eg)
-    return out
+    tk = check_magnitude(HalfInt.of(k), "k").twice
+    d = _d_table(tk) @ _d_powers(tk, angles.beta)
+    proj = np.arange(tk, -tk - 1, -2) / 2.0
+    return (np.exp(-1j * proj * angles.alpha)[:, None] * d
+            * np.exp(-1j * proj * angles.gamma)[None, :])

@@ -23,7 +23,7 @@ from .errors import (AngularMomentumError, HermiticityError,
                      LakinFrameUndefined, NoAlignment, SchemaError,
                      UnphysicalStateError)
 from .halfint import HalfInt
-from .scan import ScanConfig, rows_as_dicts, run_scan, write_csv
+from .scan import MAX_SCAN_ROWS, ScanConfig, rows_as_dicts, run_scan, write_csv
 from .squeezing import analyze
 from .table1 import evaluate_table
 
@@ -61,6 +61,9 @@ def _parse_axis(spec: str, default_step: float, scale=lambda x: x) -> np.ndarray
     if not math.isfinite(count):
         raise SchemaError(f"too many values in {spec!r}")
     count = int(math.floor(count + 1e-9)) + 1
+    if count > MAX_SCAN_ROWS:
+        raise SchemaError(f"{count} values in {spec!r} exceed the scan limit "
+                          f"of {MAX_SCAN_ROWS} rows")
     return scale(start + step * np.arange(count))
 
 

@@ -20,10 +20,12 @@ from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
-from .angular import clebsch_gordan, racah_w
+# clebsch_gordan, racah_w and build_tau are unused here; they stay as
+# attributes of this module because perfbench/spans.py patches them here.
+from .angular import clebsch_gordan, racah_w  # noqa: F401
 from .errors import AngularMomentumError, HermiticityError, SchemaError
 from .halfint import HalfInt, check_magnitude
-from .tensor_ops import build_tau, spin_matrices
+from .tensor_ops import _tau_stack, build_tau, spin_matrices  # noqa: F401
 
 __all__ = [
     "TensorParams",
@@ -170,16 +172,28 @@ class SpinDensity:
         return self.matrix / self.trace
 
 
+def _unit_trace_matrix(t: TensorParams) -> np.ndarray:
+    """(1/(2s+1)) sum_kq (-1)^q t^k_{-q} T^k_q: the state with trace 1."""
+    ts = t.spin.twice
+    coeffs = np.zeros((ts + 1) ** 2, dtype=complex)
+    coeffs[0] = 1.0
+    for (k, q), val in t.items():
+        # (-1)^q t^k_q multiplies T^k_{-q}, entry k*k + k - q of the stack
+        coeffs[k * k + k - q] = (-1) ** q * val
+    return np.tensordot(coeffs, _tau_stack(ts), axes=1) / (ts + 1)
+
+
+def _project(matrix: np.ndarray, ts: int) -> np.ndarray:
+    """Tr(matrix T^k_q) = sum_ij matrix_ij (T^k_q)_ji for every (k, q), in
+    the order of the T^k_q stack: one matrix-vector product."""
+    stack = _tau_stack(ts)
+    return stack.reshape(len(stack), -1) @ matrix.T.ravel()
+
+
 def from_tensors(t: TensorParams) -> SpinDensity:
     """Assemble the density matrix from tensor parameters (exact inverse
     of :func:`to_tensors`)."""
-    ts = t.spin.twice
-    n = ts + 1
-    rho = np.eye(n, dtype=complex)
-    for (k, q), val in t.items():
-        # (-1)^q t^k_{-q} T^k_q summed over q; reindexed to stored entries
-        rho += (-1) ** q * val * build_tau(t.spin, k, -q)
-    return SpinDensity(t.spin, rho * (t.trace / n))
+    return SpinDensity(t.spin, _unit_trace_matrix(t) * t.trace)
 
 
 def to_tensors(rho: SpinDensity) -> TensorParams:
@@ -187,12 +201,10 @@ def to_tensors(rho: SpinDensity) -> TensorParams:
     tr = np.trace(rho.matrix)
     if abs(tr) < 1e-300:
         raise ValueError("zero-trace density matrix has no tensor parameters")
-    entries = {}
-    for k in range(1, rho.spin.twice + 1):
-        for q in range(-k, k + 1):
-            val = np.trace(rho.matrix @ build_tau(rho.spin, k, q)) / tr
-            entries[(k, q)] = complex(val)
-    return TensorParams(rho.spin, entries, trace=float(tr.real))
+    ts = rho.spin.twice
+    vals = (_project(rho.matrix, ts) / tr).tolist()
+    keys = [(k, q) for k in range(1, ts + 1) for q in range(-k, k + 1)]
+    return TensorParams(rho.spin, dict(zip(keys, vals[1:])), trace=float(tr.real))
 
 
 def polarization(rho: SpinDensity) -> np.ndarray:
@@ -273,23 +285,6 @@ def check_positivity(rho: SpinDensity) -> PositivityReport:
     return PositivityReport(psd=psd, eigenvalues=eigs, spin1_bounds=bounds)
 
 
-def _coupled_product(t: TensorParams, k1: int, k2: int, k: int, q: int) -> complex:
-    """(t^{k1} x t^{k2})^k_q = sum C(k1 k2 k; q1 q2 q) t^{k1}_{q1} t^{k2}_{q2}."""
-    total = 0j
-    for q1 in range(-k1, k1 + 1):
-        q2 = q - q1
-        if abs(q2) > k2:
-            continue
-        a = t.get(k1, q1)
-        if a == 0:
-            continue
-        b = t.get(k2, q2)
-        if b == 0:
-            continue
-        total += clebsch_gordan(k1, k2, k, q1, q2, q) * a * b
-    return total
-
-
 def purity_residual(t: TensorParams) -> float:
     """How far the tensor parameters are from describing a pure state.
 
@@ -298,27 +293,16 @@ def purity_residual(t: TensorParams) -> float:
         sum_{k1,k2} [k1][k2] W(s k1 s k2; s k) (t^{k1} x t^{k2})^k_q
             = sqrt(2s+1) t^k_q,
 
-    with [k] = sqrt(2k+1). Returns the largest absolute violation; zero
-    (to rounding) exactly for pure states.
+    with [k] = sqrt(2k+1). The left side is sqrt(2s+1) Tr(rho^2 T^k_q)
+    for the trace-1 rho, so the violation of each constraint is
+    sqrt(2s+1) |Tr((rho^2 - rho) T^k_q)|, which is what is evaluated.
+    Returns the largest absolute violation; zero (to rounding) exactly
+    for pure states.
     """
-    s = t.spin
-    kmax = s.twice
-    worst = 0.0
-    for k in range(0, kmax + 1):
-        for q in range(-k, k + 1):
-            lhs = 0j
-            for k1 in range(0, kmax + 1):
-                for k2 in range(abs(k - k1), min(kmax, k + k1) + 1):
-                    w = racah_w(s, k1, s, k2, s, k)
-                    if w == 0.0:
-                        continue
-                    prod = _coupled_product(t, k1, k2, k, q)
-                    if prod == 0:
-                        continue
-                    lhs += math.sqrt((2 * k1 + 1) * (2 * k2 + 1)) * w * prod
-            rhs = math.sqrt(s.twice + 1) * t.get(k, q)
-            worst = max(worst, abs(lhs - rhs))
-    return worst
+    ts = t.spin.twice
+    rho = _unit_trace_matrix(t)
+    excess = _project(rho @ rho - rho, ts)
+    return math.sqrt(ts + 1) * float(np.abs(excess).max())
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,16 @@ class FrameResult:
     params: TensorParams
 
 
+def _rotate_rank(t: TensorParams, k: int, angles: EulerAngles) -> np.ndarray:
+    """Rank-k parameters in the rotated frame, ordered q = k..-k. A rank
+    that vanishes (or that the spin lacks) is returned as zeros, without
+    building its D matrix."""
+    old = np.array([t.get(k, qp) for qp in range(k, -k - 1, -1)])
+    if not np.any(old):
+        return old
+    return wigner_d_matrix(k, angles).T @ old   # new_q = sum_{q'} D_{q'q} old_{q'}
+
+
 def rotate_tensors(t: TensorParams, angles: EulerAngles) -> TensorParams:
     """Express tensor parameters in the rotated frame.
 
@@ -47,11 +57,9 @@ def rotate_tensors(t: TensorParams, angles: EulerAngles) -> TensorParams:
     """
     entries = {}
     for k in range(1, t.max_rank + 1):
-        old = np.array([t.get(k, qp) for qp in range(k, -k - 1, -1)])
-        if not np.any(old):
+        new = _rotate_rank(t, k, angles)
+        if not np.any(new):
             continue
-        d = wigner_d_matrix(k, angles)
-        new = d.T @ old     # new_q = sum_{q'} D_{q'q} old_{q'}
         for idx, q in enumerate(range(k, -k - 1, -1)):
             entries[(k, q)] = complex(new[idx])
     return TensorParams(t.spin, entries, trace=t.trace)
@@ -84,6 +92,26 @@ def euler_from_rotation(r: np.ndarray) -> EulerAngles:
     return EulerAngles(alpha, beta, gamma)
 
 
+def _lakin_rotation(rho: SpinDensity) -> tuple[EulerAngles, TensorParams]:
+    """The rotation of :func:`special_lakin_frame` and the tensor
+    parameters in the input frame. gamma comes from rank 2 alone."""
+    p = polarization(rho)
+    norm = float(np.linalg.norm(p))
+    if norm <= POLARIZATION_TOL * rho.spin.value:
+        raise LakinFrameUndefined(
+            f"|polarization| = {norm:.3e} is below threshold; no preferred frame")
+    theta = math.acos(max(-1.0, min(1.0, p[2] / norm)))
+    phi = math.atan2(p[1], p[0])
+    t = to_tensors(rho)
+    gamma = 0.0
+    t22 = _rotate_rank(t, 2, EulerAngles(phi, theta, 0.0))[0]
+    if abs(t22) > 1e-14:
+        gamma = 0.5 * math.atan2(t22.imag, t22.real)
+        if gamma < 0:
+            gamma += math.pi
+    return EulerAngles(phi, theta, gamma), t
+
+
 def special_lakin_frame(rho: SpinDensity) -> FrameResult:
     """Rotate to the frame with z along the polarization and t^2_2 real.
 
@@ -96,23 +124,7 @@ def special_lakin_frame(rho: SpinDensity) -> FrameResult:
     every frame is then equivalent and the squeezing analysis rejects
     the state separately.
     """
-    p = polarization(rho)
-    norm = float(np.linalg.norm(p))
-    if norm <= POLARIZATION_TOL * rho.spin.value:
-        raise LakinFrameUndefined(
-            f"|polarization| = {norm:.3e} is below threshold; no preferred frame")
-    theta = math.acos(max(-1.0, min(1.0, p[2] / norm)))
-    phi = math.atan2(p[1], p[0])
-    t = to_tensors(rho)
-    gamma = 0.0
-    if t.max_rank >= 2:
-        lf = rotate_tensors(t, EulerAngles(phi, theta, 0.0))
-        t22 = lf.get(2, 2)
-        if abs(t22) > 1e-14:
-            gamma = 0.5 * math.atan2(t22.imag, t22.real)
-            if gamma < 0:
-                gamma += math.pi
-    rotation = EulerAngles(phi, theta, gamma)
+    rotation, t = _lakin_rotation(rho)
     return FrameResult(rotation, rotate_tensors(t, rotation))
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import _kernel
 
 __all__ = [
-    "COLUMNS", "CSV_HEADER", "IDX_Q_VALUE", "IDX_SQUEEZED",
+    "COLUMNS", "CSV_HEADER", "IDX_Q_VALUE", "IDX_SQUEEZED", "MAX_SCAN_ROWS",
     "available_backends", "scan_backend", "get_kernel", "evaluate_points",
     "ScanConfig", "ScanResult", "run_scan", "write_csv", "rows_as_dicts",
 ]
@@ -34,6 +34,11 @@ IDX_Q_VALUE = COLUMNS.index("q_value")
 IDX_SQUEEZED = COLUMNS.index("squeezed")
 
 CSV_HEADER = "theta_rad,phi_rad,p1_mag,p2_mag," + ",".join(COLUMNS)
+
+# Largest grid run_scan builds, and largest axis the CLI parses. A scan
+# holds four N-length coordinate arrays and the (N, 14) result at once,
+# so this caps it near 2.5 GB instead of letting a tiny step ask for more.
+MAX_SCAN_ROWS = 2 ** 24
 
 
 def available_backends() -> dict:
@@ -57,7 +62,9 @@ def evaluate_points(p1m, p2m, theta, phi, jobs: int = 1) -> np.ndarray:
 
     Returns an (N, 14) array with the :data:`COLUMNS` layout. ``jobs``
     only affects wall time, never the values or their order; at most
-    ``os.cpu_count()`` threads run. theta must lie in [0, pi].
+    ``os.cpu_count()`` threads run. theta must lie in [0, pi]; the kernel
+    takes |p1 x p2| = a b sin(theta), so a larger theta would flip the
+    signs of c_xz and c_zy.
     """
     kernel = get_kernel()
     arrays = [np.ascontiguousarray(np.asarray(x, dtype=float).ravel())
@@ -65,6 +72,9 @@ def evaluate_points(p1m, p2m, theta, phi, jobs: int = 1) -> np.ndarray:
     n = arrays[0].size
     if any(a.size != n for a in arrays):
         raise ValueError("coordinate arrays must have equal length")
+    # one pass: threshold_scan() makes hundreds of small calls
+    if ((arrays[2] < 0.0) | (arrays[2] > math.pi)).any():
+        raise ValueError("theta must lie in [0, pi] radians")
     out = np.empty((n, len(COLUMNS)), dtype=float)
     workers = min(jobs, n, os.cpu_count() or 1)
     if workers <= 1:
@@ -102,8 +112,7 @@ class ScanConfig:
         if np.any(self.p1 < 0) or np.any(self.p1 > 1) \
                 or np.any(self.p2 < 0) or np.any(self.p2 > 1):
             raise ValueError("polarization magnitudes must lie in [0, 1]")
-        # the kernel takes |p1 x p2| = a b sin(theta), so theta > pi
-        # would flip the signs of c_xz and c_zy
+        # rejected here too, so that a bad grid fails before it is built
         if np.any(self.theta < 0) or np.any(self.theta > math.pi):
             raise ValueError("theta must lie in [0, pi] radians")
 
@@ -122,7 +131,12 @@ class ScanResult:
 
 
 def run_scan(config: ScanConfig, jobs: int = 1) -> ScanResult:
-    """Evaluate the full grid in deterministic row order."""
+    """Evaluate the full grid in deterministic row order. Grids of more
+    than :data:`MAX_SCAN_ROWS` rows raise ``ValueError`` before anything
+    is allocated."""
+    if config.size > MAX_SCAN_ROWS:
+        raise ValueError(f"scan of {config.size} rows exceeds the limit of "
+                         f"{MAX_SCAN_ROWS} rows")
     p1g, p2g, tg, fg = np.meshgrid(config.p1, config.p2, config.theta,
                                    config.phi, indexing="ij")
     flat = [g.ravel() for g in (p1g, p2g, tg, fg)]

@@ -27,7 +27,9 @@ from .angular import EulerAngles
 from .density import (SpinDensity, check_positivity, polarization,
                       spin_scale_rank1, spin_scale_rank2)
 from .errors import AngularMomentumError, LakinFrameUndefined, UnphysicalStateError
-from .frames import special_lakin_frame
+# special_lakin_frame is unused here; it stays as an attribute of this
+# module because perfbench/spans.py patches it here.
+from .frames import _lakin_rotation, _rotate_rank, special_lakin_frame  # noqa: F401
 from .halfint import HalfInt, check_magnitude
 
 __all__ = ["SqueezingReport", "analyze", "lf_criterion", "lf_variances",
@@ -114,7 +116,7 @@ def analyze(rho: SpinDensity) -> SqueezingReport:
             eigenvalues=pos.eigenvalues)
     sv = rho.spin.value
     try:
-        frame = special_lakin_frame(rho)
+        rotation, tensors = _lakin_rotation(rho)
     except LakinFrameUndefined:
         from .density import variance
         vx = variance(rho, (1.0, 0.0, 0.0))
@@ -126,10 +128,10 @@ def analyze(rho: SpinDensity) -> SqueezingReport:
             variance_x0=vx, variance_y0=vy, phi_min=phi_min,
             min_variance=mv, q_margin=-mv, xi=math.inf, squeezed=False,
             frame=EulerAngles.identity(), reason="no vector polarization")
-    t = frame.params
-    t10 = t.get(1, 0).real
-    t20 = t.get(2, 0).real
-    t22 = t.get(2, 2).real
+    # the variances read t^1_0, t^2_0 and t^2_2 only: rotate ranks 1 and 2
+    t10 = _rotate_rank(tensors, 1, rotation)[1].real
+    rank2 = _rotate_rank(tensors, 2, rotation)
+    t20, t22 = rank2[2].real, rank2[0].real
     vx, vy, sz_half = lf_variances(rho.spin, t10, t20, t22)
     sz = spin_scale_rank1(rho.spin) * t10    # <S_z0> > 0 in this frame
     phi_min = 0.0 if vx <= vy else 0.5 * math.pi
@@ -142,7 +144,7 @@ def analyze(rho: SpinDensity) -> SqueezingReport:
         variance_x0=vx, variance_y0=vy, phi_min=phi_min,
         min_variance=min_variance, q_margin=q_margin, xi=xi,
         squeezed=bool(q_margin > SQUEEZING_MARGIN_TOL),
-        frame=frame.rotation, reason=None)
+        frame=rotation, reason=None)
 
 
 def lf_criterion(s, t10: float, t20: float, t22: float, phi: float) -> float:

@@ -9,8 +9,9 @@ Matrix elements follow the Madison normalization,
 ``<s m'|T^k_q|s m> = sqrt(2k+1) C(s k s; m q m')`` so that
 ``Tr(T^k_q^dagger T^k'_q') = (2s+1) delta_kk' delta_qq'``.
 
-Construction is lazy and memoized per (s, k, q); the returned arrays are
-frozen (non-writeable) so cached values are safe to share between threads.
+Construction is lazy and memoized per spin: the first request builds
+every T^k_q of that spin as one stack. The returned arrays are frozen
+(non-writeable) so cached values are safe to share between threads.
 """
 
 from __future__ import annotations
@@ -34,17 +35,31 @@ def projection_values(s) -> list[HalfInt]:
 
 
 @lru_cache(maxsize=None)
-def _tau_cached(ts: int, k: int, q: int) -> np.ndarray:
+def _tau_stack(ts: int) -> np.ndarray:
+    """Every T^k_q of spin ts/2, k = 0..2s and q = -k..k, stacked in that
+    order: T^k_q is entry k*k + k + q. Read-only."""
     n = ts + 1
-    root = math.sqrt(2 * k + 1)
-    out = np.zeros((n, n), dtype=complex)
-    for i, tmp in enumerate(range(ts, -ts - 1, -2)):      # row: m'
-        for j, tm in enumerate(range(ts, -ts - 1, -2)):   # column: m
-            sign, square = _cg_exact(ts, 2 * k, ts, tm, 2 * q, tmp)
-            if sign:
-                out[i, j] = sign * root * math.sqrt(square)
+    out = np.zeros((n * n, n, n), dtype=complex)
+    for k in range(n):
+        root = math.sqrt(2 * k + 1)
+        for q in range(-k, k + 1):
+            tau = out[k * k + k + q]
+            for i, tmp in enumerate(range(ts, -ts - 1, -2)):  # row: m'
+                tm = tmp - 2 * q         # the one column m that couples
+                if abs(tm) > ts:
+                    continue
+                sign, square = _cg_exact(ts, 2 * k, ts, tm, 2 * q, tmp)
+                if sign:
+                    tau[i, (ts - tm) // 2] = sign * root * math.sqrt(square)
     out.flags.writeable = False
     return out
+
+
+# A read-only view into _tau_stack, not a copy. Memoized so that the
+# benchmark in perfbench/ can read its cache_info().
+@lru_cache(maxsize=None)
+def _tau_cached(ts: int, k: int, q: int) -> np.ndarray:
+    return _tau_stack(ts)[k * k + k + q]
 
 
 def build_tau(s, k, q) -> np.ndarray:

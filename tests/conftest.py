@@ -2,10 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from spinsqueeze import (EulerAngles, HalfInt, SpinDensity, from_tensors,
                          to_tensors)
 from spinsqueeze.angular import wigner_d_matrix
+
+# Property tests draw the same examples on every run and never fail on
+# timing, so a tier-1 result does not depend on .hypothesis/ or load.
+settings.register_profile("tier1", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("tier1")
 
 
 def random_density(rng, twice_s: int, pure: bool = False,

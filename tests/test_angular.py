@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinsqueeze import (EulerAngles, HalfInt, clebsch_gordan,
                          clebsch_gordan_exact, little_d, racah_w, wigner_6j,
@@ -302,14 +304,19 @@ def _expm_unitary(generator: np.ndarray, angle: float) -> np.ndarray:
     return (vecs * np.exp(-1j * angle * vals)) @ vecs.conj().T
 
 
-def test_d_matrix_against_matrix_exponential_oracle(rng):
-    for tk in (1, 2, 3, 4, 8):
-        sx, sy, sz = spin_matrices(HalfInt(tk))
-        for _ in range(5):
-            a, b, g = rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
-            left = wigner_d_matrix(HalfInt(tk), EulerAngles(a, b, g))
-            right = _expm_unitary(sz, a) @ _expm_unitary(sy, b) @ _expm_unitary(sz, g)
-            assert np.abs(left - right).max() < 1e-12
+@settings(max_examples=120)
+@given(st.integers(1, 20), st.floats(0.0, 2 * math.pi), st.floats(0.0, math.pi),
+       st.floats(0.0, 2 * math.pi))
+def test_d_matrix_against_matrix_exponential_oracle(tk, a, b, g):
+    """2k = 1..20, half-integer ranks included; little_d reads the same
+    table as the matrix."""
+    sx, sy, sz = spin_matrices(HalfInt(tk))
+    left = wigner_d_matrix(HalfInt(tk), EulerAngles(a, b, g))
+    right = _expm_unitary(sz, a) @ _expm_unitary(sy, b) @ _expm_unitary(sz, g)
+    assert np.abs(left - right).max() < 1e-12
+    k = HalfInt(tk)
+    assert little_d(k, k, HalfInt(-tk), b) == pytest.approx(
+        _expm_unitary(sy, b)[0, -1].real, abs=1e-12)
 
 
 def test_d_matrix_unitarity(rng):

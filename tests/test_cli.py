@@ -232,6 +232,29 @@ def test_scan_theta_outside_0_pi_exits_2(capsys, spec):
     assert "theta" in err
 
 
+def _must_not_allocate(*args, **kwargs):
+    pytest.fail("the grid was allocated before its size was checked")
+
+
+def test_scan_axis_over_row_limit_exits_2(capsys, monkeypatch):
+    # 3e12 values: refused before numpy is asked for them
+    monkeypatch.setattr(np, "arange", _must_not_allocate)
+    code, out, err = run(capsys, ["scan", "--theta", "0:3:1e-12"])
+    assert code == 2
+    assert out == ""
+    assert "limit" in err
+
+
+def test_scan_grid_over_row_limit_exits_2(capsys, monkeypatch):
+    # four axes of about 1e4 values each: 1e16 rows, each axis within the limit
+    monkeypatch.setattr(np, "meshgrid", _must_not_allocate)
+    code, out, err = run(capsys, ["scan", "--p1", "0:1:1e-4", "--p2", "0:1:1e-4",
+                                  "--theta", "0:3:3e-4", "--phi", "0:1:1e-4"])
+    assert code == 2
+    assert out == ""
+    assert "limit" in err
+
+
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------

@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_density, random_hermitian_state, random_oriented
+from purity_oracle import purity_residual_tensor_form
 from spinsqueeze import (EulerAngles, HalfInt, SpinDensity, TensorParams,
                          check_positivity, classify_orientation, from_tensors,
                          polarization, purity_residual, rotate_tensors,
@@ -213,6 +216,22 @@ def test_purity_residual_random(rng):
             lam = np.linalg.eigvalsh(mixed.normalized_matrix())
             if lam[0] > 0.05:
                 assert purity_residual(to_tensors(mixed)) > 1e-3
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 4), st.sampled_from(["pure", "mixed", "hermitian"]),
+       st.floats(0.05, 20.0), st.integers(0, 2**32 - 1))
+def test_purity_residual_equals_tensor_form_oracle(ts, kind, trace, seed):
+    """The matrix route against the paper's tensor-form sum, s <= 2, on
+    pure, mixed and non-PSD states of any positive trace."""
+    rng = np.random.default_rng(seed)
+    if kind == "hermitian":
+        rho = random_hermitian_state(rng, ts)
+    else:
+        rho = random_density(rng, ts, pure=kind == "pure", trace=trace)
+    t = to_tensors(rho)
+    assert purity_residual(t) == pytest.approx(
+        purity_residual_tensor_form(t), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

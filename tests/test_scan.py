@@ -183,6 +183,14 @@ def test_degenerate_rows_marked_nan():
         assert math.isnan(col[name]), name
 
 
+def test_evaluate_points_rejects_theta_outside_0_pi():
+    # theta > pi used to flip the signs of c_xz and c_zy silently
+    with pytest.raises(ValueError, match="theta"):
+        evaluate_points([0.9], [0.85], [4.0], [0.5])
+    with pytest.raises(ValueError, match="theta"):
+        evaluate_points([0.9, 0.9], [0.85, 0.85], [0.3, -1e-9], [0.5, 0.5])
+
+
 def test_scan_config_validation():
     with pytest.raises(ValueError):
         ScanConfig(p1=[1.2], p2=[0.5], theta=[0.3], phi=[0.0])

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_density, random_oriented, rotate_state
 from spinsqueeze import (HalfInt, SpinDensity, TensorParams, analyze,
                          from_tensors, lf_criterion, lf_variances,
-                         oriented_margin, spin_scale_rank1, variance)
+                         oriented_margin, special_lakin_frame,
+                         spin_matrices, spin_scale_rank1, variance)
 from spinsqueeze.errors import AngularMomentumError, UnphysicalStateError
 from spinsqueeze.frames import rotation_matrix
 
@@ -178,3 +181,42 @@ def test_verdict_frame_independent(rng):
         rep = analyze(rotate_state(rng, mixed))
         assert rep.squeezed == rep0.squeezed
         assert rep.q_margin == pytest.approx(rep0.q_margin, abs=1e-10)
+
+
+def q_margin_oracle(rho: SpinDensity) -> float:
+    """|<S>|/2 minus the least transverse variance, from spin matrices: the
+    smaller eigenvalue of the covariance of S along two axes normal to <S>."""
+    spins = spin_matrices(rho.spin)
+    m = rho.normalized_matrix()
+
+    def mean(op):
+        return float(np.trace(m @ op).real)
+
+    vec = np.array([mean(sa) for sa in spins])
+    n = vec / np.linalg.norm(vec)
+    e1 = np.cross(n, np.eye(3)[int(np.argmin(np.abs(n)))])
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(n, e1)
+    a = sum(c * sa for c, sa in zip(e1, spins))
+    b = sum(c * sa for c, sa in zip(e2, spins))
+    ma, mb = mean(a), mean(b)
+    cab = mean((a @ b + b @ a) / 2) - ma * mb
+    cov = np.array([[mean(a @ a) - ma * ma, cab], [cab, mean(b @ b) - mb * mb]])
+    return float(np.linalg.norm(vec)) / 2 - float(np.linalg.eigvalsh(cov)[0])
+
+
+@settings(max_examples=60)
+@given(st.sampled_from([2, 3, 6, 12, 20]),
+       st.sampled_from(["pure", "mixed", "oriented"]),
+       st.integers(0, 2**32 - 1))
+def test_q_margin_matches_spin_matrix_oracle(ts, kind, seed):
+    """s in {1, 3/2, 3, 6, 10}: q_margin against the covariance oracle, and
+    the reported frame is the special Lakin frame's rotation."""
+    rng = np.random.default_rng(seed)
+    if kind == "oriented":
+        rho = random_oriented(rng, ts)[0]
+    else:
+        rho = random_density(rng, ts, pure=kind == "pure")
+    rep = analyze(rho)
+    assert rep.q_margin == pytest.approx(q_margin_oracle(rho), abs=1e-9)
+    assert rep.frame == special_lakin_frame(rho).rotation

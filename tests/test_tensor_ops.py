@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spinsqueeze import HalfInt, build_tau, clebsch_gordan, racah_w, spin_matrices
+from spinsqueeze.angular import _cg_exact
 from spinsqueeze.errors import AngularMomentumError
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -153,3 +154,15 @@ def test_uncertainty_relation_property(rng):
                          for sm, m in zip(spins, means)]
             for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
                 assert variances[a] * variances[b] >= 0.25 * means[c] ** 2 - 1e-10
+
+
+def test_tau_build_caches_only_coupled_cg():
+    """Only m = m' - q couples, so building every T^k_q of a spin caches
+    at most 2s+1 Clebsch-Gordan coefficients per (k, q)."""
+    ts = 13      # s = 13/2: no other test builds operators of this spin
+    before = _cg_exact.cache_info().currsize
+    for k in range(ts + 1):
+        for q in range(-k, k + 1):
+            build_tau(HalfInt(ts), k, q)
+    grown = _cg_exact.cache_info().currsize - before
+    assert grown <= (ts + 1) * (ts + 1) ** 2
