@@ -22,8 +22,11 @@ import numpy as np
 _SQRT6 = sqrt(6.0)
 _SQRT3 = sqrt(3.0)
 _SQRT23 = sqrt(2.0 / 3.0)
-_DEGENERATE_TOL2 = 1e-20
-_MARGIN_TOL = 1e-12
+# Shared with the scalar routes in channel.py, which import them: a point
+# with |p1 + p2|^2 <= DEGENERATE_TOL2 has no frame, and it is squeezed
+# when q_value > MARGIN_TOL.
+DEGENERATE_TOL2 = 1e-20
+MARGIN_TOL = 1e-12
 
 # Points per block: the ~30 float64 temporaries of a block take about
 # 2 MB, so memory does not grow with the grid.
@@ -83,14 +86,14 @@ def _evaluate_block(a, b, theta, phi, out):
     out[:, 4] = var
     out[:, 5] = szh
     out[:, 6] = q
-    out[:, 7] = q > _MARGIN_TOL
+    out[:, 7] = q > MARGIN_TOL
     out[:, 8] = cxx
     out[:, 9] = cyy
     out[:, 10] = czz
     out[:, 11] = cxz
     out[:, 12] = czy
     out[:, 13] = 0.0
-    degenerate = ps2 <= _DEGENERATE_TOL2
+    degenerate = ps2 <= DEGENERATE_TOL2
     if degenerate.any():
         out[degenerate, 1:] = np.nan
         out[np.ix_(degenerate, (1, 5, 7))] = 0.0

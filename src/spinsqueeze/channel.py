@@ -29,6 +29,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._kernel import DEGENERATE_TOL2, MARGIN_TOL
 from .angular import clebsch_gordan, wigner_9j
 from .density import SpinDensity, TensorParams
 from .errors import LakinFrameUndefined
@@ -42,8 +43,7 @@ __all__ = [
     "ThresholdScanConfig", "ThresholdScanResult", "threshold_scan",
 ]
 
-DEGENERATE_TOL = 1e-10
-MARGIN_TOL = 1e-12
+DEGENERATE_TOL = 1e-10      # on |p1 + p2|; DEGENERATE_TOL2 bounds its square
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -269,7 +269,7 @@ def channel_squeezing(p1, p2, phi: float) -> ChannelSqueezing:
     den = 3.0 + pd
     total = v1 + v2
     ps2 = float(np.dot(total, total))
-    if ps2 <= DEGENERATE_TOL ** 2:
+    if ps2 <= DEGENERATE_TOL2:
         raise LakinFrameUndefined("p1 + p2 = 0: transverse direction undefined")
     ps = math.sqrt(ps2)
     cross = np.cross(v1, v2)
@@ -313,12 +313,12 @@ def correlations(p1, p2, phi: float) -> Correlations:
     den = 3.0 + pd
     total = v1 + v2
     ps2 = float(np.dot(total, total))
-    if ps2 <= DEGENERATE_TOL ** 2:
+    if ps2 <= DEGENERATE_TOL2:
         raise LakinFrameUndefined("p1 + p2 = 0: correlation frame undefined")
     cross = np.cross(v1, v2)
     cross2 = float(np.dot(cross, cross))
     crossn = math.sqrt(cross2)
-    sin2t = cross2 / (a2 * b2) if a2 * b2 > DEGENERATE_TOL ** 2 else 0.0
+    sin2t = cross2 / (a2 * b2) if a2 * b2 > DEGENERATE_TOL2 else 0.0
     c2p = math.cos(2.0 * phi)
     cp = math.cos(phi)
     sp = math.sin(phi)

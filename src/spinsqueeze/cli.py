@@ -40,6 +40,14 @@ def _angle(value: float, degrees: bool) -> float:
 # default --theta: the full physical range in degrees, with or without --degrees
 DEFAULT_THETA_DEG = "0:180:1"
 
+# Largest analyze --phi-points: each sample is a dict in the report, about
+# 25 MB of Python objects at this bound.
+MAX_PHI_POINTS = 100_000
+
+# Largest rank of coeff d: its coefficient table holds (2k+1)^3 floats,
+# 4.3 MB at k = 40. From k = 99/2 on the table's factorials overflow a float.
+MAX_D_RANK = 40
+
 
 def _parse_axis(spec: str, default_step: float, scale=lambda x: x) -> np.ndarray:
     """Parse 'value' or 'start:stop[:step]' into a grid array."""
@@ -68,6 +76,9 @@ def _parse_axis(spec: str, default_step: float, scale=lambda x: x) -> np.ndarray
 
 
 def cmd_analyze(args) -> int:
+    if args.phi_points > MAX_PHI_POINTS:
+        raise SchemaError(f"--phi-points {args.phi_points} exceeds the limit "
+                          f"of {MAX_PHI_POINTS}")
     _, rho = load_state_file(args.state)
     report = analyze(rho)
     json.dump(report.as_dict(phi_points=args.phi_points), sys.stdout, indent=2)
@@ -105,6 +116,8 @@ def cmd_coeff(args) -> int:
         print(f"{wigner_9j(*nums):.15g}")
     else:  # d
         k, qp, q = (HalfInt.of(v) for v in vals[:3])
+        if k.twice > 2 * MAX_D_RANK:
+            raise SchemaError(f"rank {k} exceeds the limit of {MAX_D_RANK}")
         a, b, g = (_angle(float(v), args.degrees) for v in vals[3:])
         val = wigner_d(k, qp, q, EulerAngles(a, b, g))
         print(f"{val.real:.15g}{val.imag:+.15g}j")
@@ -186,6 +199,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_channel(args) -> int:
+    for name in ("p1", "p2", "theta", "phi"):
+        if not math.isfinite(getattr(args, name)):
+            raise SchemaError(f"--{name} must be finite")
     theta = _angle(args.theta, args.degrees)
     phi = _angle(args.phi, args.degrees)
     p1 = args.p1 * np.array([0.0, 0.0, 1.0])

@@ -51,6 +51,10 @@ __all__ = [
 HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-10
 
+# Largest spin a state file may name: the stack of every T^k_q of a spin
+# holds (2s+1)^4 complex numbers, 45 MB at s = 20.
+MAX_STATE_SPIN = 20
+
 
 def spin_scale_rank1(s) -> float:
     """sqrt(s(s+1)/3): converts rank-1 tensors to spin spherical components."""
@@ -372,6 +376,8 @@ def tensor_params_from_dict(data: Mapping) -> TensorParams:
         spin = HalfInt.of(data["spin"])
     except (ValueError, TypeError) as exc:
         raise SchemaError(f"invalid spin value {data['spin']!r}: {exc}") from None
+    if spin.twice > 2 * MAX_STATE_SPIN:
+        raise SchemaError(f"spin {spin} exceeds the limit of {MAX_STATE_SPIN}")
     trace = data.get("trace", 1.0)
     if not isinstance(trace, (int, float)) or isinstance(trace, bool):
         raise SchemaError(f"trace must be a number, got {trace!r}")

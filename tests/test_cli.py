@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from spinsqueeze.cli import main
+from spinsqueeze import angular, density
+from spinsqueeze.cli import MAX_D_RANK, MAX_PHI_POINTS, main
+from spinsqueeze.density import MAX_STATE_SPIN
 
 TABLE_ROW_STATE = {"spin": "1", "trace": 1.0,
                    "tensors": [{"k": 2, "q": 0, "re": 0.5},
@@ -24,6 +26,10 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _must_not_allocate(*args, **kwargs):
+    pytest.fail("memory was allocated before the input size was checked")
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +71,26 @@ def test_analyze_schema_violation_exits_2(tmp_path, capsys):
 def test_analyze_missing_file_exits_2(capsys):
     code, _, _ = run(capsys, ["analyze", "/nonexistent/state.json"])
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+def test_state_spin_over_limit_exits_2(tmp_path, capsys, monkeypatch, command):
+    # spin 100 would need a 26 GB operator stack
+    monkeypatch.setattr(density, "_tau_stack", _must_not_allocate)
+    state = {"spin": MAX_STATE_SPIN + 0.5}
+    code, out, err = run(capsys, [command, write_state(tmp_path, state)])
+    assert code == 2
+    assert out == ""
+    assert "limit" in err
+
+
+def test_analyze_phi_points_over_limit_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(np, "linspace", _must_not_allocate)
+    code, out, err = run(capsys, ["analyze", write_state(tmp_path, TABLE_ROW_STATE),
+                                  "--phi-points", str(MAX_PHI_POINTS + 1)])
+    assert code == 2
+    assert out == ""
+    assert "limit" in err
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +141,20 @@ def test_coeff_d_identity(capsys):
     code, out, _ = run(capsys, ["coeff", "d", "1", "0", "0", "0", "0", "0"])
     assert code == 0
     assert out.strip().startswith("1")
+
+
+def test_coeff_d_rank_limit(capsys, monkeypatch):
+    top = str(MAX_D_RANK)
+    code, out, _ = run(capsys, ["coeff", "d", top, top, top, "0", "0", "0"])
+    assert code == 0
+    assert out.strip().startswith("1")
+    # k = 1000 would need a 64 GB coefficient table
+    monkeypatch.setattr(angular, "_d_table", _must_not_allocate)
+    code, out, err = run(capsys, ["coeff", "d", f"{MAX_D_RANK}.5", "0.5", "0.5",
+                                  "0", "1", "0"])
+    assert code == 2
+    assert out == ""
+    assert "limit" in err
 
 
 def test_coeff_d_degrees(capsys):
@@ -232,10 +272,6 @@ def test_scan_theta_outside_0_pi_exits_2(capsys, spec):
     assert "theta" in err
 
 
-def _must_not_allocate(*args, **kwargs):
-    pytest.fail("the grid was allocated before its size was checked")
-
-
 def test_scan_axis_over_row_limit_exits_2(capsys, monkeypatch):
     # 3e12 values: refused before numpy is asked for them
     monkeypatch.setattr(np, "arange", _must_not_allocate)
@@ -318,6 +354,17 @@ def test_channel_point_reports_zz_mismatch_for_mixed_inputs(capsys):
     report = json.loads(out)
     assert any("C_zz" in m for m in report["correlation_mismatches"])
     assert not any("C_xy" in m for m in report["correlation_mismatches"])
+
+
+@pytest.mark.parametrize("option", ["--p1", "--p2", "--theta", "--phi"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_channel_non_finite_input_exits_2(capsys, option, value):
+    argv = {"--p1": "0.9", "--p2": "0.85", "--theta": "1.0", "--phi": "0"}
+    argv[option] = value
+    code, out, err = run(capsys, ["channel", *(f"{k}={v}" for k, v in argv.items())])
+    assert code == 2
+    assert out == ""
+    assert option in err
 
 
 def test_channel_degenerate_exits_2(capsys):

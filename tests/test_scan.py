@@ -1,6 +1,9 @@
-"""Scan kernel against its scalar reference, thread cap, CSV determinism."""
+"""Scan kernel against its scalar reference, thread cap, CSV and JSON
+output."""
 
+import hashlib
 import io
+import json
 import math
 import os
 
@@ -8,15 +11,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import scan_oracle
 from spinsqueeze import (ScanConfig, channel_squeezing, correlations,
                          couple_spin1, run_scan, to_tensors, write_csv)
-from spinsqueeze import scan
+from spinsqueeze import _kernel, channel, scan
 from spinsqueeze.channel import MARGIN_TOL
+from spinsqueeze.cli import _write_scan
 from spinsqueeze.frames import euler_from_rotation, rotate_tensors
-from spinsqueeze.scan import (COLUMNS, CSV_HEADER, available_backends,
-                              evaluate_points, get_kernel, scan_backend)
+from spinsqueeze.scan import (COLUMNS, CSV_HEADER, FIELDS, ScanResult,
+                              available_backends, evaluate_points, get_kernel,
+                              rows_as_dicts, scan_backend)
 
 
 def grid_arrays(rng, n):
@@ -241,3 +247,83 @@ def test_csv_byte_identical_across_jobs_and_runs(rng):
                         phi=np.linspace(0, 1.5, 5))
     texts = {csv_string(run_scan(config, jobs=j)) for j in (1, 2, 5, 1)}
     assert len(texts) == 1
+
+
+def test_scan_and_scalar_api_share_thresholds():
+    assert channel.MARGIN_TOL is _kernel.MARGIN_TOL
+    assert channel.DEGENERATE_TOL2 is _kernel.DEGENERATE_TOL2
+    # |p1 + p2|^2 one ulp above DEGENERATE_TOL2: a row for both routes
+    p = 1e-10
+    assert p * p > _kernel.DEGENERATE_TOL2
+    row = evaluate_points([p], [0.0], [0.0], [0.0])[0]
+    sq = channel_squeezing([0.0, 0.0, p], [0.0, 0.0, 0.0], 0.0)
+    assert row[COLUMNS.index("q_value")] == sq.q_value
+
+
+def pinned_result(n: int) -> ScanResult:
+    """The first n rows of a p1 = p2 grid with theta in {0, pi/2, pi}: its
+    p1 + p2 = 0 rows hold NaN, and three of the first 255 rows are squeezed."""
+    axis = [1.0, 0.7, 0.35, 0.0]
+    full = run_scan(ScanConfig(p1=axis, p2=axis, theta=[0.0, math.pi / 2, math.pi],
+                               phi=np.linspace(0.0, 2 * math.pi, 9)))
+    return ScanResult(theta=full.theta[:n], phi=full.phi[:n], p1=full.p1[:n],
+                      p2=full.p2[:n], data=full.data[:n])
+
+
+# sha256 of the CSV and of the JSON that the CLI writes for pinned_result(n);
+# the values of n sit on both sides of the writers' 256-row block edge
+PINNED_SHA256 = {
+    0: ("5ea47dffa91795afa439d9f8ab7b1b2a485583b9c4e51ae015e1457cbf552133",
+        "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
+    1: ("2eb27367d266c1b33efd916dc80c983eeedce9b4fdbe8a35698b16b7ec4115ad",
+        "d6fdc0d39f7766a2dca3c7d2db03f64f29667e324b8392bc96144aa60f8ce1d8"),
+    255: ("49cff9ecda678ae28ec56f0c1fcd1aa21102e3613302558560d26ddb0391a13f",
+          "a47217be23ddcaa3e2a5e3ee9908c675df3b7618961a19904439795a6e7d9a98"),
+    256: ("fc4c68b0232150ec8461419c6db243c3564627899e4439aadaae10fe49211ea6",
+          "8d371033281764cee3e8a8e070f2cb2cb9ee554c76c57bd06be1969b4bdc3a8c"),
+    257: ("799de8bc59c12415cecafb4e264a5a14be5dee6027b237d9d5b0199c84375224",
+          "332ebb72b57e1af3ab56f889d41777884d5cef08cb342753f0d21cf13fd25561"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_SHA256))
+def test_output_bytes_pinned(n):
+    result = pinned_result(n)
+    for fmt, want in zip(("csv", "json"), PINNED_SHA256[n]):
+        buf = io.StringIO()
+        _write_scan(result, buf, fmt)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == want, fmt
+
+
+# any float, NaN and inf included, rounded to the CSV's 12 digits so that
+# the CSV and the JSON can be compared exactly
+_cell = st.floats(allow_nan=True, allow_infinity=True).map(
+    lambda x: float("%.12g" % x))
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_csv_rows_equal_json_rows(data):
+    """Hand-built results with NaN and inf anywhere: up to 30 drawn rows,
+    repeated to n rows so that n crosses the writers' 256-row blocks."""
+    rows = data.draw(hnp.arrays(np.float64, st.tuples(
+        st.integers(1, 30), st.just(len(FIELDS))), elements=_cell))
+    squeezed = data.draw(hnp.arrays(np.float64, len(rows), elements=(
+        st.sampled_from([0.0, 1.0, math.nan, 0.5, -math.inf]))))
+    col = FIELDS.index("squeezed")
+    rows[:, col] = squeezed
+    cells = np.resize(rows, (data.draw(st.integers(0, 600)), len(FIELDS)))
+    result = ScanResult(theta=cells[:, 0], phi=cells[:, 1], p1=cells[:, 2],
+                        p2=cells[:, 3], data=cells[:, 4:])
+    lines = csv_string(result).split("\n")
+    dicts = rows_as_dicts(result)
+    json.dumps(dicts, allow_nan=False)
+    assert lines[0] == CSV_HEADER and lines[-1] == ""
+    assert len(lines) - 2 == len(dicts) == len(cells)
+    for line, row, want in zip(lines[1:-1], dicts, cells):
+        assert tuple(row) == FIELDS
+        parsed = [int(f) if name == "squeezed" else float(f)
+                  for name, f in zip(FIELDS, line.split(","))]
+        for got, value in zip(parsed, row.values()):
+            assert got == value or (value is None and not math.isfinite(got))
+        assert row["squeezed"] == int(want[col] != 0 and not math.isnan(want[col]))
