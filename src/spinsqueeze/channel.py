@@ -62,6 +62,13 @@ def _as_polarization(p, name: str) -> np.ndarray:
     return v
 
 
+def _as_angle(phi, name: str) -> float:
+    phi = float(phi)
+    if not math.isfinite(phi):
+        raise ValueError(f"{name} must be finite")
+    return phi
+
+
 def _spherical(v: np.ndarray) -> dict[int, complex]:
     """Spherical components of a real vector: V_0 = V_z,
     V_{+-1} = -+(V_x +- i V_y)/sqrt(2)."""
@@ -265,6 +272,7 @@ def channel_squeezing(p1, p2, phi: float) -> ChannelSqueezing:
     spin and the squeezing margin of the projected pair."""
     v1 = _as_polarization(p1, "p1")
     v2 = _as_polarization(p2, "p2")
+    phi = _as_angle(phi, "phi")
     pd = float(np.dot(v1, v2))
     den = 3.0 + pd
     total = v1 + v2
@@ -307,6 +315,7 @@ def correlations(p1, p2, phi: float) -> Correlations:
     """
     v1 = _as_polarization(p1, "p1")
     v2 = _as_polarization(p2, "p2")
+    phi = _as_angle(phi, "phi")
     a2 = float(np.dot(v1, v1))
     b2 = float(np.dot(v2, v2))
     pd = float(np.dot(v1, v2))
@@ -342,6 +351,7 @@ def correlations_oracle(p1, p2, phi: float) -> Correlations:
     """
     v1 = _as_polarization(p1, "p1")
     v2 = _as_polarization(p2, "p2")
+    phi = _as_angle(phi, "phi")
     frame = channel_geometry(v1, v2)
     ax = math.cos(phi) * frame.x0 + math.sin(phi) * frame.y0
     ay = -math.sin(phi) * frame.x0 + math.cos(phi) * frame.y0

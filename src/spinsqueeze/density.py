@@ -25,7 +25,7 @@ import numpy as np
 from .angular import clebsch_gordan, racah_w  # noqa: F401
 from .errors import AngularMomentumError, HermiticityError, SchemaError
 from .halfint import HalfInt, check_magnitude
-from .tensor_ops import _tau_stack, build_tau, spin_matrices  # noqa: F401
+from .tensor_ops import _stack_order, _tau_stack, build_tau, spin_matrices  # noqa: F401
 
 __all__ = [
     "TensorParams",
@@ -74,70 +74,78 @@ def spin_scale_rank2(s) -> float:
 class TensorParams:
     """Trace-normalized spherical tensor parameters t^k_q of a spin-s state.
 
-    Entries are a mapping (k, q) -> complex with integer 0 <= k <= 2s and
-    |q| <= k; omitted entries are zero and t^0_0 is fixed at 1. The
+    ``vector`` holds every t^k_q, k = 0..2s and q = -k..k, in the order of
+    the T^k_q stack (t^k_q is entry k*k + k + q), with t^0_0 = 1 at entry
+    0; it is read-only. ``entries`` is either such a vector (its entry 0
+    is replaced by 1) or a mapping (k, q) -> complex with integer
+    0 <= k <= 2s and |q| <= k, whose omitted entries are zero. The
     conjugation pairing t^k_q* = (-1)^q t^k_{-q} is enforced on
-    construction (``fill_partners=True`` completes missing partners
-    instead of rejecting them).
+    construction (``fill_partners=True`` completes the missing partners
+    of a mapping instead of rejecting them).
     """
 
-    __slots__ = ("spin", "trace", "_entries")
+    __slots__ = ("spin", "trace", "vector")
 
-    def __init__(self, spin, entries: Mapping, trace: float = 1.0,
+    def __init__(self, spin, entries, trace: float = 1.0,
                  fill_partners: bool = False):
         sh = check_magnitude(HalfInt.of(spin), "spin")
         trace = float(trace)
         if not math.isfinite(trace) or trace <= 0:
             raise ValueError(f"trace must be positive and finite, got {trace}")
-        data: dict[tuple[int, int], complex] = {}
-        for key, val in entries.items():
-            k, q = int(key[0]), int(key[1])
-            if k < 0 or k > sh.twice:
-                raise AngularMomentumError(
-                    f"rank k={k} outside 0..2s for spin {sh}")
-            if abs(q) > k:
-                raise AngularMomentumError(f"|q|={abs(q)} exceeds k={k}")
-            data[(k, q)] = complex(val)
-        if (0, 0) in data:
-            if abs(data[(0, 0)] - 1.0) > 1e-9:
-                raise ValueError(
-                    f"t^0_0 must equal 1 after trace normalization, got {data[(0, 0)]}")
-            del data[(0, 0)]
-        if fill_partners:
-            for (k, q), val in list(data.items()):
-                if (k, -q) not in data:
-                    data[(k, -q)] = (-1) ** q * val.conjugate()
-        bad = []
-        for (k, q), val in data.items():
-            partner = data.get((k, -q), 0j)
-            if abs(val.conjugate() - (-1) ** q * partner) > HERMITICITY_TOL:
-                bad.append((k, q))
-        if bad:
-            raise HermiticityError(
-                "conjugation pairing violated at (k, q) = "
-                + ", ".join(map(str, sorted(bad))))
+        ts = sh.twice
+        keys, partner, sign = _stack_order(ts)
+        mapping = isinstance(entries, Mapping)
+        if mapping:
+            vec = np.zeros(len(keys), dtype=complex)
+            given = np.zeros(len(keys), dtype=bool)
+            for (k, q), val in entries.items():
+                k, q = int(k), int(q)
+                if k < 0 or k > ts:
+                    raise AngularMomentumError(
+                        f"rank k={k} outside 0..2s for spin {sh}")
+                if abs(q) > k:
+                    raise AngularMomentumError(f"|q|={abs(q)} exceeds k={k}")
+                vec[k * k + k + q] = complex(val)
+                given[k * k + k + q] = True
+        else:
+            vec = np.array(entries, dtype=complex)
+            if vec.shape != (len(keys),):
+                raise ValueError(f"tensor vector shape {vec.shape} != ({len(keys)},)")
+        bad = np.flatnonzero(~np.isfinite(vec))
+        if bad.size:
+            raise ValueError("non-finite tensor parameter at (k, q) = "
+                             + ", ".join(str(keys[i]) for i in bad))
+        if mapping and given[0] and abs(vec[0] - 1.0) > 1e-9:
+            raise ValueError(
+                f"t^0_0 must equal 1 after trace normalization, got {vec[0]}")
+        if mapping and fill_partners:
+            fill = ~given & given[partner]
+            vec[fill] = sign[fill] * vec[partner[fill]].conj()
+        vec[0] = 1.0
+        bad = np.flatnonzero(np.abs(vec.conj() - sign * vec[partner]) > HERMITICITY_TOL)
+        if bad.size:
+            raise HermiticityError("conjugation pairing violated at (k, q) = "
+                                   + ", ".join(str(keys[i]) for i in bad))
+        vec.flags.writeable = False
         self.spin = sh
         self.trace = trace
-        self._entries = data
+        self.vector = vec
 
     def get(self, k: int, q: int) -> complex:
-        if k == 0 and q == 0:
-            return 1.0 + 0j
-        return self._entries.get((k, q), 0j)
+        if 0 <= k <= self.spin.twice and abs(q) <= k:
+            return complex(self.vector[k * k + k + q])
+        return 0j
 
     def items(self) -> Iterator[tuple[tuple[int, int], complex]]:
-        """Stored (k >= 1) entries in deterministic (k, q) order."""
-        return iter(sorted(self._entries.items()))
+        """Every k >= 1 entry, zeros included, in (k, q) order."""
+        return zip(_stack_order(self.spin.twice)[0][1:], self.vector[1:].tolist())
 
     @property
     def max_rank(self) -> int:
         return self.spin.twice
 
-    def with_trace(self, trace: float) -> "TensorParams":
-        return TensorParams(self.spin, self._entries, trace=trace)
-
     def __repr__(self):
-        body = ", ".join(f"t({k},{q})={v:.6g}" for (k, q), v in self.items())
+        body = ", ".join(f"t({k},{q})={v:.6g}" for (k, q), v in self.items() if v)
         return f"TensorParams(spin={self.spin}, trace={self.trace:.6g}, {body or 'unpolarized'})"
 
 
@@ -154,6 +162,8 @@ class SpinDensity:
         n = sh.twice + 1
         if mat.shape != (n, n):
             raise ValueError(f"matrix shape {mat.shape} != ({n}, {n}) for spin {sh}")
+        if not np.isfinite(mat).all():
+            raise ValueError("density matrix has non-finite entries")
         scale = max(1.0, float(np.abs(mat).max()))
         if np.abs(mat - mat.conj().T).max() > HERMITICITY_TOL * scale:
             raise HermiticityError("density matrix is not Hermitian")
@@ -179,11 +189,9 @@ class SpinDensity:
 def _unit_trace_matrix(t: TensorParams) -> np.ndarray:
     """(1/(2s+1)) sum_kq (-1)^q t^k_{-q} T^k_q: the state with trace 1."""
     ts = t.spin.twice
-    coeffs = np.zeros((ts + 1) ** 2, dtype=complex)
-    coeffs[0] = 1.0
-    for (k, q), val in t.items():
-        # (-1)^q t^k_q multiplies T^k_{-q}, entry k*k + k - q of the stack
-        coeffs[k * k + k - q] = (-1) ** q * val
+    _, partner, sign = _stack_order(ts)
+    # T^k_q is multiplied by (-1)^q t^k_{-q}
+    coeffs = sign * t.vector[partner]
     return np.tensordot(coeffs, _tau_stack(ts), axes=1) / (ts + 1)
 
 
@@ -205,10 +213,8 @@ def to_tensors(rho: SpinDensity) -> TensorParams:
     tr = np.trace(rho.matrix)
     if abs(tr) < 1e-300:
         raise ValueError("zero-trace density matrix has no tensor parameters")
-    ts = rho.spin.twice
-    vals = (_project(rho.matrix, ts) / tr).tolist()
-    keys = [(k, q) for k in range(1, ts + 1) for q in range(-k, k + 1)]
-    return TensorParams(rho.spin, dict(zip(keys, vals[1:])), trace=float(tr.real))
+    return TensorParams(rho.spin, _project(rho.matrix, rho.spin.twice) / tr,
+                        trace=float(tr.real))
 
 
 def polarization(rho: SpinDensity) -> np.ndarray:
@@ -390,7 +396,7 @@ def tensor_params_from_dict(data: Mapping) -> TensorParams:
             raise SchemaError(f"tensors[{i}] must be an object")
         try:
             k, q = int(item["k"]), int(item["q"])
-        except (KeyError, ValueError, TypeError):
+        except (KeyError, ValueError, TypeError, OverflowError):
             raise SchemaError(f"tensors[{i}] needs integer 'k' and 'q'") from None
         re = item.get("re", 0.0)
         im = item.get("im", 0.0)
@@ -398,9 +404,15 @@ def tensor_params_from_dict(data: Mapping) -> TensorParams:
             raise SchemaError(f"tensors[{i}] 're'/'im' must be numbers")
         if (k, q) in entries:
             raise SchemaError(f"duplicate tensor entry (k={k}, q={q})")
-        entries[(k, q)] = complex(re, im)
+        try:
+            entries[(k, q)] = complex(re, im)
+        except OverflowError:
+            raise SchemaError(
+                f"tensor entry (k={k}, q={q}) exceeds the float range") from None
     try:
         return TensorParams(spin, entries, trace=float(trace), fill_partners=True)
+    except OverflowError:
+        raise SchemaError("trace exceeds the float range") from None
     except (AngularMomentumError, HermiticityError, ValueError) as exc:
         raise SchemaError(str(exc)) from None
 

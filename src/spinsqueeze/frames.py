@@ -43,7 +43,10 @@ def _rotate_rank(t: TensorParams, k: int, angles: EulerAngles) -> np.ndarray:
     """Rank-k parameters in the rotated frame, ordered q = k..-k. A rank
     that vanishes (or that the spin lacks) is returned as zeros, without
     building its D matrix."""
-    old = np.array([t.get(k, qp) for qp in range(k, -k - 1, -1)])
+    if k > t.max_rank:
+        return np.zeros(2 * k + 1, dtype=complex)
+    # a contiguous copy: matmul sums a reversed view in another order
+    old = t.vector[k * k:(k + 1) ** 2][::-1].copy()
     if not np.any(old):
         return old
     return wigner_d_matrix(k, angles).T @ old   # new_q = sum_{q'} D_{q'q} old_{q'}
@@ -55,14 +58,10 @@ def rotate_tensors(t: TensorParams, angles: EulerAngles) -> TensorParams:
     Preserves the conjugation pairing and the rotational invariants
     sum_q |t^k_q|^2 for every rank.
     """
-    entries = {}
+    vec = t.vector.copy()
     for k in range(1, t.max_rank + 1):
-        new = _rotate_rank(t, k, angles)
-        if not np.any(new):
-            continue
-        for idx, q in enumerate(range(k, -k - 1, -1)):
-            entries[(k, q)] = complex(new[idx])
-    return TensorParams(t.spin, entries, trace=t.trace)
+        vec[k * k:(k + 1) ** 2] = _rotate_rank(t, k, angles)[::-1]
+    return TensorParams(t.spin, vec, trace=t.trace)
 
 
 def rotation_matrix(angles: EulerAngles) -> np.ndarray:
@@ -92,9 +91,10 @@ def euler_from_rotation(r: np.ndarray) -> EulerAngles:
     return EulerAngles(alpha, beta, gamma)
 
 
-def _lakin_rotation(rho: SpinDensity) -> tuple[EulerAngles, TensorParams]:
-    """The rotation of :func:`special_lakin_frame` and the tensor
-    parameters in the input frame. gamma comes from rank 2 alone."""
+def _lakin_rotation(rho: SpinDensity) -> tuple[EulerAngles, TensorParams, np.ndarray]:
+    """The rotation of :func:`special_lakin_frame`, the tensor parameters
+    in the input frame and the polarization. gamma comes from rank 2
+    alone."""
     p = polarization(rho)
     norm = float(np.linalg.norm(p))
     if norm <= POLARIZATION_TOL * rho.spin.value:
@@ -109,7 +109,7 @@ def _lakin_rotation(rho: SpinDensity) -> tuple[EulerAngles, TensorParams]:
         gamma = 0.5 * math.atan2(t22.imag, t22.real)
         if gamma < 0:
             gamma += math.pi
-    return EulerAngles(phi, theta, gamma), t
+    return EulerAngles(phi, theta, gamma), t, p
 
 
 def special_lakin_frame(rho: SpinDensity) -> FrameResult:
@@ -124,7 +124,7 @@ def special_lakin_frame(rho: SpinDensity) -> FrameResult:
     every frame is then equivalent and the squeezing analysis rejects
     the state separately.
     """
-    rotation, t = _lakin_rotation(rho)
+    rotation, t, _ = _lakin_rotation(rho)
     return FrameResult(rotation, rotate_tensors(t, rotation))
 
 

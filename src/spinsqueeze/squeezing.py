@@ -24,8 +24,8 @@ from typing import Optional
 import numpy as np
 
 from .angular import EulerAngles
-from .density import (SpinDensity, check_positivity, polarization,
-                      spin_scale_rank1, spin_scale_rank2)
+from .density import (SpinDensity, check_positivity, spin_scale_rank1,
+                      spin_scale_rank2)
 from .errors import AngularMomentumError, LakinFrameUndefined, UnphysicalStateError
 # special_lakin_frame is unused here; it stays as an attribute of this
 # module because perfbench/spans.py patches it here.
@@ -116,7 +116,7 @@ def analyze(rho: SpinDensity) -> SqueezingReport:
             eigenvalues=pos.eigenvalues)
     sv = rho.spin.value
     try:
-        rotation, tensors = _lakin_rotation(rho)
+        rotation, tensors, p = _lakin_rotation(rho)
     except LakinFrameUndefined:
         from .density import variance
         vx = variance(rho, (1.0, 0.0, 0.0))
@@ -138,7 +138,6 @@ def analyze(rho: SpinDensity) -> SqueezingReport:
     min_variance = min(vx, vy)
     q_margin = sz_half - min_variance
     xi = math.sqrt(max(0.0, 2.0 * sv * min_variance)) / abs(sz)
-    p = polarization(rho)
     return SqueezingReport(
         mean_spin=p / np.linalg.norm(p), sz_half=sz_half,
         variance_x0=vx, variance_y0=vy, phi_min=phi_min,

@@ -55,6 +55,17 @@ def _tau_stack(ts: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _stack_order(ts: int) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """The order of the T^k_q stack of spin ts/2: the (k, q) of each entry,
+    and for each entry the entry of (k, -q) and the sign (-1)^q."""
+    keys = tuple((k, q) for k in range(ts + 1) for q in range(-k, k + 1))
+    partner = np.array([k * k + k - q for k, q in keys])
+    sign = np.array([(-1.0) ** q for _, q in keys])
+    partner.flags.writeable = sign.flags.writeable = False
+    return keys, partner, sign
+
+
 # A read-only view into _tau_stack, not a copy. Memoized so that the
 # benchmark in perfbench/ can read its cache_info().
 @lru_cache(maxsize=None)

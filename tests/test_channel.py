@@ -62,6 +62,14 @@ def test_polarization_magnitude_validated():
         couple_spin1([0, 0, 1.001], EZ)
 
 
+@pytest.mark.parametrize("func", [channel_squeezing, correlations,
+                                  correlations_oracle, verify_correlations])
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+def test_non_finite_phi_rejected(func, phi):
+    with pytest.raises(ValueError, match="phi must be finite"):
+        func(tilted(0.9, 0.0), tilted(0.85, 1.0), phi)
+
+
 def test_projection_trace_is_triplet_probability(rng):
     for _ in range(50):
         p1 = random_polarization(rng)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -66,6 +67,21 @@ def test_analyze_schema_violation_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, ["analyze", str(path)])
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_state_file_exits_2(tmp_path, capsys, command, value):
+    state = {"spin": "1", "tensors": [{"k": 1, "q": 0, "re": 0.5},
+                                      {"k": 2, "q": 1, "re": 0.1, "im": value}]}
+    path = write_state(tmp_path, state)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, [command, path])
+    assert code == 2
+    assert out == ""
+    assert "(k, q) = (2, 1)" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_analyze_missing_file_exits_2(capsys):

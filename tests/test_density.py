@@ -18,6 +18,7 @@ from spinsqueeze import (EulerAngles, HalfInt, SpinDensity, TensorParams,
                          variance)
 from spinsqueeze.errors import (AngularMomentumError, HermiticityError,
                                 SchemaError)
+from spinsqueeze.tensor_ops import build_tau
 
 TABLE1_S1_ROW = {(1, 0): 0.9, (2, 0): 0.5, (2, 2): 0.45, (2, -2): 0.45}
 
@@ -51,13 +52,86 @@ def test_table_row_variances_via_matrix_route():
 
 
 def test_hermiticity_violation_reports_entry():
-    with pytest.raises(HermiticityError, match=r"\(1, 1\)"):
-        TensorParams(1, {(1, 1): 0.5 + 0.1j, (1, -1): 0.5 + 0.1j})
+    # both partners are given, so fill_partners has nothing to fill and
+    # the contradiction stands
+    for fill_partners in (False, True):
+        with pytest.raises(HermiticityError) as exc:
+            TensorParams(1, {(1, 1): 0.5 + 0.1j, (1, -1): 0.5 + 0.1j},
+                         fill_partners=fill_partners)
+        assert str(exc.value).endswith("at (k, q) = (1, -1), (1, 1)")
+
+
+def test_vector_and_mapping_construction_agree(rng):
+    t = to_tensors(random_density(rng, 3))
+    from_map = TensorParams("3/2", dict(t.items()), trace=t.trace)
+    from_vec = TensorParams("3/2", t.vector, trace=t.trace)
+    assert np.array_equal(from_map.vector, t.vector)
+    assert np.array_equal(from_vec.vector, t.vector)
+    assert from_vec.vector[0] == 1.0
+    assert not from_vec.vector.flags.writeable
+    with pytest.raises(ValueError, match="shape"):
+        TensorParams("3/2", t.vector[:-1])
+
+
+def test_items_list_every_entry_in_stack_order():
+    t = TensorParams(1, {(2, 1): 0.2 + 0.1j}, fill_partners=True)
+    keys = [(1, -1), (1, 0), (1, 1),
+            (2, -2), (2, -1), (2, 0), (2, 1), (2, 2)]
+    assert [kq for kq, _ in t.items()] == keys
+    assert dict(t.items()) == {**dict.fromkeys(keys, 0j),
+                               (2, 1): 0.2 + 0.1j, (2, -1): -0.2 + 0.1j}
+    assert [t.get(k, q) for k, q in keys] == [v for _, v in t.items()]
+
+
+@pytest.mark.parametrize("k, q", [(3, 0), (5, 1), (1, 2), (2, -3), (-1, 0)])
+def test_get_outside_the_allowed_range_is_zero(k, q):
+    assert TensorParams(1, TABLE1_S1_ROW).get(k, q) == 0
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.1, -math.inf)])
+def test_non_finite_tensor_parameter_rejected(value):
+    with pytest.raises(ValueError, match=r"non-finite .* \(2, 1\)$"):
+        TensorParams(1, {(1, 0): 0.5, (2, 1): value}, fill_partners=True)
+    vec = np.zeros(9, dtype=complex)
+    vec[7] = value
+    with pytest.raises(ValueError, match=r"\(2, 1\)$"):
+        TensorParams(1, vec)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_density_matrix_rejected(value):
+    with pytest.raises(ValueError, match="non-finite"):
+        SpinDensity(1, np.full((3, 3), value))
 
 
 def test_rank_out_of_range():
     with pytest.raises(AngularMomentumError):
         TensorParams("1/2", {(2, 0): 0.1})
+
+
+def _tensor_sum_oracle(t: TensorParams) -> np.ndarray:
+    """(Tr rho / (2s+1)) sum_kq (-1)^q t^k_{-q} T^k_q, one term at a time."""
+    n = t.spin.twice + 1
+    mat = np.zeros((n, n), dtype=complex)
+    for k in range(t.max_rank + 1):
+        for q in range(-k, k + 1):
+            mat += (-1) ** q * t.get(k, -q) * build_tau(t.spin, k, q)
+    return mat * t.trace / n
+
+
+@given(st.integers(1, 6), st.sampled_from(["pure", "mixed", "hermitian"]),
+       st.floats(0.05, 20.0), st.integers(0, 2**32 - 1))
+def test_round_trip_equals_tensor_sum_oracle(ts, kind, trace, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "hermitian":
+        rho = random_hermitian_state(rng, ts)
+    else:
+        rho = random_density(rng, ts, pure=kind == "pure", trace=trace)
+    t = to_tensors(rho)
+    got = from_tensors(t).matrix
+    scale = max(1.0, float(np.abs(rho.matrix).max()))
+    assert np.abs(got - _tensor_sum_oracle(t)).max() < 1e-12 * scale
+    assert np.abs(got - rho.matrix).max() < 1e-12 * scale
 
 
 def test_to_tensors_of_maximally_mixed_vanishes():
@@ -306,6 +380,12 @@ def test_schema_partner_consistency_enforced():
     ({"tensors": [{"k": 5, "q": 0, "re": 0.1}]}, "rank"),
     ({"tensors": [{"q": 0, "re": 0.1}]}, "integer 'k'"),
     ({"tensors": [{"k": 1, "q": 0, "re": 0.1}, {"k": 1, "q": 0, "re": 0.2}]}, "duplicate"),
+    ({"tensors": [{"k": math.inf, "q": 0, "re": 0.1}]}, "integer 'k'"),
+    ({"tensors": [{"k": 2, "q": 1, "im": math.nan}]}, r"\(2, 1\)"),
+    ({"tensors": [{"k": 2, "q": 1, "re": -math.inf}]}, r"\(2, 1\)"),
+    ({"tensors": [{"k": 2, "q": 1, "re": 10**400}]}, r"k=2, q=1"),
+    ({"trace": math.nan}, "trace"),
+    ({"trace": 10**400}, "trace"),
 ])
 def test_schema_violations(mutation, message):
     data = dict(GOOD_STATE)
