@@ -23,7 +23,10 @@ from .errors import (AngularMomentumError, HermiticityError,
                      LakinFrameUndefined, NoAlignment, SchemaError,
                      UnphysicalStateError)
 from .halfint import HalfInt
-from .scan import MAX_SCAN_ROWS, ScanConfig, rows_as_dicts, run_scan, write_csv
+# rows_as_dicts is unused here; it stays as an attribute of this module
+# because perfbench/spans.py patches it here.
+from .scan import (MAX_SCAN_ROWS, ScanConfig, rows_as_dicts,  # noqa: F401
+                   run_scan, write_csv, write_json)
 from .squeezing import analyze
 from .table1 import evaluate_table
 
@@ -169,8 +172,7 @@ def _write_scan(result, fh, fmt: str) -> None:
     if fmt == "csv":
         write_csv(result, fh)
     else:
-        json.dump(rows_as_dicts(result), fh, indent=2)
-        fh.write("\n")
+        write_json(result, fh)
 
 
 def cmd_validate(args) -> int:

@@ -26,7 +26,7 @@ __all__ = [
     "COLUMNS", "FIELDS", "CSV_HEADER", "IDX_Q_VALUE", "IDX_SQUEEZED",
     "MAX_SCAN_ROWS", "available_backends", "scan_backend", "get_kernel",
     "evaluate_points", "ScanConfig", "ScanResult", "run_scan", "write_csv",
-    "rows_as_dicts",
+    "write_json", "rows_as_dicts",
 ]
 
 COLUMNS = ("weight", "t1_0", "t2_0", "t2_2", "variance_perp", "sz_half",
@@ -38,6 +38,23 @@ FIELDS = ("theta_rad", "phi_rad", "p1_mag", "p2_mag") + COLUMNS
 _FIELD_SQUEEZED = FIELDS.index("squeezed")
 CSV_HEADER = ",".join(FIELDS)
 _CSV_ROW = ",".join("%d" if f == "squeezed" else "%.12g" for f in FIELDS) + "\n"
+# one row of json.dump(..., indent=2): %r of a float is float.__repr__,
+# which is what the json encoder writes
+_JSON_ROW = "  {\n" + ",\n".join(
+    '    "%s": %s' % (f, "%d" if f == "squeezed" else "%r") for f in FIELDS
+) + "\n  }"
+
+
+class _Null:
+    """Stands in for a non-finite cell in the JSON template: its repr is null."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "null"
+
+
+_NULL = _Null()
 
 # Rows per output block, each made into 18 Python objects: on a 153k-row
 # CLI scan, 8192-row blocks raised peak RSS by 18 %, 256-row blocks by <1 %.
@@ -70,9 +87,11 @@ def evaluate_points(p1m, p2m, theta, phi, jobs: int = 1) -> np.ndarray:
 
     Returns an (N, 14) array with the :data:`COLUMNS` layout. ``jobs``
     only affects wall time, never the values or their order; at most
-    ``os.cpu_count()`` threads run. theta must lie in [0, pi]; the kernel
-    takes |p1 x p2| = a b sin(theta), so a larger theta would flip the
-    signs of c_xz and c_zy.
+    ``os.cpu_count()`` threads run. Raises ``ValueError`` unless every
+    magnitude lies in [0, 1], every theta in [0, pi] and every phi is
+    finite, NaN included. theta matters most: the kernel takes
+    |p1 x p2| = a b sin(theta), so a larger theta would flip the signs of
+    c_xz and c_zy.
     """
     kernel = get_kernel()
     arrays = [np.ascontiguousarray(np.asarray(x, dtype=float).ravel())
@@ -80,9 +99,13 @@ def evaluate_points(p1m, p2m, theta, phi, jobs: int = 1) -> np.ndarray:
     n = arrays[0].size
     if any(a.size != n for a in arrays):
         raise ValueError("coordinate arrays must have equal length")
-    # one pass: threshold_scan() makes hundreds of small calls
-    if ((arrays[2] < 0.0) | (arrays[2] > math.pi)).any():
-        raise ValueError("theta must lie in [0, pi] radians")
+    # one pass of comparisons that fail on NaN (threshold_scan() makes
+    # hundreds of small calls); only boolean temporaries, since float
+    # ones the size of a scan raised its peak RSS
+    a, b, t, f = arrays
+    if not ((a >= 0.0) & (a <= 1.0) & (b >= 0.0) & (b <= 1.0)
+            & (t >= 0.0) & (t <= math.pi) & np.isfinite(f)).all():
+        raise ValueError(_domain_error(a, b, t))
     out = np.empty((n, len(COLUMNS)), dtype=float)
     workers = min(jobs, n, os.cpu_count() or 1)
     if workers <= 1:
@@ -98,6 +121,16 @@ def evaluate_points(p1m, p2m, theta, phi, jobs: int = 1) -> np.ndarray:
         for f in futures:
             f.result()
     return out
+
+
+def _domain_error(p1m, p2m, theta) -> str:
+    """Which coordinate put a point outside the domain of the kernel."""
+    for name, x in (("|p1|", p1m), ("|p2|", p2m)):
+        if not ((x >= 0.0) & (x <= 1.0)).all():
+            return f"polarization magnitude {name} must lie in [0, 1]"
+    if not ((theta >= 0.0) & (theta <= math.pi)).all():
+        return "theta must lie in [0, pi] radians"
+    return "phi must be finite"
 
 
 @dataclass(frozen=True)
@@ -169,6 +202,18 @@ def write_csv(result: ScanResult, fh: TextIO) -> None:
     fh.write(CSV_HEADER + "\n")
     for block in _row_blocks(result):
         fh.write((_CSV_ROW * len(block)) % tuple(block.ravel().tolist()))
+
+
+def write_json(result: ScanResult, fh: TextIO) -> None:
+    """Emit the scan JSON one row block at a time: the bytes of
+    ``json.dump(rows_as_dicts(result), fh, indent=2)`` and a newline."""
+    opening = "[\n"
+    for block in _row_blocks(result):
+        cells = np.where(np.isfinite(block), block, _NULL)
+        fh.write(opening + (",\n".join([_JSON_ROW] * len(block))
+                            % tuple(cells.ravel().tolist())))
+        opening = ",\n"
+    fh.write("[]\n" if opening == "[\n" else "\n]\n")
 
 
 def rows_as_dicts(result: ScanResult) -> list[dict]:

@@ -232,17 +232,21 @@ def test_scan_stdout_json(capsys):
     assert "c_zz" in rows[0]
 
 
-def test_scan_deterministic_across_jobs(tmp_path, capsys):
-    paths = []
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_scan_deterministic_across_jobs(tmp_path, capsys, fmt):
+    """The same bytes for any --jobs, to a file and to stdout."""
+    argv = ["scan", "--p1", "0.9", "--p2", "0.85", "--theta", "0:180:1",
+            "--phi", "0", "--degrees", "--format", fmt]
+    outputs = []
     for jobs in ("1", "4"):
-        p = tmp_path / f"scan{jobs}.csv"
-        code, _, _ = run(capsys, ["scan", "--p1", "0.9", "--p2", "0.85",
-                                  "--theta", "0:180:1", "--phi", "0",
-                                  "--degrees", "--jobs", jobs,
-                                  "--output", str(p)])
+        p = tmp_path / f"scan{jobs}.{fmt}"
+        code, _, _ = run(capsys, argv + ["--jobs", jobs, "--output", str(p)])
         assert code == 0
-        paths.append(p)
-    assert paths[0].read_bytes() == paths[1].read_bytes()
+        outputs.append(p.read_bytes())
+        code, out, _ = run(capsys, argv + ["--jobs", jobs])
+        assert code == 0
+        outputs.append(out.encode())
+    assert len(set(outputs)) == 1
 
 
 def test_scan_unwritable_output_exits_4(capsys):

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from spinsqueeze.cli import _write_scan
 from spinsqueeze.frames import euler_from_rotation, rotate_tensors
 from spinsqueeze.scan import (COLUMNS, CSV_HEADER, FIELDS, ScanResult,
                               available_backends, evaluate_points, get_kernel,
-                              rows_as_dicts, scan_backend)
+                              rows_as_dicts, scan_backend, write_json)
 
 
 def grid_arrays(rng, n):
@@ -195,6 +196,20 @@ def test_evaluate_points_rejects_theta_outside_0_pi():
         evaluate_points([0.9], [0.85], [4.0], [0.5])
     with pytest.raises(ValueError, match="theta"):
         evaluate_points([0.9, 0.9], [0.85, 0.85], [0.3, -1e-9], [0.5, 0.5])
+    # NaN fails every comparison, so it used to pass the theta check
+    with pytest.raises(ValueError, match="theta"):
+        evaluate_points([0.9, 0.9], [0.85, 0.85], [0.3, math.nan], [0.5, 0.5])
+    # magnitudes outside [0, 1] used to give rows, one of them squeezed
+    for bad in (1.5, 1.0 + 1e-15, -1e-9, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=r"\|p1\|"):
+            evaluate_points([0.5, bad], [0.85, 0.85], [0.3, 0.3], [0.5, 0.5])
+        with pytest.raises(ValueError, match=r"\|p2\|"):
+            evaluate_points([0.9, 0.9], [0.5, bad], [0.3, 0.3], [0.5, 0.5])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="phi"):
+            evaluate_points([0.9, 0.9], [0.85, 0.85], [0.3, 0.3], [0.5, bad])
+    # the bounds themselves are inside the domain
+    evaluate_points([0.0, 1.0], [1.0, 0.0], [0.0, math.pi], [-1e300, 1e300])
 
 
 def test_scan_config_validation():
@@ -301,20 +316,25 @@ _cell = st.floats(allow_nan=True, allow_infinity=True).map(
     lambda x: float("%.12g" % x))
 
 
-@settings(max_examples=40)
-@given(st.data())
-def test_csv_rows_equal_json_rows(data):
-    """Hand-built results with NaN and inf anywhere: up to 30 drawn rows,
-    repeated to n rows so that n crosses the writers' 256-row blocks."""
+def draw_result(data) -> tuple[ScanResult, np.ndarray]:
+    """A hand-built result with NaN and inf anywhere, and its cells: up to
+    30 drawn rows, repeated to n rows so that n crosses the writers'
+    256-row blocks."""
     rows = data.draw(hnp.arrays(np.float64, st.tuples(
         st.integers(1, 30), st.just(len(FIELDS))), elements=_cell))
     squeezed = data.draw(hnp.arrays(np.float64, len(rows), elements=(
         st.sampled_from([0.0, 1.0, math.nan, 0.5, -math.inf]))))
-    col = FIELDS.index("squeezed")
-    rows[:, col] = squeezed
+    rows[:, FIELDS.index("squeezed")] = squeezed
     cells = np.resize(rows, (data.draw(st.integers(0, 600)), len(FIELDS)))
-    result = ScanResult(theta=cells[:, 0], phi=cells[:, 1], p1=cells[:, 2],
-                        p2=cells[:, 3], data=cells[:, 4:])
+    return ScanResult(theta=cells[:, 0], phi=cells[:, 1], p1=cells[:, 2],
+                      p2=cells[:, 3], data=cells[:, 4:]), cells
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_csv_rows_equal_json_rows(data):
+    result, cells = draw_result(data)
+    col = FIELDS.index("squeezed")
     lines = csv_string(result).split("\n")
     dicts = rows_as_dicts(result)
     json.dumps(dicts, allow_nan=False)
@@ -327,3 +347,51 @@ def test_csv_rows_equal_json_rows(data):
         for got, value in zip(parsed, row.values()):
             assert got == value or (value is None and not math.isfinite(got))
         assert row["squeezed"] == int(want[col] != 0 and not math.isnan(want[col]))
+
+
+def _reject_constant(name):
+    raise AssertionError(f"{name} literal in the JSON")
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_write_json_bytes_equal_json_dump(data):
+    """The streamed JSON is json.dump(rows_as_dicts(r), indent=2) and a
+    newline, byte for byte, and holds no NaN or Infinity literal."""
+    result, _ = draw_result(data)
+    buf = io.StringIO()
+    write_json(result, buf)
+    text = buf.getvalue()
+    assert text == json.dumps(rows_as_dicts(result), indent=2) + "\n"
+    assert len(json.loads(text, parse_constant=_reject_constant)) == \
+        len(result.theta)
+
+
+class _ByteCount:
+    """A text sink that keeps only the number of characters written (the
+    scan JSON is ASCII, so characters are bytes)."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
+def test_write_json_memory_does_not_grow_with_rows():
+    """On 43,802 rows a list of row dicts peaked at 36.9 MiB; streaming
+    row blocks keeps the writer's own peak under 4 MiB."""
+    result = run_scan(ScanConfig(p1=np.linspace(0.5, 1.0, 11),
+                                 p2=np.linspace(0.5, 1.0, 11),
+                                 theta=np.radians(np.arange(181.0)),
+                                 phi=[0.0, 0.5]))
+    assert len(result.theta) >= 40_000
+    sink = _ByteCount()
+    tracemalloc.start()
+    try:
+        write_json(result, sink)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.chars > 0
+    assert peak < 4 * 2 ** 20, f"write_json peaked at {peak / 2 ** 20:.1f} MiB"
