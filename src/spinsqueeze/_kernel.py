@@ -1,6 +1,6 @@
 """Scan kernel: closed-form channel-pair evaluation on flat point arrays.
 
-numpy-vectorised, one block of :data:`BLOCK` points at a time. Every
+numpy-vectorised, one block of at most :data:`BLOCK` points per call. Every
 column is the same expression, in the same operation order, as the
 per-point loop kept as the reference in ``tests/scan_oracle.py``, and
 the tests require the two to agree bit for bit: elementwise float64
@@ -29,71 +29,64 @@ DEGENERATE_TOL2 = 1e-20
 MARGIN_TOL = 1e-12
 
 # Points per block: the ~30 float64 temporaries of a block take about
-# 2 MB, so memory does not grow with the grid.
+# 2 MB, so the kernel's temporaries do not grow with the grid.
 BLOCK = 8192
 
 
-def evaluate_into(p1m, p2m, theta, phi, out):
-    """Fill out[i, :] for every point; all arguments length-N float64
-    arrays (out N x 14), theta in [0, pi]."""
-    n = len(p1m)
+def evaluate_into(a, b, theta, phi, out):
+    """Fill out[i, :] for one block of points: a = |p1|, b = |p2|, theta
+    and phi are length-N float64 arrays (out N x 14), theta in [0, pi].
+    Callers pass at most :data:`BLOCK` points at a time."""
     # degenerate rows divide by zero; their columns are overwritten below
     with np.errstate(divide="ignore", invalid="ignore"):
-        for lo in range(0, n, BLOCK):
-            hi = min(lo + BLOCK, n)
-            _evaluate_block(p1m[lo:hi], p2m[lo:hi], theta[lo:hi],
-                            phi[lo:hi], out[lo:hi])
-
-
-def _evaluate_block(a, b, theta, phi, out):
-    ct = np.cos(theta)
-    st = np.sin(theta)
-    cp = np.cos(phi)
-    sp = np.sin(phi)
-    a2 = a * a
-    b2 = b * b
-    pd = a * b * ct
-    den = 3.0 + pd
-    weight = den / 12.0
-    ps2 = a2 + b2 + 2.0 * pd
-    cross = a * b * st          # |p1 x p2|, theta in [0, pi]
-    cross2 = cross * cross
-    ps = np.sqrt(ps2)
-    cp2 = cp * cp
-    c2p = cp2 - sp * sp
-    # tensor parameters in the distinguished frame
-    px1 = cross / ps
-    pz1 = (a2 + pd) / ps
-    pz2 = (b2 + pd) / ps
-    t10 = _SQRT6 * ps / den
-    t20 = 2.0 * _SQRT3 / den * (_SQRT23 * pz1 * pz2 + px1 * px1 / _SQRT6)
-    t22 = -_SQRT3 * px1 * px1 / den
-    var = 2.0 * (ps2 - cross2 * cp2) / (den * ps2)
-    szh = ps / den
-    q = 0.5 * ps + cross2 / ps2 * cp2 - 1.0
-    # correlations, closed forms as published
-    sin2t = st * st
-    cxx = (ps2 - pd * (a2 + b2) - 2.0 * a2 * b2 * (1.0 + sin2t * c2p)) / (4.0 * den * ps2)
-    cyy = (ps2 - 2.0 * a2 * b2 * (1.0 - sin2t * c2p) - pd * (a2 + b2)) / (4.0 * den * ps2)
-    cxz = cross * (b2 - a2) * cp / (2.0 * den * ps2)
-    pn = 4.0 * a2 * b2 + 2.0 * pd * (a2 + b2) - sin2t
-    czz = 1.0 / 12.0 - ps2 / (den * den) + pn / (3.0 * den * ps2)
-    czy = (a2 - b2) * cross * sp / (2.0 * den * ps2)
-    out[:, 0] = weight
-    out[:, 1] = t10
-    out[:, 2] = t20
-    out[:, 3] = t22
-    out[:, 4] = var
-    out[:, 5] = szh
-    out[:, 6] = q
-    out[:, 7] = q > MARGIN_TOL
-    out[:, 8] = cxx
-    out[:, 9] = cyy
-    out[:, 10] = czz
-    out[:, 11] = cxz
-    out[:, 12] = czy
-    out[:, 13] = 0.0
-    degenerate = ps2 <= DEGENERATE_TOL2
-    if degenerate.any():
-        out[degenerate, 1:] = np.nan
-        out[np.ix_(degenerate, (1, 5, 7))] = 0.0
+        ct = np.cos(theta)
+        st = np.sin(theta)
+        cp = np.cos(phi)
+        sp = np.sin(phi)
+        a2 = a * a
+        b2 = b * b
+        pd = a * b * ct
+        den = 3.0 + pd
+        weight = den / 12.0
+        ps2 = a2 + b2 + 2.0 * pd
+        cross = a * b * st          # |p1 x p2|, theta in [0, pi]
+        cross2 = cross * cross
+        ps = np.sqrt(ps2)
+        cp2 = cp * cp
+        c2p = cp2 - sp * sp
+        # tensor parameters in the distinguished frame
+        px1 = cross / ps
+        pz1 = (a2 + pd) / ps
+        pz2 = (b2 + pd) / ps
+        t10 = _SQRT6 * ps / den
+        t20 = 2.0 * _SQRT3 / den * (_SQRT23 * pz1 * pz2 + px1 * px1 / _SQRT6)
+        t22 = -_SQRT3 * px1 * px1 / den
+        var = 2.0 * (ps2 - cross2 * cp2) / (den * ps2)
+        szh = ps / den
+        q = 0.5 * ps + cross2 / ps2 * cp2 - 1.0
+        # correlations, closed forms as published
+        sin2t = st * st
+        cxx = (ps2 - pd * (a2 + b2) - 2.0 * a2 * b2 * (1.0 + sin2t * c2p)) / (4.0 * den * ps2)
+        cyy = (ps2 - 2.0 * a2 * b2 * (1.0 - sin2t * c2p) - pd * (a2 + b2)) / (4.0 * den * ps2)
+        cxz = cross * (b2 - a2) * cp / (2.0 * den * ps2)
+        pn = 4.0 * a2 * b2 + 2.0 * pd * (a2 + b2) - sin2t
+        czz = 1.0 / 12.0 - ps2 / (den * den) + pn / (3.0 * den * ps2)
+        czy = (a2 - b2) * cross * sp / (2.0 * den * ps2)
+        out[:, 0] = weight
+        out[:, 1] = t10
+        out[:, 2] = t20
+        out[:, 3] = t22
+        out[:, 4] = var
+        out[:, 5] = szh
+        out[:, 6] = q
+        out[:, 7] = q > MARGIN_TOL
+        out[:, 8] = cxx
+        out[:, 9] = cyy
+        out[:, 10] = czz
+        out[:, 11] = cxz
+        out[:, 12] = czy
+        out[:, 13] = 0.0
+        degenerate = ps2 <= DEGENERATE_TOL2
+        if degenerate.any():
+            out[degenerate, 1:] = np.nan
+            out[np.ix_(degenerate, (1, 5, 7))] = 0.0

@@ -43,8 +43,6 @@ __all__ = [
     "ThresholdScanConfig", "ThresholdScanResult", "threshold_scan",
 ]
 
-DEGENERATE_TOL = 1e-10      # on |p1 + p2|; DEGENERATE_TOL2 bounds its square
-
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -57,8 +55,10 @@ def _as_polarization(p, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} must be finite")
-    if np.linalg.norm(v) > 1.0 + 1e-12:
-        raise ValueError(f"|{name}| = {np.linalg.norm(v):.6g} exceeds 1")
+    with np.errstate(over="ignore"):    # |v| near 1e308 is inf, still > 1
+        norm = np.linalg.norm(v)
+    if norm > 1.0 + 1e-12:
+        raise ValueError(f"|{name}| = {norm:.6g} exceeds 1")
     return v
 
 
@@ -67,6 +67,25 @@ def _as_angle(phi, name: str) -> float:
     if not math.isfinite(phi):
         raise ValueError(f"{name} must be finite")
     return phi
+
+
+def _pair(p1, p2):
+    """Validated p1 and p2 with the invariants the closed forms share:
+    ``(v1, v2, p1.p2, 3 + p1.p2, |p1 + p2|^2, |p1 x p2|^2)``.
+
+    Raises :class:`LakinFrameUndefined` when |p1 + p2|^2 <= DEGENERATE_TOL2,
+    the scan kernel's test, so every route agrees on which pairs have a
+    distinguished frame.
+    """
+    v1 = _as_polarization(p1, "p1")
+    v2 = _as_polarization(p2, "p2")
+    pd = float(np.dot(v1, v2))
+    total = v1 + v2
+    ps2 = float(np.dot(total, total))
+    if ps2 <= DEGENERATE_TOL2:
+        raise LakinFrameUndefined("p1 + p2 = 0: no distinguished frame")
+    cross = np.cross(v1, v2)
+    return v1, v2, pd, 3.0 + pd, ps2, float(np.dot(cross, cross))
 
 
 def _spherical(v: np.ndarray) -> dict[int, complex]:
@@ -143,13 +162,8 @@ def channel_geometry(p1, p2) -> ChannelFrame:
 
     Raises :class:`LakinFrameUndefined` when p1 + p2 vanishes.
     """
-    v1 = _as_polarization(p1, "p1")
-    v2 = _as_polarization(p2, "p2")
-    total = v1 + v2
-    ps = float(np.linalg.norm(total))
-    if ps <= DEGENERATE_TOL:
-        raise LakinFrameUndefined("p1 + p2 = 0: no distinguished frame")
-    z0 = total / ps
+    v1, v2, _, _, ps2, _ = _pair(p1, p2)
+    z0 = (v1 + v2) / math.sqrt(ps2)
     trans = v1 - np.dot(v1, z0) * z0
     tnorm = float(np.linalg.norm(trans))
     if tnorm > 1e-12:
@@ -270,18 +284,9 @@ class ChannelSqueezing:
 def channel_squeezing(p1, p2, phi: float) -> ChannelSqueezing:
     """Evaluate the closed forms for the transverse variance, the mean
     spin and the squeezing margin of the projected pair."""
-    v1 = _as_polarization(p1, "p1")
-    v2 = _as_polarization(p2, "p2")
+    _, _, _, den, ps2, cross2 = _pair(p1, p2)
     phi = _as_angle(phi, "phi")
-    pd = float(np.dot(v1, v2))
-    den = 3.0 + pd
-    total = v1 + v2
-    ps2 = float(np.dot(total, total))
-    if ps2 <= DEGENERATE_TOL2:
-        raise LakinFrameUndefined("p1 + p2 = 0: transverse direction undefined")
     ps = math.sqrt(ps2)
-    cross = np.cross(v1, v2)
-    cross2 = float(np.dot(cross, cross))
     cp = math.cos(phi)
     var = 2.0 * (ps2 - cross2 * cp * cp) / (den * ps2)
     sz = 2.0 * ps / den
@@ -313,19 +318,10 @@ def correlations(p1, p2, phi: float) -> Correlations:
     disagree with direct matrix arithmetic in parts of parameter space;
     see :func:`verify_correlations`.
     """
-    v1 = _as_polarization(p1, "p1")
-    v2 = _as_polarization(p2, "p2")
+    v1, v2, pd, den, ps2, cross2 = _pair(p1, p2)
     phi = _as_angle(phi, "phi")
     a2 = float(np.dot(v1, v1))
     b2 = float(np.dot(v2, v2))
-    pd = float(np.dot(v1, v2))
-    den = 3.0 + pd
-    total = v1 + v2
-    ps2 = float(np.dot(total, total))
-    if ps2 <= DEGENERATE_TOL2:
-        raise LakinFrameUndefined("p1 + p2 = 0: correlation frame undefined")
-    cross = np.cross(v1, v2)
-    cross2 = float(np.dot(cross, cross))
     crossn = math.sqrt(cross2)
     sin2t = cross2 / (a2 * b2) if a2 * b2 > DEGENERATE_TOL2 else 0.0
     c2p = math.cos(2.0 * phi)
@@ -449,8 +445,8 @@ class ThresholdScanResult:
     theta_resolution: float
 
 
-def _first_squeezed(p_values: np.ndarray, theta: np.ndarray, pure_partner: bool,
-                    jobs: int) -> float:
+def _first_squeezed(p_values: np.ndarray, theta: np.ndarray,
+                    pure_partner: bool) -> float:
     from .scan import IDX_Q_VALUE, evaluate_points
 
     nt = theta.size
@@ -458,15 +454,14 @@ def _first_squeezed(p_values: np.ndarray, theta: np.ndarray, pure_partner: bool,
     for p in p_values:
         p1 = np.full(nt, p)
         p2 = ones if pure_partner else p1
-        out = evaluate_points(p1, p2, theta, np.zeros(nt), jobs=jobs)
+        out = evaluate_points(p1, p2, theta, np.zeros(nt))
         q = out[:, IDX_Q_VALUE]
         if np.any(q > MARGIN_TOL):
             return float(p)
     return math.inf
 
 
-def threshold_scan(config: ThresholdScanConfig = ThresholdScanConfig(),
-                   jobs: int = 1) -> ThresholdScanResult:
+def threshold_scan(config: ThresholdScanConfig = ThresholdScanConfig()) -> ThresholdScanResult:
     """Least polarization magnitudes that admit squeezing.
 
     (a) equal magnitudes |p1| = |p2| = P: scan (P, theta) at phi = 0 for
@@ -480,8 +475,8 @@ def threshold_scan(config: ThresholdScanConfig = ThresholdScanConfig(),
     """
     p_values = np.linspace(0.0, 1.0, config.p_points)
     theta = np.linspace(0.0, math.pi, config.theta_points + 2)[1:-1]
-    equal = _first_squeezed(p_values, theta, pure_partner=False, jobs=jobs)
-    vs_pure = _first_squeezed(p_values, theta, pure_partner=True, jobs=jobs)
+    equal = _first_squeezed(p_values, theta, pure_partner=False)
+    vs_pure = _first_squeezed(p_values, theta, pure_partner=True)
     return ThresholdScanResult(
         min_polarization_equal=equal,
         min_polarization_vs_pure=vs_pure,

@@ -2,6 +2,7 @@
 
 Subcommands: analyze, coeff, table1, scan, validate, channel.
 Exit codes: 0 success, 2 input error, 3 unphysical state, 4 output I/O error.
+A reader that closes the pipe early is not an I/O error: exit 0, silently.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -43,6 +45,11 @@ def _angle(value: float, degrees: bool) -> float:
 # default --theta: the full physical range in degrees, with or without --degrees
 DEFAULT_THETA_DEG = "0:180:1"
 
+# step of a scan range written without one: angles in the unit of the
+# other angle inputs, magnitudes in polarization units
+DEFAULT_ANGLE_STEP = 1.0
+DEFAULT_P_STEP = 0.005
+
 # Largest analyze --phi-points: each sample is a dict in the report, about
 # 25 MB of Python objects at this bound.
 MAX_PHI_POINTS = 100_000
@@ -50,6 +57,11 @@ MAX_PHI_POINTS = 100_000
 # Largest rank of coeff d: its coefficient table holds (2k+1)^3 floats,
 # 4.3 MB at k = 40. From k = 99/2 on the table's factorials overflow a float.
 MAX_D_RANK = 40
+
+# Largest |value| of every argument of coeff cg, 6j and 9j. The exact
+# factorial sums grow with j; the slowest symbol at this bound, a 9-j with
+# all nine j = 100, takes about 1.2 s.
+MAX_J = 100
 
 
 def _parse_axis(spec: str, default_step: float, scale=lambda x: x) -> np.ndarray:
@@ -104,20 +116,19 @@ def cmd_coeff(args) -> int:
     counts = {"cg": 6, "6j": 6, "9j": 9, "d": 6}
     if len(vals) != counts[kind]:
         raise SchemaError(f"{kind} expects {counts[kind]} arguments, got {len(vals)}")
-    if kind == "cg":
+    if kind != "d":
         nums = [HalfInt.of(v) for v in vals]
-        sign, square = clebsch_gordan_exact(*nums)
-        print(f"{sign * math.sqrt(square):.15g}")
-        print(f"exact: {_format_exact(sign, square)}")
-    elif kind == "6j":
-        nums = [HalfInt.of(v) for v in vals]
-        sign, square = wigner_6j_exact(*nums)
-        print(f"{sign * math.sqrt(square):.15g}")
-        print(f"exact: {_format_exact(sign, square)}")
-    elif kind == "9j":
-        nums = [HalfInt.of(v) for v in vals]
-        print(f"{wigner_9j(*nums):.15g}")
-    else:  # d
+        if any(abs(n.twice) > 2 * MAX_J for n in nums):
+            raise SchemaError(f"{kind} arguments are limited to {MAX_J} "
+                              "in magnitude")
+        if kind == "9j":
+            print(f"{wigner_9j(*nums):.15g}")
+        else:
+            exact = clebsch_gordan_exact if kind == "cg" else wigner_6j_exact
+            sign, square = exact(*nums)
+            print(f"{sign * math.sqrt(square):.15g}")
+            print(f"exact: {_format_exact(sign, square)}")
+    else:
         k, qp, q = (HalfInt.of(v) for v in vals[:3])
         if k.twice > 2 * MAX_D_RANK:
             raise SchemaError(f"rank {k} exceeds the limit of {MAX_D_RANK}")
@@ -150,14 +161,14 @@ def cmd_table1(args) -> int:
 def cmd_scan(args) -> int:
     angle = np.radians if args.degrees else (lambda x: x)
     if args.theta is None:
-        theta = _parse_axis(DEFAULT_THETA_DEG, args.grid_step, scale=np.radians)
+        theta = _parse_axis(DEFAULT_THETA_DEG, DEFAULT_ANGLE_STEP, scale=np.radians)
     else:
-        theta = _parse_axis(args.theta, args.grid_step, scale=angle)
+        theta = _parse_axis(args.theta, DEFAULT_ANGLE_STEP, scale=angle)
     config = ScanConfig(
-        p1=_parse_axis(args.p1, args.grid_step_p),
-        p2=_parse_axis(args.p2, args.grid_step_p),
+        p1=_parse_axis(args.p1, DEFAULT_P_STEP),
+        p2=_parse_axis(args.p2, DEFAULT_P_STEP),
         theta=theta,
-        phi=_parse_axis(args.phi, args.grid_step, scale=angle),
+        phi=_parse_axis(args.phi, DEFAULT_ANGLE_STEP, scale=angle),
     )
     result = run_scan(config, jobs=args.jobs)
     if args.output == "-":
@@ -264,14 +275,11 @@ def build_parser() -> argparse.ArgumentParser:
                         f"(default: {DEFAULT_THETA_DEG} degrees)")
     p.add_argument("--phi", default="0", help="transverse azimuth or range")
     p.add_argument("--degrees", action="store_true", help="angles in degrees")
-    p.add_argument("--grid-step", type=float, default=1.0,
-                   help="default angle step for ranges without one")
-    p.add_argument("--grid-step-p", type=float, default=0.005,
-                   help="default magnitude step for ranges without one")
     p.add_argument("--output", default="-", help="output path ('-' = stdout)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel chunks (threads capped at the CPU count)")
+                   help="threads over the kernel's blocks (capped at the CPU "
+                        "count and the block count)")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("validate", help="positivity/purity/orientation report")
@@ -304,6 +312,11 @@ def main(argv=None) -> int:
             LakinFrameUndefined, NoAlignment, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except BrokenPipeError:
+        # the reader has all it wants; point stdout at devnull so that the
+        # interpreter's final flush of what is still buffered cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -5,9 +5,10 @@ The per-point closed forms live in one numpy-vectorised kernel,
 loop kept as their reference.
 
 Grids are evaluated in deterministic row order (p1 outer, then p2, then
-theta, phi innermost). Parallel evaluation splits the flat index range
-into contiguous chunks whose results land in disjoint slices of one
-output array, so the CSV is byte-identical for every ``jobs`` value.
+theta, phi innermost). The flat index range is cut into kernel blocks of
+:data:`spinsqueeze._kernel.BLOCK` points, evaluated in order or spread
+over threads; each block's results land in its own slice of one output
+array, so the CSV is byte-identical for every ``jobs`` value.
 """
 
 from __future__ import annotations
@@ -77,8 +78,7 @@ def scan_backend() -> str:
 
 
 def get_kernel():
-    """The kernel module; :func:`evaluate_points` calls its
-    ``evaluate_into`` through this lookup on every call."""
+    """The kernel module."""
     return _kernel
 
 
@@ -86,14 +86,13 @@ def evaluate_points(p1m, p2m, theta, phi, jobs: int = 1) -> np.ndarray:
     """Evaluate the kernel on flat, equal-length coordinate arrays.
 
     Returns an (N, 14) array with the :data:`COLUMNS` layout. ``jobs``
-    only affects wall time, never the values or their order; at most
-    ``os.cpu_count()`` threads run. Raises ``ValueError`` unless every
-    magnitude lies in [0, 1], every theta in [0, pi] and every phi is
-    finite, NaN included. theta matters most: the kernel takes
-    |p1 x p2| = a b sin(theta), so a larger theta would flip the signs of
-    c_xz and c_zy.
+    only affects wall time, never the values or their order; the kernel
+    blocks run on at most ``min(jobs, blocks, os.cpu_count())`` threads.
+    Raises ``ValueError`` unless every magnitude lies in [0, 1], every
+    theta in [0, pi] and every phi is finite, NaN included. theta matters
+    most: the kernel takes |p1 x p2| = a b sin(theta), so a larger theta
+    would flip the signs of c_xz and c_zy.
     """
-    kernel = get_kernel()
     arrays = [np.ascontiguousarray(np.asarray(x, dtype=float).ravel())
               for x in (p1m, p2m, theta, phi)]
     n = arrays[0].size
@@ -105,32 +104,35 @@ def evaluate_points(p1m, p2m, theta, phi, jobs: int = 1) -> np.ndarray:
     a, b, t, f = arrays
     if not ((a >= 0.0) & (a <= 1.0) & (b >= 0.0) & (b <= 1.0)
             & (t >= 0.0) & (t <= math.pi) & np.isfinite(f)).all():
-        raise ValueError(_domain_error(a, b, t))
+        raise ValueError(_domain_error(a, b, t, f))
     out = np.empty((n, len(COLUMNS)), dtype=float)
-    workers = min(jobs, n, os.cpu_count() or 1)
+
+    def run(lo):
+        hi = lo + _kernel.BLOCK
+        _kernel.evaluate_into(a[lo:hi], b[lo:hi], t[lo:hi], f[lo:hi], out[lo:hi])
+
+    starts = range(0, n, _kernel.BLOCK)
+    workers = min(jobs, len(starts), os.cpu_count() or 1)
     if workers <= 1:
-        kernel.evaluate_into(*arrays, out)
-        return out
-    bounds = np.linspace(0, n, workers + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(kernel.evaluate_into,
-                        *(a[lo:hi] for a in arrays), out[lo:hi])
-            for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
-        ]
-        for f in futures:
-            f.result()
+        for lo in starts:
+            run(lo)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run, starts))
     return out
 
 
-def _domain_error(p1m, p2m, theta) -> str:
-    """Which coordinate put a point outside the domain of the kernel."""
+def _domain_error(p1m, p2m, theta, phi):
+    """Which coordinate puts a point outside the domain of the kernel, or
+    None when every point lies inside."""
     for name, x in (("|p1|", p1m), ("|p2|", p2m)):
         if not ((x >= 0.0) & (x <= 1.0)).all():
             return f"polarization magnitude {name} must lie in [0, 1]"
     if not ((theta >= 0.0) & (theta <= math.pi)).all():
         return "theta must lie in [0, pi] radians"
-    return "phi must be finite"
+    if not np.isfinite(phi).all():
+        return "phi must be finite"
+    return None
 
 
 @dataclass(frozen=True)
@@ -147,15 +149,12 @@ class ScanConfig:
             arr = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
             if arr.size == 0:
                 raise ValueError(f"{name} axis is empty")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} axis has a non-finite value")
             object.__setattr__(self, name, arr)
-        if np.any(self.p1 < 0) or np.any(self.p1 > 1) \
-                or np.any(self.p2 < 0) or np.any(self.p2 > 1):
-            raise ValueError("polarization magnitudes must lie in [0, 1]")
-        # rejected here too, so that a bad grid fails before it is built
-        if np.any(self.theta < 0) or np.any(self.theta > math.pi):
-            raise ValueError("theta must lie in [0, pi] radians")
+        # the kernel's domain, checked here too so that a bad grid fails
+        # before it is built
+        error = _domain_error(self.p1, self.p2, self.theta, self.phi)
+        if error is not None:
+            raise ValueError(error)
 
     @property
     def size(self) -> int:

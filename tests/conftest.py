@@ -1,11 +1,14 @@
-"""Shared helpers: random state generators with fixed seeds."""
+"""Shared helpers: random state generators with fixed seeds, and a
+fixture that makes small scans run on the thread pool."""
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from spinsqueeze import (EulerAngles, HalfInt, SpinDensity, from_tensors,
-                         to_tensors)
+from spinsqueeze import (EulerAngles, HalfInt, SpinDensity, _kernel,
+                         from_tensors, scan, to_tensors)
 from spinsqueeze.angular import wigner_d_matrix
 
 # Property tests draw the same examples on every run and never fail on
@@ -73,3 +76,20 @@ def rotate_state(rng, rho: SpinDensity) -> SpinDensity:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Kernel blocks of 64 points, so that a grid of a few thousand points
+    spans many blocks, and the max_workers of every thread pool that
+    evaluate_points starts, in order."""
+    sizes = []
+
+    class RecordingExecutor(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(_kernel, "BLOCK", 64)
+    monkeypatch.setattr(scan, "ThreadPoolExecutor", RecordingExecutor)
+    return sizes

@@ -7,6 +7,7 @@ per criterion, including measured runtimes where a budget applies.
 import dataclasses
 import io
 import math
+import os
 import time
 
 import numpy as np
@@ -300,7 +301,7 @@ def test_criterion_8_purity_constraint():
 # 9. scan determinism
 # ---------------------------------------------------------------------------
 
-def test_criterion_9_scan_determinism():
+def test_criterion_9_scan_determinism(pool_sizes):
     config = ScanConfig(p1=np.linspace(0.05, 1.0, 12), p2=[0.85],
                         theta=np.linspace(0.01, 3.13, 50),
                         phi=np.linspace(0.0, 1.5, 4))
@@ -313,6 +314,8 @@ def test_criterion_9_scan_determinism():
     reference = csv_bytes(run_scan(config, jobs=1))
     for jobs in (1, 2, 4, 7):
         assert csv_bytes(run_scan(config, jobs=jobs)) == reference
+    # 2,400 points in 64-point blocks: every jobs > 1 ran on the pool
+    assert len(pool_sizes) == (3 if (os.cpu_count() or 1) > 1 else 0)
     result = run_scan(config, jobs=3)
     scalar = np.empty_like(result.data)
     scan_oracle.evaluate_into(result.p1, result.p2, result.theta, result.phi,

@@ -1,15 +1,24 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import contextlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from spinsqueeze import angular, density
-from spinsqueeze.cli import MAX_D_RANK, MAX_PHI_POINTS, main
+import spinsqueeze
+from spinsqueeze import angular, cli, density
+from spinsqueeze.cli import MAX_D_RANK, MAX_J, MAX_PHI_POINTS, main
 from spinsqueeze.density import MAX_STATE_SPIN
+from spinsqueeze.scan import COLUMNS, MAX_SCAN_ROWS, ScanResult
 
 TABLE_ROW_STATE = {"spin": "1", "trace": 1.0,
                    "tensors": [{"k": 2, "q": 0, "re": 0.5},
@@ -173,6 +182,25 @@ def test_coeff_d_rank_limit(capsys, monkeypatch):
     assert "limit" in err
 
 
+def test_coeff_j_limit(capsys, monkeypatch):
+    top = str(MAX_J)
+    code, out, _ = run(capsys, ["coeff", "cg", top, "0", top, top, "0", top])
+    assert code == 0
+    assert out.splitlines()[0] == "1"
+    # a 9-j at j = 200 takes seconds; 1e400 would start factorials of
+    # 400-digit numbers
+    monkeypatch.setattr(angular, "_cg_exact", _must_not_allocate)
+    monkeypatch.setattr(angular, "_six_j_exact", _must_not_allocate)
+    for argv in (["cg", "1e400", "1", "1e400", "0", "0", "0"],
+                 ["cg", f"{MAX_J}.5", "1/2", top, "1/2", "1/2", "1"],
+                 ["6j", *[str(MAX_J + 1)] * 6],
+                 ["9j", *["200"] * 9]):
+        code, out, err = run(capsys, ["coeff", *argv])
+        assert code == 2
+        assert out == ""
+        assert "limit" in err
+
+
 def test_coeff_d_degrees(capsys):
     code, out, _ = run(capsys, ["coeff", "d", "1", "0", "0",
                                 "0", "60", "0", "--degrees"])
@@ -250,11 +278,31 @@ def test_scan_deterministic_across_jobs(tmp_path, capsys, fmt):
 
 
 def test_scan_unwritable_output_exits_4(capsys):
-    code, _, err = run(capsys, ["scan", "--p1", "0.9", "--p2", "0.85",
-                                "--theta", "1.0", "--phi", "0",
-                                "--output", "/nonexistent/dir/x.csv"])
-    assert code == 4
-    assert "error" in err
+    paths = ["/nonexistent/dir/x.csv"]
+    if os.path.exists("/dev/full"):     # a full disk
+        paths.append("/dev/full")
+    for path in paths:
+        code, _, err = run(capsys, ["scan", "--p1", "0.9", "--p2", "0.85",
+                                    "--theta", "1.0", "--phi", "0",
+                                    "--output", path])
+        assert code == 4
+        assert "error" in err
+
+
+def test_scan_into_closed_pipe_exits_0():
+    """A reader that stops after a few bytes is not an output error."""
+    src = os.path.dirname(os.path.dirname(spinsqueeze.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    # about 3.6 MB of CSV, far more than a pipe buffers
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "spinsqueeze.cli", "scan", "--p1", "0:1:0.01",
+         "--p2", "0.85"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(100).startswith(b"theta_rad,")
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_scan_bad_range_exits_2(capsys):
@@ -309,6 +357,63 @@ def test_scan_grid_over_row_limit_exits_2(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "limit" in err
+
+
+_FLOATS = st.one_of(
+    st.floats(-1.0, 4.0), st.floats(),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e308, -1e308,
+                     1e-300, -1e-300, 0.5, 1.0, 180.0, -3.0]))
+_AXIS_PART = st.one_of(_FLOATS.map(repr),
+                       st.sampled_from(["", "x", "1e", "0x10", " 1 ", "1_0",
+                                        "1/2", "--", "nan(1)"]))
+_AXIS_SPEC = st.lists(_AXIS_PART, min_size=1, max_size=4).map(":".join)
+
+
+def _main_exit(argv) -> tuple[int, str]:
+    """Exit code and stderr of main(argv); a warning, which the CLI would
+    print to stderr ahead of its error line, raises."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _guarded_arange(real):
+    def arange(*args, **kwargs):
+        if args and args[0] > MAX_SCAN_ROWS:
+            _must_not_allocate()
+        return real(*args, **kwargs)
+    return arange
+
+
+@given(axes=st.tuples(_AXIS_SPEC, _AXIS_SPEC, _AXIS_SPEC, _AXIS_SPEC),
+       degrees=st.booleans())
+def test_scan_axis_input_property(axes, degrees):
+    """Any axis text exits 0 or 2 with an error line, and nothing sized
+    by the input is allocated before the limits are checked."""
+    empty = ScanResult(*[np.empty(0)] * 4, data=np.empty((0, len(COLUMNS))))
+    argv = ["scan", *(f"--{name}={spec}" for name, spec
+                      in zip(("p1", "p2", "theta", "phi"), axes))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "run_scan", lambda config, jobs=1: empty)
+        mp.setattr(np, "arange", _guarded_arange(np.arange))
+        mp.setattr(np, "meshgrid", _must_not_allocate)
+        code, err = _main_exit(argv + ["--degrees"] * degrees)
+    assert code in (0, 2)
+    assert (code == 2) == err.startswith("error:")
+
+
+@given(values=st.tuples(_FLOATS, _FLOATS, _FLOATS, _FLOATS),
+       degrees=st.booleans())
+def test_channel_input_property(values, degrees):
+    """Any channel arguments exit 0 or 2, with an error line on 2."""
+    argv = ["channel", *(f"--{name}={value!r}" for name, value
+                         in zip(("p1", "p2", "theta", "phi"), values))]
+    code, err = _main_exit(argv + ["--degrees"] * degrees)
+    assert code in (0, 2)
+    assert (code == 2) == err.startswith("error:")
 
 
 # ---------------------------------------------------------------------------

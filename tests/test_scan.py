@@ -17,9 +17,10 @@ from hypothesis.extra import numpy as hnp
 import scan_oracle
 from spinsqueeze import (ScanConfig, channel_squeezing, correlations,
                          couple_spin1, run_scan, to_tensors, write_csv)
-from spinsqueeze import _kernel, channel, scan
+from spinsqueeze import _kernel, channel, cli
 from spinsqueeze.channel import MARGIN_TOL
 from spinsqueeze.cli import _write_scan
+from spinsqueeze.errors import LakinFrameUndefined
 from spinsqueeze.frames import euler_from_rotation, rotate_tensors
 from spinsqueeze.scan import (COLUMNS, CSV_HEADER, FIELDS, ScanResult,
                               available_backends, evaluate_points, get_kernel,
@@ -108,41 +109,27 @@ def test_kernel_property_over_physical_domain(points):
             assert bool(col["squeezed"]) == sq.squeezed
 
 
-def test_jobs_thread_count_capped_at_cpu_count(rng, monkeypatch):
-    """An absurd --jobs starts no more threads than there are CPUs."""
-    seen = []
-
-    class InlineExecutor:
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            fn(*args)
-            return self
-
-        def result(self):
-            return None
-
-    monkeypatch.setattr(scan, "ThreadPoolExecutor", InlineExecutor)
+def test_jobs_thread_count_capped_at_cpu_count(rng, pool_sizes):
+    """An absurd --jobs starts no more threads than there are CPUs, and a
+    one-block call starts none."""
     cpus = os.cpu_count() or 1
-    p1, p2, theta, phi = grid_arrays(rng, 4 * cpus + 3)
+    p1, p2, theta, phi = grid_arrays(rng, _kernel.BLOCK * (4 * cpus + 3))
     out = evaluate_points(p1, p2, theta, phi, jobs=10**6)
-    assert all(workers <= cpus for workers in seen)
+    assert pool_sizes == ([] if cpus == 1 else [cpus])
     assert_bitwise_equal(out, evaluate_points(p1, p2, theta, phi, jobs=1))
+    evaluate_points(p1[:_kernel.BLOCK], p2[:_kernel.BLOCK],
+                    theta[:_kernel.BLOCK], phi[:_kernel.BLOCK], jobs=10**6)
+    assert len(pool_sizes) == (0 if cpus == 1 else 1)
 
 
-def test_jobs_do_not_change_results(rng):
+def test_jobs_do_not_change_results(rng, pool_sizes):
     p1, p2, theta, phi = grid_arrays(rng, 5000)
     base = evaluate_points(p1, p2, theta, phi, jobs=1)
     for jobs in (2, 3, 8):
         assert np.array_equal(base, evaluate_points(p1, p2, theta, phi, jobs=jobs),
                               equal_nan=True)
+    cpus = os.cpu_count() or 1
+    assert pool_sizes == [min(jobs, cpus) for jobs in (2, 3, 8) if cpus > 1]
 
 
 def test_kernel_matches_library_routes(rng):
@@ -256,23 +243,41 @@ def test_csv_format():
     assert q["theta_rad"] == "%.12g" % (math.pi / 2)
 
 
-def test_csv_byte_identical_across_jobs_and_runs(rng):
+def test_csv_byte_identical_across_jobs_and_runs(rng, pool_sizes):
     config = ScanConfig(p1=np.linspace(0.1, 1, 7), p2=[0.85],
                         theta=np.linspace(0.01, 3.1, 40),
                         phi=np.linspace(0, 1.5, 5))
     texts = {csv_string(run_scan(config, jobs=j)) for j in (1, 2, 5, 1)}
     assert len(texts) == 1
+    assert len(pool_sizes) == (2 if (os.cpu_count() or 1) > 1 else 0)
 
 
-def test_scan_and_scalar_api_share_thresholds():
+def test_scan_and_scalar_api_share_thresholds(capsys):
     assert channel.MARGIN_TOL is _kernel.MARGIN_TOL
     assert channel.DEGENERATE_TOL2 is _kernel.DEGENERATE_TOL2
-    # |p1 + p2|^2 one ulp above DEGENERATE_TOL2: a row for both routes
+    # |p1 + p2|^2 one ulp above DEGENERATE_TOL2: a row and a frame for
+    # every route
     p = 1e-10
+    p1, p2 = [0.0, 0.0, p], [0.0, 0.0, 0.0]
     assert p * p > _kernel.DEGENERATE_TOL2
     row = evaluate_points([p], [0.0], [0.0], [0.0])[0]
-    sq = channel_squeezing([0.0, 0.0, p], [0.0, 0.0, 0.0], 0.0)
+    sq = channel_squeezing(p1, p2, 0.0)
     assert row[COLUMNS.index("q_value")] == sq.q_value
+    assert couple_spin1(p1, p2).frame is not None
+    channel.correlations_oracle(p1, p2, 0.0)
+    channel.verify_correlations(p1, p2, 0.0)
+    assert cli.main(["channel", "--p1", "1e-10", "--p2", "0", "--theta", "0"]) == 0
+    # p1 = -p2: no route has a frame
+    p1, p2 = [0.0, 0.0, 0.5], [0.0, 0.0, -0.5]
+    row = evaluate_points([0.5], [0.5], [math.pi], [0.0])[0]
+    assert math.isnan(row[COLUMNS.index("q_value")])
+    assert couple_spin1(p1, p2).frame is None
+    for route in (channel_squeezing, correlations, channel.correlations_oracle,
+                  channel.verify_correlations):
+        with pytest.raises(LakinFrameUndefined):
+            route(p1, p2, 0.0)
+    assert cli.main(["channel", "--p1", "0.5", "--p2", "0.5", "--theta", "180",
+                     "--degrees"]) == 2
 
 
 def pinned_result(n: int) -> ScanResult:
