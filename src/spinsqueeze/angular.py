@@ -1,8 +1,10 @@
 """Exact angular-momentum coupling coefficients and rotation matrix elements.
 
-All coupling coefficients are evaluated from single-sum factorial formulas
-in exact rational arithmetic (arbitrary-precision integers, ``Fraction``)
-and converted to floating point only at the API boundary. Coefficients
+Each coupling coefficient is one single sum of products of binomial
+coefficients, evaluated in integer arithmetic (Johansson & Forssen,
+SIAM J. Sci. Comput. 38, A376 (2016)); its square is then one ratio of
+integers, the only ``Fraction`` the coefficient builds. Values are
+converted to floating point only at the API boundary. Coefficients
 squared are rational, so the exact value is carried as ``(sign, square)``
 pairs; :func:`clebsch_gordan_exact` and :func:`wigner_6j_exact` expose
 this form.
@@ -92,37 +94,30 @@ def _triangle_ok(ta: int, tb: int, tc: int) -> bool:
     return (abs(ta - tb) <= tc <= ta + tb) and (ta + tb + tc) % 2 == 0
 
 
-def _delta_sq(ta: int, tb: int, tc: int) -> Fraction:
-    """Squared triangle coefficient, exact."""
-    return Fraction(
-        _fact2(ta + tb - tc) * _fact2(ta - tb + tc) * _fact2(-ta + tb + tc),
-        _fact2(ta + tb + tc + 2),
-    )
-
-
 @lru_cache(maxsize=None)
 def _cg_exact(tj1: int, tj2: int, tj: int, tm1: int, tm2: int, tm: int):
-    """(sign, square) of C(j1 j2 j; m1 m2 m), exact. Assumes valid parities."""
+    """(sign, square) of C(j1 j2 j; m1 m2 m), exact. Assumes valid parities.
+
+    With a = j1+j2-j, x = j1-j2+j, y = -j1+j2+j, b = j1-m1 and c = j2+m2,
+    Racah's sum is B / (a! x! y!) for the integer
+    B = sum_k (-1)^k C(a, k) C(x, b-k) C(y, c-k), so that
+    C^2 = (2j+1) prod (j+-m)! B^2 / ((j1+j2+j+1)! a! x! y!).
+    """
     if tm1 + tm2 != tm or not _triangle_ok(tj1, tj2, tj):
         return 0, Fraction(0)
-    pre = Fraction(tj + 1) * _delta_sq(tj1, tj2, tj)
-    pre *= (_fact2(tj1 + tm1) * _fact2(tj1 - tm1) * _fact2(tj2 + tm2)
-            * _fact2(tj2 - tm2) * _fact2(tj + tm) * _fact2(tj - tm))
-    kmin = max(0, (tj2 - tj - tm1) // 2, (tj1 - tj + tm2) // 2)
-    kmax = min((tj1 + tj2 - tj) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
-    total = Fraction(0)
-    for k in range(kmin, kmax + 1):
-        den = (math.factorial(k)
-               * _fact2(tj1 + tj2 - tj - 2 * k)
-               * _fact2(tj1 - tm1 - 2 * k)
-               * _fact2(tj2 + tm2 - 2 * k)
-               * _fact2(tj - tj2 + tm1 + 2 * k)
-               * _fact2(tj - tj1 - tm2 + 2 * k))
-        total += Fraction((-1) ** k, den)
+    a, x, y = (tj1 + tj2 - tj) // 2, (tj1 - tj2 + tj) // 2, (tj2 - tj1 + tj) // 2
+    b, c = (tj1 - tm1) // 2, (tj2 + tm2) // 2
+    total = 0
+    for k in range(max(0, b - x, c - y), min(a, b, c) + 1):
+        term = math.comb(a, k) * math.comb(x, b - k) * math.comb(y, c - k)
+        total += -term if k & 1 else term
     if total == 0:
         return 0, Fraction(0)
-    sign = 1 if total > 0 else -1
-    return sign, pre * total * total
+    num = ((tj + 1) * _fact2(tj1 + tm1) * _fact2(tj1 - tm1) * _fact2(tj2 + tm2)
+           * _fact2(tj2 - tm2) * _fact2(tj + tm) * _fact2(tj - tm) * total * total)
+    den = (math.factorial(a + x + y + 1) * math.factorial(a)
+           * math.factorial(x) * math.factorial(y))
+    return (1 if total > 0 else -1), Fraction(num, den)
 
 
 def _coerce_pair(j, m, names: str) -> tuple[HalfInt, HalfInt]:
@@ -156,26 +151,35 @@ def clebsch_gordan(j1, j2, j, m1, m2, m) -> float:
 
 @lru_cache(maxsize=None)
 def _six_j_exact(tj1: int, tj2: int, tj3: int, tj4: int, tj5: int, tj6: int):
-    """(sign, square) of the 6-j symbol {j1 j2 j3; j4 j5 j6}, exact."""
-    if not (_triangle_ok(tj1, tj2, tj3) and _triangle_ok(tj4, tj5, tj3)
-            and _triangle_ok(tj4, tj2, tj6) and _triangle_ok(tj1, tj5, tj6)):
+    """(sign, square) of the 6-j symbol {j1 j2 j3; j4 j5 j6}, exact.
+
+    Racah's sum over z, with triad sums a1..a4 (a1 = j1+j2+j3) and the
+    three sums b1..b3 of four j, is (a1+1)! B / (n2! n3! n4!) for the
+    integer B = sum_z (-1)^z C(z+1, z-a1) C(n2, z-a2) C(n3, z-a3)
+    C(n4, z-a4), where n2 = b1-a2, n3 = b2-a3 and n4 = b3-a4.
+    """
+    triads = ((tj1, tj2, tj3), (tj4, tj5, tj3), (tj1, tj5, tj6), (tj4, tj2, tj6))
+    if not all(_triangle_ok(*t) for t in triads):
         return 0, Fraction(0)
-    pre = (_delta_sq(tj1, tj2, tj3) * _delta_sq(tj4, tj5, tj3)
-           * _delta_sq(tj1, tj5, tj6) * _delta_sq(tj4, tj2, tj6))
-    zmin = max(tj1 + tj2 + tj3, tj4 + tj5 + tj3, tj1 + tj5 + tj6, tj4 + tj2 + tj6) // 2
-    zmax = min(tj1 + tj2 + tj4 + tj5, tj1 + tj3 + tj4 + tj6, tj2 + tj3 + tj5 + tj6) // 2
-    total = Fraction(0)
-    for z in range(zmin, zmax + 1):
-        den = (_fact2(2 * z - tj1 - tj2 - tj3) * _fact2(2 * z - tj4 - tj5 - tj3)
-               * _fact2(2 * z - tj1 - tj5 - tj6) * _fact2(2 * z - tj4 - tj2 - tj6)
-               * _fact2(tj1 + tj2 + tj4 + tj5 - 2 * z)
-               * _fact2(tj1 + tj3 + tj4 + tj6 - 2 * z)
-               * _fact2(tj2 + tj3 + tj5 + tj6 - 2 * z))
-        total += Fraction((-1) ** z * math.factorial(z + 1), den)
+    a1, a2, a3, a4 = (sum(t) // 2 for t in triads)
+    n2 = (tj1 + tj2 - tj3) // 2                 # b1 - a2
+    n3 = (tj3 + tj4 - tj5) // 2                 # b2 - a3
+    n4 = (tj3 + tj5 - tj4) // 2                 # b3 - a4
+    total = 0
+    for z in range(max(a1, a2, a3, a4), min(n2 + a2, n3 + a3, n4 + a4) + 1):
+        term = (math.comb(z + 1, z - a1) * math.comb(n2, z - a2)
+                * math.comb(n3, z - a3) * math.comb(n4, z - a4))
+        total += -term if z & 1 else term
     if total == 0:
         return 0, Fraction(0)
-    sign = 1 if total > 0 else -1
-    return sign, pre * total * total
+    # Delta^2 of each triad times ((a1+1)! / (n2! n3! n4!))^2, one (a1+1)!
+    # cancelled against the first triad's Delta^2
+    num = math.factorial(a1 + 1) * total * total
+    for ta, tb, tc in triads:
+        num *= _fact2(ta + tb - tc) * _fact2(ta - tb + tc) * _fact2(tb + tc - ta)
+    den = (math.factorial(a2 + 1) * math.factorial(a3 + 1) * math.factorial(a4 + 1)
+           * (math.factorial(n2) * math.factorial(n3) * math.factorial(n4)) ** 2)
+    return (1 if total > 0 else -1), Fraction(num, den)
 
 
 def wigner_6j_exact(j1, j2, j3, j4, j5, j6):

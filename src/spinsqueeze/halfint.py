@@ -2,10 +2,39 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AngularMomentumError
+
+
+# Largest |value| that HalfInt.of accepts from a string, a float or a
+# Fraction (ints are not bounded). Up to it a float holds every
+# half-integer exactly; no spin or coupling coefficient near it can be built.
+MAX_PARSED = 2 ** 52
+
+# Largest |exponent| of a decimal string such as "1.5e0": Fraction("1e-9999999")
+# builds 10**9999999 before anything can reject it.
+MAX_EXPONENT = 400
+
+
+def _parse(text: str) -> Fraction:
+    s = text.strip()
+    num, slash, den = s.partition("/")
+    if slash:
+        num, den = int(num), int(den)
+        if den == 0:
+            raise AngularMomentumError(f"{text!r} has a zero denominator")
+        return Fraction(num, den)
+    try:
+        large = abs(int(s.lower().partition("e")[2])) > MAX_EXPONENT
+    except ValueError:          # no exponent, or junk that Fraction rejects
+        large = False
+    if large:
+        raise AngularMomentumError(
+            f"{text!r} exceeds the exponent limit of {MAX_EXPONENT}")
+    return Fraction(s)
 
 
 @dataclass(frozen=True, order=True)
@@ -15,6 +44,8 @@ class HalfInt:
     Magnitude-type numbers (j, s, k) are non-negative; projections (m, q)
     may be negative. Construction goes through :meth:`of`, which accepts
     ints, exact floats (1.5), strings ("3/2", "1.5", "2") and HalfInt.
+    Anything but an int must be finite and at most ``MAX_PARSED`` in
+    magnitude.
     """
 
     twice: int
@@ -25,17 +56,17 @@ class HalfInt:
             return value
         if isinstance(value, int):
             return HalfInt(2 * value)
+        given = value
         if isinstance(value, str):
-            s = value.strip()
-            if "/" in s:
-                num, den = s.split("/", 1)
-                frac = Fraction(int(num), int(den))
-            else:
-                frac = Fraction(s)
-            value = frac
+            value = _parse(value)
         if isinstance(value, float):
+            if not math.isfinite(value):
+                raise AngularMomentumError(f"{value} is not finite")
             value = Fraction(value)    # exact: valid inputs are binary halves
         if isinstance(value, Fraction):
+            if abs(value) > MAX_PARSED:
+                raise AngularMomentumError(
+                    f"{given!r} exceeds the magnitude limit of {MAX_PARSED}")
             doubled = 2 * value
             if doubled.denominator != 1:
                 raise AngularMomentumError(

@@ -2,9 +2,11 @@
 
 Expected values come from independent routes: hand-evaluated closed
 forms, Clebsch-Gordan contraction oracles for the 6-j and 9-j symbols,
-and a matrix-exponential oracle for the rotation matrices.
+a matrix-exponential oracle for the rotation matrices, and Racah's sums
+in ``Fraction`` arithmetic (``coeff_oracle``) for the exact coefficients.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -13,9 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coeff_oracle
 from spinsqueeze import (EulerAngles, HalfInt, clebsch_gordan,
                          clebsch_gordan_exact, little_d, racah_w, wigner_6j,
-                         wigner_9j, wigner_d, wigner_d_matrix)
+                         wigner_6j_exact, wigner_9j, wigner_d, wigner_d_matrix)
+from spinsqueeze.angular import _cg_exact, _six_j_exact
 from spinsqueeze.errors import AngularMomentumError
 from spinsqueeze.frames import euler_from_rotation, rotation_matrix
 from spinsqueeze.tensor_ops import spin_matrices
@@ -178,6 +182,87 @@ def test_racah_w_triangle_selection():
 def test_6j_known_value():
     # {1 1 1; 1 1 1} = 1/6, a standard closed-form special case
     assert wigner_6j(1, 1, 1, 1, 1, 1) == pytest.approx(1 / 6, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# integer sums against the Fraction sums they replaced
+# ---------------------------------------------------------------------------
+
+_TWICE = st.integers(0, 40)
+
+
+@st.composite
+def _coupled(draw, *pairs):
+    """A twice-value that closes a triangle with every (ta, tb) pair when one
+    exists, else (and sometimes anyway) any value up to 40."""
+    options = [t for t in range(41)
+               if all(coeff_oracle._triangle_ok(ta, tb, t) for ta, tb in pairs)]
+    if options and draw(st.integers(0, 3)):
+        return draw(st.sampled_from(options))
+    return draw(_TWICE)
+
+
+@st.composite
+def _projection(draw, tj):
+    """m with |m| <= j and the parity of j."""
+    return 2 * draw(st.integers(0, tj)) - tj
+
+
+@st.composite
+def cg_arguments(draw):
+    tj1, tj2 = draw(_TWICE), draw(_TWICE)
+    tj = draw(_coupled((tj1, tj2)))
+    tm1, tm2 = draw(_projection(tj1)), draw(_projection(tj2))
+    tm = draw(_projection(tj))
+    if abs(tm1 + tm2) <= tj and (tj - tm1 - tm2) % 2 == 0 and draw(st.integers(0, 3)):
+        tm = tm1 + tm2
+    return tj1, tj2, tj, tm1, tm2, tm
+
+
+@st.composite
+def six_j_arguments(draw):
+    tj1, tj2, tj4, tj5 = (draw(_TWICE) for _ in range(4))
+    if (tj1 + tj2 + tj4 + tj5) % 2 and draw(st.integers(0, 3)):
+        tj5 += 1 if tj5 < 40 else -1     # else no j3 closes both triads
+    tj3 = draw(_coupled((tj1, tj2), (tj4, tj5)))
+    tj6 = draw(_coupled((tj4, tj2), (tj1, tj5)))
+    return tj1, tj2, tj3, tj4, tj5, tj6
+
+
+def _public(twice):
+    return [HalfInt(t) for t in twice]
+
+
+@settings(max_examples=400)
+@given(cg_arguments())
+def test_cg_exact_equals_rational_oracle(args):
+    """Sign and exact square, selection-rule zeros included, up to j = 20."""
+    expected = coeff_oracle.cg_exact(*args)
+    assert _cg_exact(*args) == expected
+    assert clebsch_gordan_exact(*_public(args)) == expected
+
+
+@settings(max_examples=400)
+@given(six_j_arguments())
+def test_six_j_exact_equals_rational_oracle(args):
+    expected = coeff_oracle.six_j_exact(*args)
+    assert _six_j_exact(*args) == expected
+    assert wigner_6j_exact(*_public(args)) == expected
+
+
+def test_six_j_exhaustive_small_against_rational_oracle():
+    for args in itertools.product(range(5), repeat=6):
+        assert _six_j_exact(*args) == coeff_oracle.six_j_exact(*args)
+
+
+def test_exact_coefficients_at_the_cli_bound():
+    """The largest arguments coeff accepts, on both routes."""
+    for args in [(200, 200, 200, 0, 0, 0), (200, 199, 1, 200, -199, 1),
+                 (199, 200, 399, -1, 2, 1), (200, 200, 400, 0, 0, 0)]:
+        assert _cg_exact(*args) == coeff_oracle.cg_exact(*args)
+    for args in [(200,) * 6, (200, 200, 200, 200, 200, 400),
+                 (199, 200, 1, 200, 199, 201)]:
+        assert _six_j_exact(*args) == coeff_oracle.six_j_exact(*args)
 
 
 # ---------------------------------------------------------------------------

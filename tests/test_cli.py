@@ -201,6 +201,27 @@ def test_coeff_j_limit(capsys, monkeypatch):
         assert "limit" in err
 
 
+def test_coeff_negative_projection_without_separator(capsys):
+    argv = ["coeff", "cg", "1/2", "1/2", "0", "1/2", "-1/2", "0"]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out == "0.707106781186548\nexact: sqrt(1/2)\n"
+    assert run(capsys, argv[:2] + ["--"] + argv[2:]) == (0, out, "")
+    code, out, _ = run(capsys, ["coeff", "d", "1", "-1", "0", "0", "-60", "0",
+                                "--degrees"])
+    assert code == 0
+    assert out.startswith("-0.612372435695794")
+
+
+@pytest.mark.parametrize("argv", [["cg", "1/0", "1", "1", "0", "0", "0"],
+                                  ["6j", "1", "1", "1", "1", "1", "-2/0"],
+                                  ["d", "1/0", "0", "0", "0", "0", "0"]])
+def test_coeff_zero_denominator_exits_2(capsys, argv):
+    code, out, err = run(capsys, ["coeff", *argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "zero denominator" in err
+
+
 def test_coeff_d_degrees(capsys):
     code, out, _ = run(capsys, ["coeff", "d", "1", "0", "0",
                                 "0", "60", "0", "--degrees"])
@@ -414,6 +435,41 @@ def test_channel_input_property(values, degrees):
     code, err = _main_exit(argv + ["--degrees"] * degrees)
     assert code in (0, 2)
     assert (code == 2) == err.startswith("error:")
+
+
+_COEFF_VALUE = st.one_of(
+    st.integers(-6, 6).map(lambda t: str(t // 2) if t % 2 == 0 else f"{t}/2"),
+    st.integers(-6, 6).map(lambda t: repr(t / 2)),
+    st.integers(-3, 3).map(lambda n: f"{n}/0"),
+    _FLOATS.map(repr),
+    st.sampled_from(["1e400", "-1e400", "1e100000", "-1e-100000", "0e-100000",
+                     "inf", "-inf", "nan", "-nan", str(MAX_J), str(MAX_J + 1),
+                     f"{MAX_J}.5", "", "x", "-x", "1e", "0x10", " 1 ", "1_0",
+                     "1/2/3", "1//2", "--", "-", "--x", "-1/-2", "1/-0"]))
+
+
+@given(kind=st.sampled_from(["cg", "6j", "9j", "d"]),
+       values=st.lists(_COEFF_VALUE, min_size=5, max_size=10),
+       degrees=st.booleans())
+def test_coeff_input_property(kind, values, degrees):
+    """Any coeff arguments exit 0 or 2, with an error line on 2: zero
+    denominators, negative projections, huge exponents and junk included."""
+    code, err = _main_exit(["coeff", kind, *values] + ["--degrees"] * degrees)
+    assert code in (0, 2)
+    assert (code == 2) == err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+@pytest.mark.parametrize("spin", ["1e400", '"1e-3000000"', '"1/0"', "-1e400",
+                                  '"1e400"'])
+def test_state_spin_out_of_range_exits_2(tmp_path, capsys, command, spin):
+    """A JSON number of 1e400 loads as inf; "1e-3000000" would build a
+    3-million-digit denominator before the spin limit applies."""
+    path = tmp_path / "state.json"
+    path.write_text('{"spin": %s}' % spin)
+    code, out, err = run(capsys, [command, str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+import coeff_oracle
 from spinsqueeze import HalfInt, build_tau, clebsch_gordan, racah_w, spin_matrices
 from spinsqueeze.angular import _cg_exact
 from spinsqueeze.errors import AngularMomentumError
+from spinsqueeze.tensor_ops import _tau_stack
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -166,3 +168,20 @@ def test_tau_build_caches_only_coupled_cg():
             build_tau(HalfInt(ts), k, q)
     grown = _cg_exact.cache_info().currsize - before
     assert grown <= (ts + 1) * (ts + 1) ** 2
+
+
+def _bits(stack):
+    return stack.view(np.int64)
+
+
+@pytest.mark.parametrize("ts", range(21))
+def test_tau_stack_bits_equal_rational_oracle(ts):
+    """Every spin up to s = 10: the same float bits as the stack built from
+    the Fraction sums."""
+    assert np.array_equal(_bits(_tau_stack(ts)), _bits(coeff_oracle.tau_stack(ts)))
+
+
+def test_tau_stack_bits_equal_rational_oracle_at_state_limit():
+    """s = 20, the largest spin a state file may have (about 4 s)."""
+    built = _tau_stack.__wrapped__(40)      # not kept in the stack cache
+    assert np.array_equal(_bits(built), _bits(coeff_oracle.tau_stack(40)))
