@@ -1,6 +1,9 @@
 """Scan kernel: closed-form channel-pair evaluation on flat point arrays.
 
-numpy-vectorised, one block of at most :data:`BLOCK` points per call. Every
+numpy-vectorised on blocks of about :data:`BLOCK` points:
+:func:`evaluate_into` fills all 14 columns, and the threshold search
+reads the q_value column alone from :func:`_margin`. Both take q and the
+terms it shares with the other columns from one helper. Every
 column is the same expression, in the same operation order, as the
 per-point loop kept as the reference in ``tests/scan_oracle.py``, and
 the tests require the two to agree bit for bit: elementwise float64
@@ -33,26 +36,47 @@ MARGIN_TOL = 1e-12
 BLOCK = 8192
 
 
+def _shared_terms(a, b, theta, phi):
+    """The squeezing margin q and the terms every other column is built
+    from: ``(q, |p1 + p2|^2, sin theta, cos phi, a^2, b^2, p1.p2,
+    |p1 x p2|, |p1 x p2|^2, |p1 + p2|, cos^2 phi)``. Rows with p1 + p2 = 0
+    divide by zero, so callers run it under ``np.errstate`` and
+    overwrite those rows."""
+    ct = np.cos(theta)
+    st = np.sin(theta)
+    cp = np.cos(phi)
+    a2 = a * a
+    b2 = b * b
+    pd = a * b * ct
+    ps2 = a2 + b2 + 2.0 * pd
+    cross = a * b * st          # |p1 x p2|, theta in [0, pi]
+    cross2 = cross * cross
+    ps = np.sqrt(ps2)
+    cp2 = cp * cp
+    q = 0.5 * ps + cross2 / ps2 * cp2 - 1.0
+    return q, ps2, st, cp, a2, b2, pd, cross, cross2, ps, cp2
+
+
+def _margin(a, b, theta, phi):
+    """The q_value column alone for a batch of points, the same bits as
+    :func:`evaluate_into` writes: NaN where |p1 + p2|^2 <= DEGENERATE_TOL2."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q, ps2, *_ = _shared_terms(a, b, theta, phi)
+    q[ps2 <= DEGENERATE_TOL2] = np.nan
+    return q
+
+
 def evaluate_into(a, b, theta, phi, out):
     """Fill out[i, :] for one block of points: a = |p1|, b = |p2|, theta
     and phi are length-N float64 arrays (out N x 14), theta in [0, pi].
     Callers pass at most :data:`BLOCK` points at a time."""
     # degenerate rows divide by zero; their columns are overwritten below
     with np.errstate(divide="ignore", invalid="ignore"):
-        ct = np.cos(theta)
-        st = np.sin(theta)
-        cp = np.cos(phi)
+        q, ps2, st, cp, a2, b2, pd, cross, cross2, ps, cp2 = \
+            _shared_terms(a, b, theta, phi)
         sp = np.sin(phi)
-        a2 = a * a
-        b2 = b * b
-        pd = a * b * ct
         den = 3.0 + pd
         weight = den / 12.0
-        ps2 = a2 + b2 + 2.0 * pd
-        cross = a * b * st          # |p1 x p2|, theta in [0, pi]
-        cross2 = cross * cross
-        ps = np.sqrt(ps2)
-        cp2 = cp * cp
         c2p = cp2 - sp * sp
         # tensor parameters in the distinguished frame
         px1 = cross / ps
@@ -63,7 +87,6 @@ def evaluate_into(a, b, theta, phi, out):
         t22 = -_SQRT3 * px1 * px1 / den
         var = 2.0 * (ps2 - cross2 * cp2) / (den * ps2)
         szh = ps / den
-        q = 0.5 * ps + cross2 / ps2 * cp2 - 1.0
         # correlations, closed forms as published
         sin2t = st * st
         cxx = (ps2 - pd * (a2 + b2) - 2.0 * a2 * b2 * (1.0 + sin2t * c2p)) / (4.0 * den * ps2)

@@ -29,11 +29,13 @@ from typing import Optional
 
 import numpy as np
 
+from . import _kernel
 from ._kernel import DEGENERATE_TOL2, MARGIN_TOL
 from .angular import clebsch_gordan, wigner_9j
 from .density import SpinDensity, TensorParams
 from .errors import LakinFrameUndefined
 from .halfint import HalfInt
+from .scan import MAX_SCAN_ROWS
 
 __all__ = [
     "ChannelFrame", "ChannelState", "ChannelSqueezing", "Correlations",
@@ -425,16 +427,26 @@ def verify_correlations(p1, p2, phi: float, tol: float = 1e-10) -> list[Correlat
 class ThresholdScanConfig:
     """Grid specification for the minimum-polarization searches.
 
-    At least 200 points per axis; theta runs over the open interval
-    (0, pi) and the margin is maximized at phi = 0.
+    Integer counts, at least 200 points per axis and at most
+    :data:`~spinsqueeze.scan.MAX_SCAN_ROWS` grid points in all; theta
+    runs over the open interval (0, pi) and the margin is maximized at
+    phi = 0.
     """
 
     p_points: int = 400
     theta_points: int = 400
 
     def __post_init__(self):
+        for name in ("p_points", "theta_points"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.p_points < 200 or self.theta_points < 200:
             raise ValueError("threshold scans need at least 200 points per axis")
+        if int(self.p_points) * int(self.theta_points) > MAX_SCAN_ROWS:
+            raise ValueError(f"threshold scan of {self.p_points} x "
+                             f"{self.theta_points} points exceeds the limit "
+                             f"of {MAX_SCAN_ROWS}")
 
 
 @dataclass(frozen=True)
@@ -447,17 +459,23 @@ class ThresholdScanResult:
 
 def _first_squeezed(p_values: np.ndarray, theta: np.ndarray,
                     pure_partner: bool) -> float:
-    from .scan import IDX_Q_VALUE, evaluate_points
-
+    """Smallest P in ``p_values`` (ascending) with a squeezed point on the
+    theta grid at phi = 0, or inf. The margin is evaluated alone, for as
+    many P at once as fill one kernel block (at least one)."""
     nt = theta.size
-    ones = np.ones(nt)
-    for p in p_values:
-        p1 = np.full(nt, p)
-        p2 = ones if pure_partner else p1
-        out = evaluate_points(p1, p2, theta, np.zeros(nt))
-        q = out[:, IDX_Q_VALUE]
-        if np.any(q > MARGIN_TOL):
-            return float(p)
+    per_call = max(1, _kernel.BLOCK // nt)
+    theta_rows = np.tile(theta, per_call)
+    phi = np.zeros(theta_rows.size)
+    ones = np.ones(theta_rows.size)
+    for lo in range(0, p_values.size, per_call):
+        ps = p_values[lo:lo + per_call]
+        n = ps.size * nt
+        a = np.repeat(ps, nt)
+        b = ones[:n] if pure_partner else a
+        q = _kernel._margin(a, b, theta_rows[:n], phi[:n])
+        squeezed = (q > MARGIN_TOL).reshape(ps.size, nt).any(axis=1)
+        if squeezed.any():
+            return float(ps[squeezed.argmax()])
     return math.inf
 
 
@@ -471,7 +489,9 @@ def threshold_scan(config: ThresholdScanConfig = ThresholdScanConfig()) -> Thres
 
     Both searches sweep P upward on a uniform grid, so the reported
     values overestimate the true thresholds by at most one grid step
-    (plus the theta-grid refinement error).
+    (plus the theta-grid refinement error). They evaluate the margin q
+    alone, in batches of as many P as fill one kernel block, and stop
+    at the first batch with a squeezed point.
     """
     p_values = np.linspace(0.0, 1.0, config.p_points)
     theta = np.linspace(0.0, math.pi, config.theta_points + 2)[1:-1]

@@ -98,9 +98,8 @@ def evaluate_points(p1m, p2m, theta, phi, jobs: int = 1) -> np.ndarray:
     n = arrays[0].size
     if any(a.size != n for a in arrays):
         raise ValueError("coordinate arrays must have equal length")
-    # one pass of comparisons that fail on NaN (threshold_scan() makes
-    # hundreds of small calls); only boolean temporaries, since float
-    # ones the size of a scan raised its peak RSS
+    # one pass of comparisons that fail on NaN; only boolean temporaries,
+    # since float ones the size of a scan raised its peak RSS
     a, b, t, f = arrays
     if not ((a >= 0.0) & (a <= 1.0) & (b >= 0.0) & (b <= 1.0)
             & (t >= 0.0) & (t <= math.pi) & np.isfinite(f)).all():

@@ -13,9 +13,17 @@ Column layout (matches scan.COLUMNS):
 Rows with p1 + p2 = 0 have no distinguished frame: weight, t1_0 and
 sz_half are still defined (0 for the latter two), squeezed is 0, and
 the frame-dependent columns are NaN.
+
+:func:`first_squeezed` is the reference for the threshold search: one
+``evaluate_points`` call per magnitude P, every column computed and the
+q_value column read.
 """
 
-from math import cos, nan, sin, sqrt
+from math import cos, inf, nan, sin, sqrt
+
+import numpy as np
+
+from spinsqueeze.scan import IDX_Q_VALUE, evaluate_points
 
 _SQRT6 = sqrt(6.0)
 _SQRT3 = sqrt(3.0)
@@ -89,3 +97,18 @@ def evaluate_into(p1m, p2m, theta, phi, out):
         out[i, 11] = cxz
         out[i, 12] = czy
         out[i, 13] = 0.0
+
+
+def first_squeezed(p_values, theta, pure_partner):
+    """Smallest P in p_values with a squeezed point on the theta grid at
+    phi = 0 (against |p2| = 1 when pure_partner, else |p2| = P), or inf."""
+    nt = theta.size
+    ones = np.ones(nt)
+    for p in p_values:
+        p1 = np.full(nt, p)
+        p2 = ones if pure_partner else p1
+        out = evaluate_points(p1, p2, theta, np.zeros(nt))
+        q = out[:, IDX_Q_VALUE]
+        if np.any(q > _MARGIN_TOL):
+            return float(p)
+    return inf

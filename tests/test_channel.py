@@ -9,14 +9,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import scan_oracle
 from conftest import random_polarization
 from spinsqueeze import (ThresholdScanConfig, analyze,
                          channel_geometry, channel_squeezing, correlations,
                          correlations_oracle, couple_spin1, couple_spin1_9j,
                          project_oracle, threshold_scan, to_tensors,
                          verify_correlations)
+from spinsqueeze import _kernel
 from spinsqueeze.errors import LakinFrameUndefined
+from spinsqueeze.scan import MAX_SCAN_ROWS
 
 EZ = np.array([0.0, 0.0, 1.0])
 
@@ -327,3 +332,70 @@ def test_threshold_scan_smoke():
 def test_threshold_config_validated():
     with pytest.raises(ValueError):
         ThresholdScanConfig(p_points=100)
+
+
+@pytest.mark.parametrize("count", [400.0, 300.5, math.nan, math.inf, True,
+                                   np.bool_(True), "400", None])
+@pytest.mark.parametrize("axis", ["p_points", "theta_points"])
+def test_threshold_config_rejects_non_integer_counts(axis, count):
+    # these used to construct a config and fail later inside np.linspace
+    with pytest.raises(TypeError, match=axis):
+        ThresholdScanConfig(**{axis: count})
+
+
+def test_threshold_config_accepts_numpy_integers():
+    config = ThresholdScanConfig(p_points=np.int64(201), theta_points=np.int32(200))
+    assert threshold_scan(config).p_resolution == pytest.approx(1 / 200)
+
+
+def test_threshold_config_rejects_grids_above_scan_limit():
+    """Checked before anything is allocated: 10**10 P values would be an
+    80 GB linspace."""
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        ThresholdScanConfig(p_points=10**10)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        ThresholdScanConfig(p_points=200, theta_points=MAX_SCAN_ROWS // 200 + 1)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        ThresholdScanConfig(p_points=np.int64(2**62), theta_points=np.int64(2**62))
+    ThresholdScanConfig(p_points=200, theta_points=MAX_SCAN_ROWS // 200)
+
+
+def oracle_thresholds(config: ThresholdScanConfig) -> tuple:
+    """(equal, vs pure) from the per-P search on threshold_scan()'s grid."""
+    p_values = np.linspace(0.0, 1.0, config.p_points)
+    theta = np.linspace(0.0, math.pi, config.theta_points + 2)[1:-1]
+    return tuple(scan_oracle.first_squeezed(p_values, theta, pure)
+                 for pure in (False, True))
+
+
+def assert_thresholds_match_oracle(config: ThresholdScanConfig):
+    res = threshold_scan(config)
+    got = (res.min_polarization_equal, res.min_polarization_vs_pure)
+    assert got == oracle_thresholds(config)
+
+
+@settings(deadline=None, max_examples=8)
+@given(st.integers(200, 415), st.integers(200, 415))
+# the equal-magnitude threshold is the first P of a batch (277, 200) and
+# the last P of one (270, 205)
+@example(277, 200)
+@example(270, 205)
+def test_threshold_scan_equals_per_p_oracle(p_points, theta_points):
+    assert_thresholds_match_oracle(ThresholdScanConfig(p_points, theta_points))
+
+
+@pytest.mark.parametrize("p_points, theta_points, index", [(277, 200, 0),
+                                                           (270, 205, -1)])
+def test_threshold_examples_sit_on_batch_boundaries(p_points, theta_points, index):
+    """The explicit examples above test what they claim: the threshold's
+    P index is the first or the last of a block-sized batch of P."""
+    per_call = _kernel.BLOCK // theta_points
+    res = threshold_scan(ThresholdScanConfig(p_points, theta_points))
+    i = round(res.min_polarization_equal * (p_points - 1))
+    assert i % per_call == index % per_call
+
+
+def test_threshold_scan_one_p_per_call_above_block():
+    config = ThresholdScanConfig(p_points=200, theta_points=_kernel.BLOCK + 1)
+    assert _kernel.BLOCK // config.theta_points == 0
+    assert_thresholds_match_oracle(config)

@@ -10,13 +10,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import scan_oracle
 from spinsqueeze import (ScanConfig, channel_squeezing, correlations,
-                         couple_spin1, run_scan, to_tensors, write_csv)
+                         correlations_oracle, couple_spin1, project_oracle,
+                         run_scan, to_tensors, write_csv)
 from spinsqueeze import _kernel, channel, cli
 from spinsqueeze.channel import MARGIN_TOL
 from spinsqueeze.cli import _write_scan
@@ -82,31 +83,79 @@ _point = st.tuples(_magnitude, _magnitude, st.booleans(), _theta,
                    st.floats(0.0, 2 * math.pi))
 
 
-@settings(deadline=None, max_examples=150)
-@given(st.lists(_point, min_size=1, max_size=40))
-def test_kernel_property_over_physical_domain(points):
-    """Bit for bit the scalar oracle everywhere; channel_squeezing() to
-    1e-12 wherever |p1 + p2| >= 0.1. Closer to p1 + p2 = 0 the kernel's
-    a^2 + b^2 + 2ab cos(theta) cancels digits that channel_squeezing(),
-    which adds the vectors, keeps."""
+def point_arrays(points):
+    """(p1, p2, theta, phi) arrays of drawn points; |p2| = |p1| where the
+    point's flag is set."""
     p1 = np.array([a for a, _, _, _, _ in points])
     p2 = np.array([a if same else b for a, b, same, _, _ in points])
     theta = np.array([t for _, _, _, t, _ in points])
     phi = np.array([f for _, _, _, _, f in points])
-    got = evaluate_points(p1, p2, theta, phi)
-    assert_bitwise_equal(got, oracle_points(p1, p2, theta, phi))
+    return p1, p2, theta, phi
+
+
+def framed_rows(got, p1, p2, theta, phi):
+    """(columns, v1, v2, phi) of each row with |p1 + p2| >= 0.1. Closer to
+    p1 + p2 = 0 the kernel's a^2 + b^2 + 2ab cos(theta) cancels digits
+    that the vector routes, which add p1 and p2, keep."""
     for row, a, b, t, f in zip(got, p1, p2, theta, phi):
         v1 = a * np.array([0.0, 0.0, 1.0])
         v2 = b * np.array([math.sin(t), 0.0, math.cos(t)])
-        if np.linalg.norm(v1 + v2) < 0.1:
-            continue
-        col = dict(zip(COLUMNS, row))
+        if np.linalg.norm(v1 + v2) >= 0.1:
+            yield dict(zip(COLUMNS, row)), v1, v2, f
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(_point, min_size=1, max_size=40))
+def test_kernel_property_over_physical_domain(points):
+    """Bit for bit the scalar oracle everywhere; channel_squeezing() to
+    1e-12 wherever |p1 + p2| >= 0.1."""
+    p1, p2, theta, phi = point_arrays(points)
+    got = evaluate_points(p1, p2, theta, phi)
+    assert_bitwise_equal(got, oracle_points(p1, p2, theta, phi))
+    for col, v1, v2, f in framed_rows(got, p1, p2, theta, phi):
         sq = channel_squeezing(v1, v2, f)
         assert col["variance_perp"] == pytest.approx(sq.variance_perp, abs=1e-12)
         assert col["sz_half"] == pytest.approx(sq.sz_expect / 2, abs=1e-12)
         assert col["q_value"] == pytest.approx(sq.q_value, abs=1e-12)
         if abs(sq.q_value - MARGIN_TOL) > 1e-12:
             assert bool(col["squeezed"]) == sq.squeezed
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(_point, min_size=1, max_size=10))
+def test_kernel_matches_matrix_oracles(points):
+    """The tensor columns equal the brute-force 4x4 projection in the
+    frame of couple_spin1(), and c_xx, c_yy, c_xz, c_zy equal the matrix
+    arithmetic of correlations_oracle(), wherever |p1 + p2| >= 0.1.
+    C_zz and C_xy are left out: their published closed forms disagree
+    with the oracle, which verify_correlations() reports."""
+    p1, p2, theta, phi = point_arrays(points)
+    got = evaluate_points(p1, p2, theta, phi)
+    for col, v1, v2, f in framed_rows(got, p1, p2, theta, phi):
+        frame = couple_spin1(v1, v2).frame
+        basis = np.column_stack([frame.x0, frame.y0, frame.z0])
+        lf = rotate_tensors(to_tensors(project_oracle(v1, v2)),
+                            euler_from_rotation(basis))
+        assert col["t1_0"] == pytest.approx(lf.get(1, 0).real, abs=1e-12)
+        assert col["t2_0"] == pytest.approx(lf.get(2, 0).real, abs=1e-12)
+        assert col["t2_2"] == pytest.approx(lf.get(2, 2).real, abs=1e-12)
+        c = correlations_oracle(v1, v2, f)
+        for comp in ("xx", "yy", "xz", "zy"):
+            assert col[f"c_{comp}"] == pytest.approx(getattr(c, comp), abs=1e-12), comp
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(_point, min_size=1, max_size=40))
+@example([(0.6, 0.0, True, math.pi, 0.3)])        # a = b, theta = pi: p1 + p2 = 0
+@example([(0.0, 0.0, True, 1.0, 0.0)])            # a = b = 0
+@example([(0.0, 1.0, False, 2.0, 0.0), (0.0, 0.4, False, 0.0, 1.0)])  # P = 0
+def test_margin_bitwise_equals_q_column(points):
+    """The threshold search's margin entry is the q_value column of the
+    full kernel, NaN where p1 + p2 = 0 included."""
+    p1, p2, theta, phi = point_arrays(points)
+    want = evaluate_points(p1, p2, theta, phi)[:, COLUMNS.index("q_value")]
+    got = _kernel._margin(p1, p2, theta, phi)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 def test_jobs_thread_count_capped_at_cpu_count(rng, pool_sizes):
