@@ -25,7 +25,8 @@ import numpy as np
 from .angular import clebsch_gordan, racah_w  # noqa: F401
 from .errors import AngularMomentumError, HermiticityError, SchemaError
 from .halfint import HalfInt, check_magnitude
-from .tensor_ops import _stack_order, _tau_stack, build_tau, spin_matrices  # noqa: F401
+from .tensor_ops import (_moment_stack, _stack_order, _tau_stack,  # noqa: F401
+                         build_tau, spin_matrices)
 
 __all__ = [
     "TensorParams",
@@ -217,20 +218,26 @@ def to_tensors(rho: SpinDensity) -> TensorParams:
                         trace=float(tr.real))
 
 
+def _moments(rho: SpinDensity) -> tuple[np.ndarray, np.ndarray]:
+    """<S_a> and <(S_a S_b + S_b S_a)/2> per unit trace, as a 3-vector and
+    a symmetric 3x3 matrix: one matrix-vector product with the moment
+    stack, Tr(matrix M) = sum_ij matrix_ij M_ji."""
+    vals = (_moment_stack(rho.spin.twice) @ rho.matrix.T.ravel()).real / rho.trace
+    return vals[:3], vals[3:].reshape(3, 3)
+
+
 def polarization(rho: SpinDensity) -> np.ndarray:
     """Vector polarization <S> / Tr(rho) as a Cartesian 3-vector."""
-    sx, sy, sz = spin_matrices(rho.spin)
-    tr = rho.trace
-    return np.array([
-        np.trace(rho.matrix @ sx).real / tr,
-        np.trace(rho.matrix @ sy).real / tr,
-        np.trace(rho.matrix @ sz).real / tr,
-    ])
+    return _moments(rho)[0]
 
 
 def variance(rho: SpinDensity, direction) -> float:
     """Variance of the spin component along a direction (normalized internally)."""
     d = np.asarray(direction, dtype=float)
+    if d.shape != (3,):
+        raise ValueError(f"direction must be a 3-vector, got shape {d.shape}")
+    if not np.all(np.isfinite(d)):
+        raise ValueError("direction must be finite")
     norm = np.linalg.norm(d)
     if norm < 1e-300:
         raise ValueError("direction must be a non-zero vector")

@@ -11,6 +11,12 @@ the special variant additionally rotates about the new z-axis until
 t^2_2 is real and non-negative. The principal-axes-of-alignment frame
 diagonalizes the Cartesian rank-2 alignment tensor, killing t^2_{+-1}
 and the imaginary part of t^2_2.
+
+Both frames are found from the first and second spin moments alone
+(density._moments): the Lakin rotation from the mean spin and the 3x3
+spin covariance, whose transverse principal axes are the special
+frame's x and y axes, and the principal axes from the alignment tensor.
+Only :func:`rotate_tensors` uses Wigner-D matrices.
 """
 
 from __future__ import annotations
@@ -21,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angular import EulerAngles, wigner_d_matrix
-from .density import SpinDensity, TensorParams, polarization, to_tensors
+from .density import (SpinDensity, TensorParams, _moments, spin_scale_rank2,
+                      to_tensors)
 from .errors import LakinFrameUndefined, NoAlignment
-from .tensor_ops import spin_matrices
 
 __all__ = ["FrameResult", "rotate_tensors", "special_lakin_frame", "paaf",
            "rotation_matrix", "euler_from_rotation"]
@@ -39,28 +45,21 @@ class FrameResult:
     params: TensorParams
 
 
-def _rotate_rank(t: TensorParams, k: int, angles: EulerAngles) -> np.ndarray:
-    """Rank-k parameters in the rotated frame, ordered q = k..-k. A rank
-    that vanishes (or that the spin lacks) is returned as zeros, without
-    building its D matrix."""
-    if k > t.max_rank:
-        return np.zeros(2 * k + 1, dtype=complex)
-    # a contiguous copy: matmul sums a reversed view in another order
-    old = t.vector[k * k:(k + 1) ** 2][::-1].copy()
-    if not np.any(old):
-        return old
-    return wigner_d_matrix(k, angles).T @ old   # new_q = sum_{q'} D_{q'q} old_{q'}
-
-
 def rotate_tensors(t: TensorParams, angles: EulerAngles) -> TensorParams:
     """Express tensor parameters in the rotated frame.
 
     Preserves the conjugation pairing and the rotational invariants
-    sum_q |t^k_q|^2 for every rank.
+    sum_q |t^k_q|^2 for every rank. A rank that vanishes is left as it
+    is, without building its D matrix.
     """
     vec = t.vector.copy()
     for k in range(1, t.max_rank + 1):
-        vec[k * k:(k + 1) ** 2] = _rotate_rank(t, k, angles)[::-1]
+        # a contiguous copy, ordered q = k..-k: matmul sums a reversed
+        # view in another order
+        old = vec[k * k:(k + 1) ** 2][::-1].copy()
+        if np.any(old):
+            new = wigner_d_matrix(k, angles).T @ old   # new_q = sum_{q'} D_{q'q} old_{q'}
+            vec[k * k:(k + 1) ** 2] = new[::-1]
     return TensorParams(t.spin, vec, trace=t.trace)
 
 
@@ -91,25 +90,38 @@ def euler_from_rotation(r: np.ndarray) -> EulerAngles:
     return EulerAngles(alpha, beta, gamma)
 
 
-def _lakin_rotation(rho: SpinDensity) -> tuple[EulerAngles, TensorParams, np.ndarray]:
-    """The rotation of :func:`special_lakin_frame`, the tensor parameters
-    in the input frame and the polarization. gamma comes from rank 2
-    alone."""
-    p = polarization(rho)
-    norm = float(np.linalg.norm(p))
-    if norm <= POLARIZATION_TOL * rho.spin.value:
+def _lakin_rotation(spin, mean: np.ndarray, cov: np.ndarray) -> EulerAngles:
+    """The rotation of :func:`special_lakin_frame` from the mean spin and
+    the spin covariance. alpha and beta point z along the mean spin;
+    gamma rotates the transverse covariance Q = R(alpha, beta, 0)^T cov
+    R(alpha, beta, 0) to its principal axes. In the R(alpha, beta, 0)
+    frame t^2_2 = (Q_xx - Q_yy + 2i Q_xy) / (2 c2), with
+    c2 = spin_scale_rank2(s), so this gamma makes t^2_2 real and
+    non-negative."""
+    norm = float(np.linalg.norm(mean))
+    if norm <= POLARIZATION_TOL * spin.value:
         raise LakinFrameUndefined(
             f"|polarization| = {norm:.3e} is below threshold; no preferred frame")
-    theta = math.acos(max(-1.0, min(1.0, p[2] / norm)))
-    phi = math.atan2(p[1], p[0])
-    t = to_tensors(rho)
+    theta = math.acos(max(-1.0, min(1.0, mean[2] / norm)))
+    phi = math.atan2(mean[1], mean[0])
+    r = rotation_matrix(EulerAngles(phi, theta, 0.0))
+    q = r.T @ cov @ r
+    c2 = spin_scale_rank2(spin)
     gamma = 0.0
-    t22 = _rotate_rank(t, 2, EulerAngles(phi, theta, 0.0))[0]
-    if abs(t22) > 1e-14:
-        gamma = 0.5 * math.atan2(t22.imag, t22.real)
+    # |t^2_2| > 1e-14; spin 1/2 has no rank 2 (c2 = 0), so gamma stays 0
+    # there rather than following the rounding noise in Q
+    if c2 > 0 and math.hypot(q[0, 0] - q[1, 1], 2.0 * q[0, 1]) > 2.0 * c2 * 1e-14:
+        gamma = 0.5 * math.atan2(2.0 * q[0, 1], q[0, 0] - q[1, 1])
         if gamma < 0:
             gamma += math.pi
-    return EulerAngles(phi, theta, gamma), t, p
+    return EulerAngles(phi, theta, gamma)
+
+
+def _mean_and_covariance(rho: SpinDensity) -> tuple[np.ndarray, np.ndarray]:
+    """<S> and the covariance <(S_a S_b + S_b S_a)/2> - <S_a><S_b>, per
+    unit trace."""
+    mean, second = _moments(rho)
+    return mean, second - np.outer(mean, mean)
 
 
 def special_lakin_frame(rho: SpinDensity) -> FrameResult:
@@ -124,22 +136,15 @@ def special_lakin_frame(rho: SpinDensity) -> FrameResult:
     every frame is then equivalent and the squeezing analysis rejects
     the state separately.
     """
-    rotation, t, _ = _lakin_rotation(rho)
-    return FrameResult(rotation, rotate_tensors(t, rotation))
+    rotation = _lakin_rotation(rho.spin, *_mean_and_covariance(rho))
+    return FrameResult(rotation, rotate_tensors(to_tensors(rho), rotation))
 
 
 def alignment_tensor(rho: SpinDensity) -> np.ndarray:
     """Traceless symmetric Cartesian rank-2 moment
     <(S_a S_b + S_b S_a)/2> - delta_ab s(s+1)/3."""
-    spins = spin_matrices(rho.spin)
-    tr = rho.trace
     sv = rho.spin.value
-    a = np.empty((3, 3))
-    for i in range(3):
-        for j in range(i, 3):
-            sym = (spins[i] @ spins[j] + spins[j] @ spins[i]) / 2.0
-            a[i, j] = a[j, i] = np.trace(rho.matrix @ sym).real / tr
-    return a - np.eye(3) * (sv * (sv + 1) / 3.0)
+    return _moments(rho)[1] - np.eye(3) * (sv * (sv + 1) / 3.0)
 
 
 def _canonical_sign(v: np.ndarray) -> np.ndarray:

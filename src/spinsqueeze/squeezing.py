@@ -13,6 +13,12 @@ transverse variance is fully described by two numbers,
 
 with c2 = spin_scale_rank2(s), and Var(phi) = Var_x0 cos^2(phi)
 + Var_y0 sin^2(phi), so the minimum lies on one of the two frame axes.
+
+:func:`analyze` reaches the same two numbers from the spin moments:
+Var_x0 and Var_y0 are the principal values of the 3x3 spin covariance
+restricted to the plane normal to <S>, and |<S . n>| / 2 is |<S>| / 2.
+:func:`lf_variances` keeps the paper's tensor form above; the tests hold
+the two equal.
 """
 
 from __future__ import annotations
@@ -29,7 +35,8 @@ from .density import (SpinDensity, check_positivity, spin_scale_rank1,
 from .errors import AngularMomentumError, LakinFrameUndefined, UnphysicalStateError
 # special_lakin_frame is unused here; it stays as an attribute of this
 # module because perfbench/spans.py patches it here.
-from .frames import _lakin_rotation, _rotate_rank, special_lakin_frame  # noqa: F401
+from .frames import (_lakin_rotation, _mean_and_covariance,  # noqa: F401
+                     rotation_matrix, special_lakin_frame)
 from .halfint import HalfInt, check_magnitude
 
 __all__ = ["SqueezingReport", "analyze", "lf_criterion", "lf_variances",
@@ -115,12 +122,11 @@ def analyze(rho: SpinDensity) -> SqueezingReport:
             f"(eigenvalues {np.array2string(pos.eigenvalues, precision=6)})",
             eigenvalues=pos.eigenvalues)
     sv = rho.spin.value
+    mean, cov = _mean_and_covariance(rho)
     try:
-        rotation, tensors, p = _lakin_rotation(rho)
+        rotation = _lakin_rotation(rho.spin, mean, cov)
     except LakinFrameUndefined:
-        from .density import variance
-        vx = variance(rho, (1.0, 0.0, 0.0))
-        vy = variance(rho, (0.0, 1.0, 0.0))
+        vx, vy = float(cov[0, 0]), float(cov[1, 1])
         phi_min = 0.0 if vx <= vy else 0.5 * math.pi
         mv = min(vx, vy)
         return SqueezingReport(
@@ -128,18 +134,19 @@ def analyze(rho: SpinDensity) -> SqueezingReport:
             variance_x0=vx, variance_y0=vy, phi_min=phi_min,
             min_variance=mv, q_margin=-mv, xi=math.inf, squeezed=False,
             frame=EulerAngles.identity(), reason="no vector polarization")
-    # the variances read t^1_0, t^2_0 and t^2_2 only: rotate ranks 1 and 2
-    t10 = _rotate_rank(tensors, 1, rotation)[1].real
-    rank2 = _rotate_rank(tensors, 2, rotation)
-    t20, t22 = rank2[2].real, rank2[0].real
-    vx, vy, sz_half = lf_variances(rho.spin, t10, t20, t22)
-    sz = spin_scale_rank1(rho.spin) * t10    # <S_z0> > 0 in this frame
+    # the frame's x and y axes are the principal axes of the transverse
+    # covariance, so its diagonal there holds both extremes of Var(phi)
+    r = rotation_matrix(rotation)
+    vx = float(r[:, 0] @ cov @ r[:, 0])
+    vy = float(r[:, 1] @ cov @ r[:, 1])
+    norm = float(np.linalg.norm(mean))     # <S_z0> > 0 in this frame
+    sz_half = 0.5 * norm
     phi_min = 0.0 if vx <= vy else 0.5 * math.pi
     min_variance = min(vx, vy)
     q_margin = sz_half - min_variance
-    xi = math.sqrt(max(0.0, 2.0 * sv * min_variance)) / abs(sz)
+    xi = math.sqrt(max(0.0, 2.0 * sv * min_variance)) / norm
     return SqueezingReport(
-        mean_spin=p / np.linalg.norm(p), sz_half=sz_half,
+        mean_spin=mean / norm, sz_half=sz_half,
         variance_x0=vx, variance_y0=vy, phi_min=phi_min,
         min_variance=min_variance, q_margin=q_margin, xi=xi,
         squeezed=bool(q_margin > SQUEEZING_MARGIN_TOL),

@@ -10,8 +10,10 @@ Matrix elements follow the Madison normalization,
 ``Tr(T^k_q^dagger T^k'_q') = (2s+1) delta_kk' delta_qq'``.
 
 Construction is lazy and memoized per spin: the first request builds
-every T^k_q of that spin as one stack. The returned arrays are frozen
-(non-writeable) so cached values are safe to share between threads.
+every T^k_q of that spin as one stack. S_a and every (S_a S_b + S_b S_a)/2
+form a second, much smaller stack per spin. The returned arrays are
+frozen (non-writeable) so cached values are safe to share between
+threads.
 """
 
 from __future__ import annotations
@@ -120,3 +122,15 @@ def spin_matrices(s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if sh.twice == 0:
         raise AngularMomentumError("spin matrices need s >= 1/2")
     return _spin_cached(sh.twice)
+
+
+@lru_cache(maxsize=None)
+def _moment_stack(ts: int) -> np.ndarray:
+    """The operators of the first and second spin moments of spin ts/2
+    as one (12, (ts+1)^2) stack: S_x, S_y, S_z, then (S_a S_b + S_b S_a)/2
+    for a, b = x, y, z in row-major order, each flattened. Read-only."""
+    spins = spin_matrices(HalfInt(ts))
+    sym = [(a @ b + b @ a) / 2.0 for a in spins for b in spins]
+    out = np.array([m.ravel() for m in (*spins, *sym)])
+    out.flags.writeable = False
+    return out

@@ -7,11 +7,12 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinsqueeze
@@ -390,15 +391,21 @@ _AXIS_PART = st.one_of(_FLOATS.map(repr),
 _AXIS_SPEC = st.lists(_AXIS_PART, min_size=1, max_size=4).map(":".join)
 
 
-def _main_exit(argv) -> tuple[int, str]:
-    """Exit code and stderr of main(argv); a warning, which the CLI would
-    print to stderr ahead of its error line, raises."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+def _main_run(argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of main(argv); a warning, which the
+    CLI would print to stderr ahead of its error line, raises."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(argv)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _main_exit(argv) -> tuple[int, str]:
+    """Exit code and stderr of main(argv), as in :func:`_main_run`."""
+    code, _, err = _main_run(argv)
+    return code, err
 
 
 def _guarded_arange(real):
@@ -470,6 +477,80 @@ def test_state_spin_out_of_range_exits_2(tmp_path, capsys, command, spin):
     code, out, err = run(capsys, [command, str(path)])
     assert (code, out) == (2, "")
     assert err.startswith("error:")
+
+
+def _either(*strategies):
+    """Each strategy drawn equally often: st.one_of flattens nested
+    one_of, so a branch that is itself a one_of of seven would be drawn
+    seven times as often as its siblings."""
+    return st.sampled_from(strategies).flatmap(lambda strategy: strategy)
+
+
+_JSON_SCALAR = st.one_of(
+    st.none(), st.booleans(), st.integers(-4, 4), st.integers(),
+    st.sampled_from([10**400, -10**400, 2**53 + 1]), _FLOATS,
+    st.text(max_size=4))
+# 2s in a few physical values, 0 and beyond MAX_STATE_SPIN; larger physical
+# spins would each build their own T^k_q stack (45 MB at s = 20)
+_TWICE_SPIN = st.sampled_from([-2, -1, 0, 1, 2, 3, 4,
+                               2 * MAX_STATE_SPIN + 1, 2 * MAX_STATE_SPIN + 2])
+_STATE_SPIN = _either(
+    _TWICE_SPIN.map(lambda t: f"{t}/2"), _TWICE_SPIN.map(lambda t: t / 2),
+    _TWICE_SPIN.map(lambda t: str(t / 2)), _JSON_SCALAR,
+    st.sampled_from(["1/0", "1e400", "1e-3000000", "3/4", ""]))
+_ENTRY = _either(
+    st.fixed_dictionaries(
+        {"k": st.one_of(st.integers(0, 4), _JSON_SCALAR),
+         "q": st.one_of(st.integers(-4, 4), _JSON_SCALAR)},
+        optional={"re": st.one_of(st.floats(-1.0, 1.0), _JSON_SCALAR),
+                  "im": st.one_of(st.floats(-1.0, 1.0), _JSON_SCALAR)}),
+    _JSON_SCALAR)
+_ENTRIES = _either(
+    st.lists(_ENTRY, max_size=6),
+    st.lists(_ENTRY, min_size=1, max_size=3).map(lambda xs: xs + xs),  # duplicates
+    _JSON_SCALAR)
+# schema-valid files, physical or not, so that exits 0 and 3 are drawn too
+_WELL_FORMED = st.fixed_dictionaries({
+    "spin": st.sampled_from(["1/2", "1", "3/2", 2]),
+    "tensors": st.lists(
+        st.tuples(st.sampled_from([(1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 0)]),
+                  st.floats(-1.0, 1.0), st.floats(-0.3, 0.3)).map(
+            lambda e: {"k": e[0][0], "q": e[0][1], "re": e[1], "im": e[2]}),
+        max_size=4, unique_by=lambda e: (e["k"], e["q"]))})
+_STATE_DOC = _either(
+    st.fixed_dictionaries(
+        {"spin": _STATE_SPIN},
+        optional={"trace": st.one_of(st.floats(0.1, 2.0), _JSON_SCALAR),
+                  "tensors": _ENTRIES}),
+    st.fixed_dictionaries({}, optional={"tensors": _ENTRIES}),
+    _JSON_SCALAR, st.lists(_JSON_SCALAR, max_size=2))
+_STATE_TEXT = _either(
+    _WELL_FORMED.map(json.dumps), _STATE_DOC.map(json.dumps),
+    st.sampled_from(["", "{", "nul", "\x00", '{"spin": 1e400}',
+                     '{"spin": "1", "trace": 1e400}',
+                     '{"spin": "1", "tensors": [{"k": 1, "q": 0, "re": 1e400}]}']))
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@settings(max_examples=200)
+@given(text=_STATE_TEXT, command=st.sampled_from(["analyze", "validate"]))
+def test_state_file_property(text, command):
+    """Any state file makes analyze and validate exit 0, 2 or 3 without
+    a traceback: an error line on a non-zero exit, strict JSON on 0."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "state.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        code, out, err = _main_run([command, path])
+    assert code in (0, 2, 3)
+    if code == 0:
+        json.loads(out, parse_constant=_reject_constant)
+    else:
+        assert err.startswith("error:")
+        assert out == ""
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -186,6 +187,16 @@ def test_maximally_mixed_spin_half_isotropic(rng):
     for _ in range(10):
         d = rng.normal(size=3)
         assert variance(rho, d) == pytest.approx(0.25, abs=1e-15)
+
+
+@pytest.mark.parametrize("direction", [(math.nan, 0.0, 1.0), (0.0, math.inf, 0.0),
+                                       (1.0, 0.0), (0.0, 0.0, 0.0)])
+def test_variance_rejects_bad_direction(direction):
+    rho = SpinDensity(1, np.eye(3) / 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="direction"):
+            variance(rho, direction)
 
 
 def _variances_from_tensors(t: TensorParams):

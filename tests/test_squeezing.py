@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density, random_oriented, rotate_state
-from spinsqueeze import (HalfInt, SpinDensity, TensorParams, analyze,
+from spinsqueeze import (EulerAngles, HalfInt, SpinDensity, TensorParams,
+                         analyze, angular, density, frames, squeezing,
                          from_tensors, lf_criterion, lf_variances,
                          oriented_margin, special_lakin_frame,
                          spin_matrices, spin_scale_rank1, variance)
@@ -220,3 +221,75 @@ def test_q_margin_matches_spin_matrix_oracle(ts, kind, seed):
     rep = analyze(rho)
     assert rep.q_margin == pytest.approx(q_margin_oracle(rho), abs=1e-9)
     assert rep.frame == special_lakin_frame(rho).rotation
+
+
+def _state(rng, ts: int, kind: str) -> SpinDensity:
+    if kind == "oriented":
+        return random_oriented(rng, ts)[0]
+    return random_density(rng, ts, pure=kind == "pure")
+
+
+@settings(max_examples=60)
+@given(st.sampled_from([1, 2, 3, 6, 20]),
+       st.sampled_from(["pure", "mixed", "oriented"]),
+       st.integers(0, 2**32 - 1))
+def test_moment_route_matches_paper_closed_forms(ts, kind, seed):
+    """The variances from the spin covariance equal the paper's closed
+    forms (lf_variances) of the special Lakin frame's t^1_0, t^2_0 and
+    t^2_2."""
+    rho = _state(np.random.default_rng(seed), ts, kind)
+    rep = analyze(rho)
+    t = special_lakin_frame(rho).params
+    vx, vy, sz_half = lf_variances(HalfInt(ts), t.get(1, 0).real,
+                                   t.get(2, 0).real, t.get(2, 2).real)
+    s = ts / 2
+    tol = 1e-12 * max(1.0, s * (s + 1))
+    assert rep.variance_x0 == pytest.approx(vx, abs=tol)
+    assert rep.variance_y0 == pytest.approx(vy, abs=tol)
+    assert rep.sz_half == pytest.approx(sz_half, abs=tol)
+    if abs(vx - vy) > 1e-10:    # rounding decides ties on either route
+        assert rep.phi_min == (0.0 if vx <= vy else 0.5 * math.pi)
+
+
+def _unreachable(*args, **kwargs):
+    pytest.fail("analyze() reached the tensor-parameter route")
+
+
+@pytest.mark.parametrize("ts", [1, 3, 6, 20])    # spin 1 projects for its bounds
+@pytest.mark.parametrize("polarized", [True, False])
+def test_analyze_needs_no_tensor_route(monkeypatch, rng, ts, polarized):
+    n = ts + 1
+    rho = (random_density(rng, ts) if polarized
+           else SpinDensity(HalfInt(ts), np.eye(n) / n))
+    for module, name in [(frames, "to_tensors"), (density, "to_tensors"),
+                         (density, "_tau_stack"), (frames, "wigner_d_matrix"),
+                         (angular, "wigner_d_matrix"), (squeezing, "lf_variances")]:
+        monkeypatch.setattr(module, name, _unreachable)
+    rep = analyze(rho)
+    assert rep.reason == (None if polarized else "no vector polarization")
+
+
+@st.composite
+def _oriented_states(draw):
+    """A state diagonal in the |s m> basis along some axis: populations
+    m = s..-s (integer weights, so no subnormal junk) and an axis."""
+    ts = draw(st.integers(1, 20))
+    weights = draw(st.lists(st.integers(0, 1000), min_size=ts + 1,
+                            max_size=ts + 1).filter(any))
+    theta = draw(st.floats(0.0, math.pi))
+    phi = draw(st.floats(0.0, 2.0 * math.pi))
+    u = angular.wigner_d_matrix(HalfInt(ts), EulerAngles(phi, theta, 0.0))
+    p = np.array(weights, dtype=float) / sum(weights)
+    return SpinDensity(HalfInt(ts), u @ np.diag(p) @ u.conj().T)
+
+
+@settings(max_examples=150)
+@given(_oriented_states())
+def test_no_go_theorems_property(rho):
+    """Oriented states are never squeezed. Every spin-1/2 state is
+    oriented along its Bloch vector, so spin 1/2 is never squeezed; it has
+    no rank 2, so its frame has gamma = 0."""
+    rep = analyze(rho)
+    assert not rep.squeezed
+    if rho.spin.twice == 1:
+        assert rep.frame.gamma == 0.0
