@@ -167,6 +167,10 @@ def channel_geometry(p1, p2) -> ChannelFrame:
     v1, v2, _, _, ps2, _ = _pair(p1, p2)
     z0 = (v1 + v2) / math.sqrt(ps2)
     trans = v1 - np.dot(v1, z0) * z0
+    # when p1 and p2 are nearly collinear the subtraction cancels most
+    # digits and leaves trans tilted towards z0; projecting once more
+    # makes x0 orthogonal to z0 to rounding
+    trans -= np.dot(trans, z0) * z0
     tnorm = float(np.linalg.norm(trans))
     if tnorm > 1e-12:
         x0 = trans / tnorm

@@ -35,6 +35,9 @@ __all__ = ["FrameResult", "rotate_tensors", "special_lakin_frame", "paaf",
            "rotation_matrix", "euler_from_rotation"]
 
 POLARIZATION_TOL = 1e-10
+# gamma follows t^2_2 only where |Q_xx - Q_yy + 2i Q_xy| exceeds this
+# fraction of Tr Q; see _lakin_rotation
+_GAMMA_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -108,9 +111,13 @@ def _lakin_rotation(spin, mean: np.ndarray, cov: np.ndarray) -> EulerAngles:
     q = r.T @ cov @ r
     c2 = spin_scale_rank2(spin)
     gamma = 0.0
-    # |t^2_2| > 1e-14; spin 1/2 has no rank 2 (c2 = 0), so gamma stays 0
-    # there rather than following the rounding noise in Q
-    if c2 > 0 and math.hypot(q[0, 0] - q[1, 1], 2.0 * q[0, 1]) > 2.0 * c2 * 1e-14:
+    # Below the cutoff t^2_2 is rounding noise and gamma stays 0, as for
+    # spin 1/2, which has no rank 2 (c2 = 0). The noise grows with the
+    # size of Q, so the cutoff is relative to its trace, the total spin
+    # variance: at 2s = 20 the noise reached 1.4e-14 Tr Q on 1,000
+    # oriented states, whose t^2_2 vanishes.
+    if c2 > 0 and math.hypot(q[0, 0] - q[1, 1], 2.0 * q[0, 1]) \
+            > _GAMMA_REL_TOL * abs(q[0, 0] + q[1, 1] + q[2, 2]):
         gamma = 0.5 * math.atan2(2.0 * q[0, 1], q[0, 0] - q[1, 1])
         if gamma < 0:
             gamma += math.pi

@@ -38,12 +38,40 @@ IDX_SQUEEZED = COLUMNS.index("squeezed")
 FIELDS = ("theta_rad", "phi_rad", "p1_mag", "p2_mag") + COLUMNS
 _FIELD_SQUEEZED = FIELDS.index("squeezed")
 CSV_HEADER = ",".join(FIELDS)
-_CSV_ROW = ",".join("%d" if f == "squeezed" else "%.12g" for f in FIELDS) + "\n"
-# one row of json.dump(..., indent=2): %r of a float is float.__repr__,
-# which is what the json encoder writes
-_JSON_ROW = "  {\n" + ",\n".join(
-    '    "%s": %s' % (f, "%d" if f == "squeezed" else "%r") for f in FIELDS
-) + "\n  }"
+
+# The cells the kernel computes without phi, and c_xy (always 0): along
+# the innermost phi axis they repeat, so the writers format them once per
+# run of rows and the other nine cells once per row.
+_RUN_FIELDS = ("theta_rad", "p1_mag", "p2_mag", "weight", "t1_0", "t2_0",
+               "t2_2", "sz_half", "c_xy")
+_RUN_CELLS = [FIELDS.index(f) for f in _RUN_FIELDS]
+_ROW_CELLS = [i for i, f in enumerate(FIELDS) if f not in _RUN_FIELDS]
+
+
+def _cell(field: str, spec: str) -> str:
+    return "%d" if field == "squeezed" else "%" + spec
+
+
+def _run_cell(field: str, spec: str) -> str:
+    """The cell in a run template: run cells are filled in by a first %
+    call, the escaped row cells by a second."""
+    return _cell(field, spec) if field in _RUN_FIELDS else "%" + _cell(field, spec)
+
+
+def _csv_row(cell) -> str:
+    return ",".join(cell(f, ".12g") for f in FIELDS) + "\n"
+
+
+def _json_row(cell) -> str:
+    """One row of json.dump(..., indent=2) and the separator after it: %r
+    of a float is float.__repr__, which is what the json encoder writes."""
+    return "  {\n" + ",\n".join(
+        '    "%s": %s' % (f, cell(f, "r")) for f in FIELDS) + "\n  },\n"
+
+
+# (row template, run template) of each format
+_CSV_ROWS = (_csv_row(_cell), _csv_row(_run_cell))
+_JSON_ROWS = (_json_row(_cell), _json_row(_run_cell))
 
 
 class _Null:
@@ -195,11 +223,31 @@ def _row_blocks(result: ScanResult):
         yield block
 
 
+def _format_block(block: np.ndarray, cells: np.ndarray, rows: tuple) -> str:
+    """The rows of one block from the ``(row, run_row)`` templates. A run
+    is a stretch of rows whose run cells are bitwise equal (so -0.0 and
+    0.0 differ): one % call per run formats its run cells into
+    ``run_row``, the result repeats once per row of the run, and one
+    more % call fills in every row cell. A block without runs of two or
+    more rows takes ``row`` and a single % call instead, since runs of one
+    row would only add a call per row. ``cells`` holds the values
+    to format, ``block`` their floats."""
+    row, run_row = rows
+    bits = block[:, _RUN_CELLS].view(np.int64)
+    starts = np.flatnonzero(np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)])
+    if len(starts) == len(block):
+        return (row * len(block)) % tuple(cells.ravel().tolist())
+    lengths = np.diff(np.r_[starts, len(block)]).tolist()
+    runs = cells[np.ix_(starts, _RUN_CELLS)].tolist()
+    return "".join([(run_row % tuple(run)) * k for run, k in zip(runs, lengths)]) \
+        % tuple(cells[:, _ROW_CELLS].ravel().tolist())
+
+
 def write_csv(result: ScanResult, fh: TextIO) -> None:
     """Emit the scan CSV: header, 12 significant digits, squeezed as 0/1."""
     fh.write(CSV_HEADER + "\n")
     for block in _row_blocks(result):
-        fh.write((_CSV_ROW * len(block)) % tuple(block.ravel().tolist()))
+        fh.write(_format_block(block, block, _CSV_ROWS))
 
 
 def write_json(result: ScanResult, fh: TextIO) -> None:
@@ -208,8 +256,8 @@ def write_json(result: ScanResult, fh: TextIO) -> None:
     opening = "[\n"
     for block in _row_blocks(result):
         cells = np.where(np.isfinite(block), block, _NULL)
-        fh.write(opening + (",\n".join([_JSON_ROW] * len(block))
-                            % tuple(cells.ravel().tolist())))
+        # drop the separator after the block's last row
+        fh.write(opening + _format_block(block, cells, _JSON_ROWS)[:-2])
         opening = ",\n"
     fh.write("[]\n" if opening == "[\n" else "\n]\n")
 

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_density
-from spinsqueeze import (EulerAngles, SpinDensity, TensorParams,
+from conftest import random_density, random_oriented
+from spinsqueeze import (EulerAngles, SpinDensity, TensorParams, analyze,
                          from_tensors, paaf, polarization, rotate_tensors,
                          special_lakin_frame, to_tensors)
 from spinsqueeze.errors import LakinFrameUndefined, NoAlignment
@@ -123,6 +123,28 @@ def test_gamma_cancels_tensor_phase():
     res = special_lakin_frame(from_tensors(t))
     assert res.rotation.gamma == pytest.approx(math.pi / 8, abs=1e-12)
     assert res.params.get(2, 2) == pytest.approx(mag, abs=1e-12)
+
+
+def test_gamma_zero_on_oriented_states_at_large_spin(rng):
+    """Oriented states have t^2_2 = 0 in the Lakin frame, so gamma is 0.
+    At 2s = 20 the rounding noise in Q reached 1.4e-12, above the old
+    absolute cutoff of 8.0e-13, and gamma followed it on 34 of these
+    1,000 states."""
+    for _ in range(1000):
+        rho, _, _ = random_oriented(rng, 20)
+        assert analyze(rho).frame.gamma == 0.0
+
+
+def test_gamma_kept_for_small_t22_at_large_spin():
+    """A t^2_2 of 1e-10, far above the noise, still sets gamma at 2s = 20."""
+    phase = math.pi / 3
+    t = TensorParams(10, {(1, 0): 0.5,
+                          (2, 2): 1e-10 * complex(math.cos(phase), math.sin(phase))},
+                     fill_partners=True)
+    rho = from_tensors(t)
+    assert analyze(rho).frame.gamma == pytest.approx(phase / 2, abs=1e-4)
+    assert special_lakin_frame(rho).rotation.gamma == \
+        pytest.approx(phase / 2, abs=1e-4)
 
 
 def test_unpolarized_state_has_no_lakin_frame():

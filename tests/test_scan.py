@@ -23,9 +23,10 @@ from spinsqueeze.channel import MARGIN_TOL
 from spinsqueeze.cli import _write_scan
 from spinsqueeze.errors import LakinFrameUndefined
 from spinsqueeze.frames import euler_from_rotation, rotate_tensors
-from spinsqueeze.scan import (COLUMNS, CSV_HEADER, FIELDS, ScanResult,
-                              available_backends, evaluate_points, get_kernel,
-                              rows_as_dicts, scan_backend, write_json)
+from spinsqueeze.scan import (_RUN_FIELDS, COLUMNS, CSV_HEADER, FIELDS,
+                              ScanResult, available_backends, evaluate_points,
+                              get_kernel, rows_as_dicts, scan_backend,
+                              write_json)
 
 
 def grid_arrays(rng, n):
@@ -123,6 +124,8 @@ def test_kernel_property_over_physical_domain(points):
 
 @settings(deadline=None, max_examples=100)
 @given(st.lists(_point, min_size=1, max_size=10))
+# nearly collinear p1 and p2: the oracle's frame used to tilt x0 towards z0
+@example([(1.0, 0.5, False, 1e-8, 0.0)])
 def test_kernel_matches_matrix_oracles(points):
     """The tensor columns equal the brute-force 4x4 projection in the
     frame of couple_spin1(), and c_xx, c_yy, c_xz, c_zy equal the matrix
@@ -224,6 +227,22 @@ def test_degenerate_rows_marked_nan():
     assert col["squeezed"] == 0.0
     for name in ("t2_0", "t2_2", "variance_perp", "q_value", "c_xx", "c_zz"):
         assert math.isnan(col[name]), name
+
+
+def test_run_cells_constant_along_phi():
+    """The writers format the run cells once per run of equal rows, so
+    their speed rests on the kernel writing those cells bit for bit the
+    same for every phi of a (p1, p2, theta), p1 + p2 = 0 rows included."""
+    axis = [0.0, 0.35, 0.7, 1.0]
+    phi = [-7.0, 0.0, 0.5, math.pi / 2, math.pi, 2 * math.pi, 1e3]
+    res = run_scan(ScanConfig(p1=axis, p2=axis,
+                              theta=np.linspace(0.0, math.pi, 7), phi=phi))
+    rows = np.column_stack((res.theta, res.phi, res.p1, res.p2, res.data))
+    assert np.isnan(rows[:, FIELDS.index("t2_0")]).any()     # p1 + p2 = 0
+    runs = rows[:, [FIELDS.index(f) for f in _RUN_FIELDS]].reshape(
+        -1, len(phi), len(_RUN_FIELDS)).view(np.int64)
+    same = (runs == runs[:, :1]).all(axis=(1, 2))
+    assert same.all(), f"{(~same).sum()} of {len(same)} runs split along phi"
 
 
 def test_evaluate_points_rejects_theta_outside_0_pi():
@@ -370,18 +389,25 @@ _cell = st.floats(allow_nan=True, allow_infinity=True).map(
     lambda x: float("%.12g" % x))
 
 
-def draw_result(data) -> tuple[ScanResult, np.ndarray]:
+def result_of(cells: np.ndarray) -> ScanResult:
+    """The result whose rows, in :data:`FIELDS` order, are ``cells``."""
+    return ScanResult(theta=cells[:, 0], phi=cells[:, 1], p1=cells[:, 2],
+                      p2=cells[:, 3], data=cells[:, 4:])
+
+
+def draw_result(data, n=None) -> tuple[ScanResult, np.ndarray]:
     """A hand-built result with NaN and inf anywhere, and its cells: up to
-    30 drawn rows, repeated to n rows so that n crosses the writers'
-    256-row blocks."""
+    30 drawn rows, repeated to n rows (drawn up to 600 when not given) so
+    that n crosses the writers' 256-row blocks."""
     rows = data.draw(hnp.arrays(np.float64, st.tuples(
         st.integers(1, 30), st.just(len(FIELDS))), elements=_cell))
     squeezed = data.draw(hnp.arrays(np.float64, len(rows), elements=(
         st.sampled_from([0.0, 1.0, math.nan, 0.5, -math.inf]))))
     rows[:, FIELDS.index("squeezed")] = squeezed
-    cells = np.resize(rows, (data.draw(st.integers(0, 600)), len(FIELDS)))
-    return ScanResult(theta=cells[:, 0], phi=cells[:, 1], p1=cells[:, 2],
-                      p2=cells[:, 3], data=cells[:, 4:]), cells
+    if n is None:
+        n = data.draw(st.integers(0, 600))
+    cells = np.resize(rows, (n, len(FIELDS)))
+    return result_of(cells), cells
 
 
 @settings(max_examples=40)
@@ -421,6 +447,56 @@ def test_write_json_bytes_equal_json_dump(data):
         len(result.theta)
 
 
+# a NaN whose payload differs from np.nan's: it writes as nan too
+_OTHER_NAN = np.array(0x7FF8000000000001, dtype=np.uint64).view(np.float64)
+_run_cell = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.sampled_from([math.nan, _OTHER_NAN, math.inf, -math.inf]), _cell)
+
+
+def draw_runs(data) -> ScanResult:
+    """A hand-built result of up to 900 rows whose run cells repeat over
+    runs of 1 to 9 rows, so that runs straddle the writers' 256-row block
+    edge. The result cycles through up to 12 drawn runs, each of which
+    differs from the one before in one cell alone: a zero there has its
+    sign flipped, so -0.0 often follows 0.0, and any other value is
+    replaced by a drawn one."""
+    n = data.draw(st.integers(0, 900))
+    run = data.draw(hnp.arrays(np.float64, len(_RUN_FIELDS), elements=_run_cell))
+    runs = []
+    for col, value, k in data.draw(st.lists(st.tuples(
+            st.integers(0, len(_RUN_FIELDS) - 1), _run_cell, st.integers(1, 9)),
+            min_size=1, max_size=12)):
+        runs.append(np.tile(run, (k, 1)))
+        run = run.copy()
+        run[col] = -run[col] if run[col] == 0.0 else value
+    _, cells = draw_result(data, n)
+    cells[:, [FIELDS.index(f) for f in _RUN_FIELDS]] = np.resize(
+        np.concatenate(runs), (len(cells), len(_RUN_FIELDS)))
+    return result_of(cells)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_run_writers_equal_per_row_oracle(data):
+    """Both writers give the bytes of the per-row writers in scan_oracle,
+    whatever the runs, NaN payloads and signed zeros in the run cells,
+    and on results whose rows seldom repeat (blocks without runs)."""
+    for result in (draw_runs(data), draw_result(data)[0]):
+        for writer, oracle in ((write_csv, scan_oracle.write_csv),
+                               (write_json, scan_oracle.write_json)):
+            got, want = io.StringIO(), io.StringIO()
+            writer(result, got)
+            oracle(result, want)
+            if got.getvalue() != want.getvalue():
+                # name the first line that differs: pytest's diff of two
+                # long texts takes minutes
+                lines = zip(got.getvalue().split("\n"), want.getvalue().split("\n"))
+                i, (g, w) = next((i, pair) for i, pair in enumerate(lines)
+                                 if pair[0] != pair[1])
+                pytest.fail(f"{writer.__name__}, line {i}: {g!r} != {w!r}")
+
+
 class _ByteCount:
     """A text sink that keeps only the number of characters written (the
     scan JSON is ASCII, so characters are bytes)."""
@@ -432,9 +508,8 @@ class _ByteCount:
         self.chars += len(text)
 
 
-def test_write_json_memory_does_not_grow_with_rows():
-    """On 43,802 rows a list of row dicts peaked at 36.9 MiB; streaming
-    row blocks keeps the writer's own peak under 4 MiB."""
+def writer_peak(writer) -> int:
+    """tracemalloc peak, in bytes, of one writer on a 43,802-row scan."""
     result = run_scan(ScanConfig(p1=np.linspace(0.5, 1.0, 11),
                                  p2=np.linspace(0.5, 1.0, 11),
                                  theta=np.radians(np.arange(181.0)),
@@ -443,9 +518,23 @@ def test_write_json_memory_does_not_grow_with_rows():
     sink = _ByteCount()
     tracemalloc.start()
     try:
-        write_json(result, sink)
+        writer(result, sink)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert sink.chars > 0
+    return peak
+
+
+def test_write_json_memory_does_not_grow_with_rows():
+    """On 43,802 rows a list of row dicts peaked at 36.9 MiB; streaming
+    row blocks keeps the writer's own peak under 4 MiB."""
+    peak = writer_peak(write_json)
     assert peak < 4 * 2 ** 20, f"write_json peaked at {peak / 2 ** 20:.1f} MiB"
+
+
+def test_write_csv_memory_does_not_grow_with_rows():
+    """The CSV is written in the same 256-row blocks: the writer's own
+    peak stays under 4 MiB on 43,802 rows."""
+    peak = writer_peak(write_csv)
+    assert peak < 4 * 2 ** 20, f"write_csv peaked at {peak / 2 ** 20:.1f} MiB"
