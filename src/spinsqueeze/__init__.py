@@ -28,8 +28,8 @@ from .frames import (FrameResult, paaf, rotate_tensors, rotation_matrix,
                      special_lakin_frame)
 from .halfint import HalfInt
 from .scan import (ScanConfig, ScanResult, available_backends,
-                   evaluate_points, run_scan, scan_backend, write_csv,
-                   write_json)
+                   evaluate_points, run_scan, scan_backend, stream_scan,
+                   write_csv, write_json)
 from .squeezing import (SqueezingReport, analyze, lf_criterion, lf_variances,
                         oriented_margin)
 from .tensor_ops import build_tau, projection_values, spin_matrices

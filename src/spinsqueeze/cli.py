@@ -26,10 +26,10 @@ from .errors import (AngularMomentumError, HermiticityError,
                      LakinFrameUndefined, NoAlignment, SchemaError,
                      UnphysicalStateError)
 from .halfint import HalfInt
-# rows_as_dicts is unused here; it stays as an attribute of this module
-# because perfbench/spans.py patches it here.
+# rows_as_dicts, run_scan and write_csv are unused here; they stay as
+# attributes of this module because perfbench/spans.py patches them here.
 from .scan import (MAX_SCAN_ROWS, ScanConfig, rows_as_dicts,  # noqa: F401
-                   run_scan, write_csv, write_json)
+                   run_scan, stream_scan, write_csv)
 from .squeezing import analyze
 from .table1 import evaluate_table
 
@@ -171,20 +171,12 @@ def cmd_scan(args) -> int:
         theta=theta,
         phi=_parse_axis(args.phi, DEFAULT_ANGLE_STEP, scale=angle),
     )
-    result = run_scan(config, jobs=args.jobs)
     if args.output == "-":
-        _write_scan(result, sys.stdout, args.format)
+        stream_scan(config, sys.stdout, args.format, jobs=args.jobs)
     else:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            _write_scan(result, fh, args.format)
+            stream_scan(config, fh, args.format, jobs=args.jobs)
     return EXIT_OK
-
-
-def _write_scan(result, fh, fmt: str) -> None:
-    if fmt == "csv":
-        write_csv(result, fh)
-    else:
-        write_json(result, fh)
 
 
 def cmd_validate(args) -> int:
@@ -305,6 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    for arg in argv:
+        # argparse (3.11) drops the value of --name=-- as an end of
+        # options and hands the option an empty list
+        if arg.startswith("--") and arg.endswith("=--"):
+            print(f"error: {arg}: missing value", file=sys.stderr)
+            return EXIT_INPUT
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Mapping, Optional
 
 import numpy as np
@@ -266,11 +267,32 @@ class Spin1Bound:
 class PositivityReport:
     psd: bool
     eigenvalues: np.ndarray          # ascending, trace-normalized
-    spin1_bounds: Optional[list]     # only populated for s = 1
+    state: SpinDensity = field(repr=False, compare=False)
 
     @property
     def min_eigenvalue(self) -> float:
         return float(self.eigenvalues[0])
+
+    @cached_property
+    def spin1_bounds(self) -> Optional[list]:
+        """The published spin-1 boundary conditions, built when first
+        read (``analyze`` never reads them); None for other spins."""
+        if self.state.spin.twice != 2:
+            return None
+        rho = self.state
+        t = to_tensors(rho)
+        t10 = t.get(1, 0).real
+        t20 = t.get(2, 0).real
+        t21 = abs(t.get(2, 1))
+        t22 = abs(t.get(2, 2))
+        r32 = math.sqrt(1.5)
+        return [
+            Spin1Bound("occupation m=+1", (1 + r32 * t10 + t20 / math.sqrt(2)) / 3, 0.0, 1.0),
+            Spin1Bound("occupation m=-1", (1 - r32 * t10 + t20 / math.sqrt(2)) / 3, 0.0, 1.0),
+            Spin1Bound("occupation m=0", (1 - math.sqrt(2) * t20) / 3, 0.0, 1.0),
+            Spin1Bound("parameter norm", t10 ** 2 + 2 * t22 ** 2 + 2 * t21 ** 2 + t20 ** 2, 0.0, 2.0),
+            Spin1Bound("determinant", float(np.linalg.det(rho.normalized_matrix()).real), 0.0, 1.0 / 27.0),
+        ]
 
 
 def check_positivity(rho: SpinDensity) -> PositivityReport:
@@ -280,26 +302,12 @@ def check_positivity(rho: SpinDensity) -> PositivityReport:
     parameters: the three diagonal occupations (1 +- sqrt(3/2) t^1_0 +
     t^2_0/sqrt(2))/3 and (1 - sqrt(2) t^2_0)/3 lie in [0, 1], the squared
     parameter norm t^1_0^2 + 2|t^2_2|^2 + 2|t^2_1|^2 + t^2_0^2 stays
-    below 2, and 0 <= det(rho) <= 1/27.
+    below 2, and 0 <= det(rho) <= 1/27. The report evaluates them when
+    its ``spin1_bounds`` is first read.
     """
     eigs = np.linalg.eigvalsh(rho.normalized_matrix())
-    psd = bool(eigs[0] >= -PSD_TOL)
-    bounds = None
-    if rho.spin.twice == 2:
-        t = to_tensors(rho)
-        t10 = t.get(1, 0).real
-        t20 = t.get(2, 0).real
-        t21 = abs(t.get(2, 1))
-        t22 = abs(t.get(2, 2))
-        r32 = math.sqrt(1.5)
-        bounds = [
-            Spin1Bound("occupation m=+1", (1 + r32 * t10 + t20 / math.sqrt(2)) / 3, 0.0, 1.0),
-            Spin1Bound("occupation m=-1", (1 - r32 * t10 + t20 / math.sqrt(2)) / 3, 0.0, 1.0),
-            Spin1Bound("occupation m=0", (1 - math.sqrt(2) * t20) / 3, 0.0, 1.0),
-            Spin1Bound("parameter norm", t10 ** 2 + 2 * t22 ** 2 + 2 * t21 ** 2 + t20 ** 2, 0.0, 2.0),
-            Spin1Bound("determinant", float(np.linalg.det(rho.normalized_matrix()).real), 0.0, 1.0 / 27.0),
-        ]
-    return PositivityReport(psd=psd, eigenvalues=eigs, spin1_bounds=bounds)
+    return PositivityReport(psd=bool(eigs[0] >= -PSD_TOL), eigenvalues=eigs,
+                            state=rho)
 
 
 def purity_residual(t: TensorParams) -> float:

@@ -5,14 +5,21 @@ The per-point closed forms live in one numpy-vectorised kernel,
 loop kept as their reference.
 
 Grids are evaluated in deterministic row order (p1 outer, then p2, then
-theta, phi innermost). The flat index range is cut into kernel blocks of
-:data:`spinsqueeze._kernel.BLOCK` points, evaluated in order or spread
-over threads; each block's results land in its own slice of one output
-array, so the CSV is byte-identical for every ``jobs`` value.
+theta, phi innermost). Row coordinates come from the flat index of the
+(p1, p2, theta) triple and the phi index, one chunk of rows at a time.
+:func:`run_scan` evaluates the whole grid as one chunk into a
+:class:`ScanResult`, which :func:`write_csv` and :func:`write_json`
+format. :func:`stream_scan`, which the CLI runs, evaluates, formats and
+writes one chunk of a few kernel blocks at a time, so its memory does not
+grow with the grid. :func:`evaluate_points` cuts each chunk into kernel
+blocks of :data:`spinsqueeze._kernel.BLOCK` points, evaluated in order or
+spread over threads, so the output is byte-identical for every ``jobs``
+value and for both routes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -27,7 +34,7 @@ __all__ = [
     "COLUMNS", "FIELDS", "CSV_HEADER", "IDX_Q_VALUE", "IDX_SQUEEZED",
     "MAX_SCAN_ROWS", "available_backends", "scan_backend", "get_kernel",
     "evaluate_points", "ScanConfig", "ScanResult", "run_scan", "write_csv",
-    "write_json", "rows_as_dicts",
+    "write_json", "stream_scan", "rows_as_dicts",
 ]
 
 COLUMNS = ("weight", "t1_0", "t2_0", "t2_2", "variance_perp", "sz_half",
@@ -41,37 +48,48 @@ CSV_HEADER = ",".join(FIELDS)
 
 # The cells the kernel computes without phi, and c_xy (always 0): along
 # the innermost phi axis they repeat, so the writers format them once per
-# run of rows and the other nine cells once per row.
+# run of rows and the other eight cells once per row.
 _RUN_FIELDS = ("theta_rad", "p1_mag", "p2_mag", "weight", "t1_0", "t2_0",
-               "t2_2", "sz_half", "c_xy")
+               "t2_2", "sz_half", "c_zz", "c_xy")
 _RUN_CELLS = [FIELDS.index(f) for f in _RUN_FIELDS]
 _ROW_CELLS = [i for i, f in enumerate(FIELDS) if f not in _RUN_FIELDS]
+# the same cells as kernel columns, in template order
+_RUN_DATA = [COLUMNS.index(f) for f in _RUN_FIELDS if f in COLUMNS]
+_ROW_DATA = [COLUMNS.index(f) for f in FIELDS if f in COLUMNS
+             and f not in _RUN_FIELDS]
+# the grid coordinates, which stream_scan formats once per axis value
+_AXIS_FIELDS = ("theta_rad", "phi_rad", "p1_mag", "p2_mag")
 
 
-def _cell(field: str, spec: str) -> str:
-    return "%d" if field == "squeezed" else "%" + spec
+def _templates(row_of, spec: str, axis_spec: str) -> tuple:
+    """The (row, run_row) templates of a format: ``spec`` formats a
+    cell, ``axis_spec`` an axis cell. In ``run_row`` the run cells are
+    filled in by a first % call, the escaped row cells by a second."""
+    def cell(field: str) -> str:
+        if field == "squeezed":
+            return "%d"
+        return "%" + (axis_spec if field in _AXIS_FIELDS else spec)
 
+    def run_cell(field: str) -> str:
+        return cell(field) if field in _RUN_FIELDS else "%" + cell(field)
 
-def _run_cell(field: str, spec: str) -> str:
-    """The cell in a run template: run cells are filled in by a first %
-    call, the escaped row cells by a second."""
-    return _cell(field, spec) if field in _RUN_FIELDS else "%" + _cell(field, spec)
+    return row_of(cell), row_of(run_cell)
 
 
 def _csv_row(cell) -> str:
-    return ",".join(cell(f, ".12g") for f in FIELDS) + "\n"
+    return ",".join(cell(f) for f in FIELDS) + "\n"
 
 
 def _json_row(cell) -> str:
     """One row of json.dump(..., indent=2) and the separator after it: %r
     of a float is float.__repr__, which is what the json encoder writes."""
     return "  {\n" + ",\n".join(
-        '    "%s": %s' % (f, cell(f, "r")) for f in FIELDS) + "\n  },\n"
+        '    "%s": %s' % (f, cell(f)) for f in FIELDS) + "\n  },\n"
 
 
-# (row template, run template) of each format
-_CSV_ROWS = (_csv_row(_cell), _csv_row(_run_cell))
-_JSON_ROWS = (_json_row(_cell), _json_row(_run_cell))
+# templates of the ScanResult writers, which format every cell from floats
+_CSV_ROWS = _templates(_csv_row, ".12g", ".12g")
+_JSON_ROWS = _templates(_json_row, "r", "r")
 
 
 class _Null:
@@ -85,13 +103,29 @@ class _Null:
 
 _NULL = _Null()
 
+
+def _json_cells(block: np.ndarray) -> np.ndarray:
+    """The cells of a float block as the JSON templates take them."""
+    return np.where(np.isfinite(block), block, _NULL)
+
+
+# stream_scan's formats: the spec of a float cell, the cells of a float
+# block, and the templates, whose axis cells take text formatted with the
+# same spec
+_FORMATS = {
+    "csv": (".12g", lambda block: block, _templates(_csv_row, ".12g", "s")),
+    "json": ("r", _json_cells, _templates(_json_row, "r", "s")),
+}
+
 # Rows per output block, each made into 18 Python objects: on a 153k-row
 # CLI scan, 8192-row blocks raised peak RSS by 18 %, 256-row blocks by <1 %.
 _ROW_BLOCK = 256
 
-# Largest grid run_scan builds, and largest axis the CLI parses. A scan
-# holds four N-length coordinate arrays and the (N, 14) result at once,
-# so this caps it near 2.5 GB instead of letting a tiny step ask for more.
+# Largest grid a ScanConfig holds, and largest axis the CLI parses.
+# run_scan holds four N-length coordinate arrays and the (N, 14) result at
+# once, so this caps it near 2.5 GB instead of letting a tiny step ask for
+# more. stream_scan, which the CLI runs, holds one chunk at a time, so
+# there the limit bounds the work, not the memory.
 MAX_SCAN_ROWS = 2 ** 24
 
 
@@ -164,7 +198,8 @@ def _domain_error(p1m, p2m, theta, phi):
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Grid axes for a channel scan; every combination is one row."""
+    """Grid axes for a channel scan; every combination is one row, and a
+    grid holds at most :data:`MAX_SCAN_ROWS` rows."""
 
     p1: np.ndarray
     p2: np.ndarray
@@ -182,6 +217,9 @@ class ScanConfig:
         error = _domain_error(self.p1, self.p2, self.theta, self.phi)
         if error is not None:
             raise ValueError(error)
+        if self.size > MAX_SCAN_ROWS:
+            raise ValueError(f"scan of {self.size} rows exceeds the limit of "
+                             f"{MAX_SCAN_ROWS} rows")
 
     @property
     def size(self) -> int:
@@ -197,17 +235,52 @@ class ScanResult:
     data: np.ndarray     # (N, len(COLUMNS))
 
 
+def _split(triples: range, phis: range, rows: int):
+    """Cut the rows of ``triples`` x ``phis`` (triple-major) into pieces
+    of at most ``rows`` rows, in row order: whole triples where one
+    triple's phis fit, else one triple's phis ``rows`` at a time. Yields
+    ``(triples, phis)`` of each piece."""
+    k = len(phis)
+    if k <= rows:
+        step = rows // k
+        for t in range(triples.start, triples.stop, step):
+            yield range(t, min(t + step, triples.stop)), phis
+    else:
+        for t in triples:
+            for f in range(phis.start, phis.stop, rows):
+                yield range(t, t + 1), range(f, min(f + rows, phis.stop))
+
+
+def _axis_indices(config: ScanConfig, triples: range) -> tuple:
+    """(p1, p2, theta) axis indices of flat (p1, p2, theta) triple
+    indices: p1 outer, theta inner."""
+    rest, i_theta = np.divmod(np.arange(triples.start, triples.stop),
+                              config.theta.size)
+    i_p1, i_p2 = np.divmod(rest, config.p2.size)
+    return i_p1, i_p2, i_theta
+
+
+def _grid_chunks(config: ScanConfig, rows: int, jobs: int):
+    """Evaluate the grid in row order, at most ``rows`` rows at a time (or
+    one triple's phis where those alone are more). Yields ``(triples,
+    phis, (p1, p2, theta, phi), data)`` of each chunk: its ranges of
+    triple and phi indices, its coordinates and :func:`evaluate_points`
+    of them."""
+    for triples, phis in _split(range(config.size // config.phi.size),
+                                range(config.phi.size), rows):
+        i_p1, i_p2, i_theta = _axis_indices(config, triples)
+        k = len(phis)
+        coords = (np.repeat(config.p1[i_p1], k), np.repeat(config.p2[i_p2], k),
+                  np.repeat(config.theta[i_theta], k),
+                  np.tile(config.phi[phis.start:phis.stop], len(triples)))
+        yield triples, phis, coords, evaluate_points(*coords, jobs=jobs)
+
+
 def run_scan(config: ScanConfig, jobs: int = 1) -> ScanResult:
-    """Evaluate the full grid in deterministic row order. Grids of more
-    than :data:`MAX_SCAN_ROWS` rows raise ``ValueError`` before anything
-    is allocated."""
-    if config.size > MAX_SCAN_ROWS:
-        raise ValueError(f"scan of {config.size} rows exceeds the limit of "
-                         f"{MAX_SCAN_ROWS} rows")
-    p1, p2, theta, phi = (g.ravel() for g in np.meshgrid(
-        config.p1, config.p2, config.theta, config.phi, indexing="ij"))
-    return ScanResult(theta=theta, phi=phi, p1=p1, p2=p2,
-                      data=evaluate_points(p1, p2, theta, phi, jobs=jobs))
+    """Evaluate the full grid in deterministic row order, in one
+    :func:`evaluate_points` call."""
+    [(_, _, (p1, p2, theta, phi), data)] = _grid_chunks(config, config.size, jobs)
+    return ScanResult(theta=theta, phi=phi, p1=p1, p2=p2, data=data)
 
 
 def _row_blocks(result: ScanResult):
@@ -223,43 +296,122 @@ def _row_blocks(result: ScanResult):
         yield block
 
 
+def _fill(run_row: str, runs, lengths, cells: tuple) -> str:
+    """The rows of one block: one % call per run formats its run cells
+    into ``run_row``, the result repeats once per row of the run (its
+    length), and one more % call fills in every row cell."""
+    return "".join([(run_row % tuple(run)) * k
+                    for run, k in zip(runs, lengths)]) % cells
+
+
 def _format_block(block: np.ndarray, cells: np.ndarray, rows: tuple) -> str:
     """The rows of one block from the ``(row, run_row)`` templates. A run
     is a stretch of rows whose run cells are bitwise equal (so -0.0 and
-    0.0 differ): one % call per run formats its run cells into
-    ``run_row``, the result repeats once per row of the run, and one
-    more % call fills in every row cell. A block without runs of two or
-    more rows takes ``row`` and a single % call instead, since runs of one
-    row would only add a call per row. ``cells`` holds the values
-    to format, ``block`` their floats."""
+    0.0 differ). A block without runs of two or more rows takes ``row``
+    and a single % call instead, since runs of one row would only add a
+    call per row. ``cells`` holds the values to format, ``block`` their
+    floats."""
     row, run_row = rows
     bits = block[:, _RUN_CELLS].view(np.int64)
     starts = np.flatnonzero(np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)])
     if len(starts) == len(block):
         return (row * len(block)) % tuple(cells.ravel().tolist())
     lengths = np.diff(np.r_[starts, len(block)]).tolist()
-    runs = cells[np.ix_(starts, _RUN_CELLS)].tolist()
-    return "".join([(run_row % tuple(run)) * k for run, k in zip(runs, lengths)]) \
-        % tuple(cells[:, _ROW_CELLS].ravel().tolist())
+    return _fill(run_row, cells[np.ix_(starts, _RUN_CELLS)].tolist(), lengths,
+                 tuple(cells[:, _ROW_CELLS].ravel().tolist()))
+
+
+def _emit(fh: TextIO, fmt: str, texts) -> None:
+    """Write the block texts of one format: the CSV header and rows, or
+    the JSON array without the separator after its last row."""
+    if fmt == "csv":
+        fh.write(CSV_HEADER + "\n")
+        for text in texts:
+            fh.write(text)
+        return
+    opening = "[\n"
+    for text in texts:
+        fh.write(opening + text[:-2])
+        opening = ",\n"
+    fh.write("[]\n" if opening == "[\n" else "\n]\n")
 
 
 def write_csv(result: ScanResult, fh: TextIO) -> None:
     """Emit the scan CSV: header, 12 significant digits, squeezed as 0/1."""
-    fh.write(CSV_HEADER + "\n")
-    for block in _row_blocks(result):
-        fh.write(_format_block(block, block, _CSV_ROWS))
+    _emit(fh, "csv", (_format_block(block, block, _CSV_ROWS)
+                      for block in _row_blocks(result)))
 
 
 def write_json(result: ScanResult, fh: TextIO) -> None:
     """Emit the scan JSON one row block at a time: the bytes of
     ``json.dump(rows_as_dicts(result), fh, indent=2)`` and a newline."""
-    opening = "[\n"
-    for block in _row_blocks(result):
-        cells = np.where(np.isfinite(block), block, _NULL)
-        # drop the separator after the block's last row
-        fh.write(opening + _format_block(block, cells, _JSON_ROWS)[:-2])
-        opening = ",\n"
-    fh.write("[]\n" if opening == "[\n" else "\n]\n")
+    _emit(fh, "json", (_format_block(block, _json_cells(block), _JSON_ROWS)
+                       for block in _row_blocks(result)))
+
+
+def stream_scan(config: ScanConfig, fh: TextIO, fmt: str = "csv",
+                jobs: int = 1) -> None:
+    """Evaluate the grid and write it as ``fmt``, "csv" or "json": the
+    bytes of ``write_csv`` or ``write_json`` of ``run_scan(config)``.
+
+    The grid goes through :func:`evaluate_points` (with ``jobs``) and the
+    writer one chunk of at most ``min(jobs, os.cpu_count())`` kernel
+    blocks at a time, so no array grows with the grid. Each axis value is
+    formatted once, and the cells that do not depend on phi once per
+    (p1, p2, theta) triple.
+    """
+    if fmt not in _FORMATS:
+        raise ValueError(f"unknown scan format {fmt!r}")
+    workers = max(1, min(jobs, os.cpu_count() or 1))
+    chunks = _grid_chunks(config, workers * _kernel.BLOCK, jobs)
+    _emit(fh, fmt, _stream_blocks(config, fmt, chunks))
+
+
+def _stream_blocks(config: ScanConfig, fmt: str, chunks):
+    """The text of each block of ``chunks``, up to :data:`_ROW_BLOCK` rows
+    of whole triples, or of one triple's phis where those are more."""
+    spec, as_cells, (row, run_row) = _FORMATS[fmt]
+    theta, phi, p1, p2 = (
+        np.array([("%" + spec) % v for v in axis.tolist()], dtype=object)
+        for axis in (config.theta, config.phi, config.p1, config.p2))
+    one_phi = config.phi.size == 1
+    # the cells of the % call that fills a block: all of them with one
+    # phi (a run template per row would only add a % call per row), else
+    # phi and the row cells. The phi column is set when the block's phi
+    # range changes, so only once unless there are more phis than rows.
+    cells = np.empty((_ROW_BLOCK, len(FIELDS) if one_phi else 1 + len(_ROW_DATA)),
+                     dtype=object)
+    phi_column = FIELDS.index("phi_rad") if one_phi else 0
+    filled = None
+    for triples, phis, coords, data in chunks:
+        for block_triples, block_phis in _split(triples, phis, _ROW_BLOCK):
+            k = len(block_phis)
+            n = len(block_triples) * k
+            lo = ((block_triples.start - triples.start) * len(phis)
+                  + block_phis.start - phis.start)
+            block = data[lo:lo + n]
+            if block_phis != filled:
+                cells[:, phi_column] = np.resize(
+                    phi[block_phis.start:block_phis.stop], _ROW_BLOCK)
+                filled = block_phis
+            i_p1, i_p2, i_theta = _axis_indices(config, block_triples)
+            if one_phi:
+                cells[:n, 0] = theta[i_theta]
+                cells[:n, 2] = p1[i_p1]
+                cells[:n, 3] = p2[i_p2]
+                cells[:n, 4:] = as_cells(block)
+                yield (row * n) % tuple(cells[:n].ravel().tolist())
+                continue
+            runs = np.empty((len(block_triples), len(_RUN_FIELDS)), dtype=object)
+            runs[:, 0] = theta[i_theta]
+            runs[:, 1] = p1[i_p1]
+            runs[:, 2] = p2[i_p2]
+            runs[:, 3:] = as_cells(block[::k, _RUN_DATA])
+            cells[:n, 1:] = as_cells(block[:, _ROW_DATA])
+            yield _fill(run_row, runs.tolist(), itertools.repeat(k),
+                        tuple(cells[:n].ravel().tolist()))
+        # free this chunk before the next one is evaluated
+        del coords, data, block
 
 
 def rows_as_dicts(result: ScanResult) -> list[dict]:

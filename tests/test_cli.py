@@ -19,7 +19,7 @@ import spinsqueeze
 from spinsqueeze import angular, cli, density
 from spinsqueeze.cli import MAX_D_RANK, MAX_J, MAX_PHI_POINTS, main
 from spinsqueeze.density import MAX_STATE_SPIN
-from spinsqueeze.scan import COLUMNS, MAX_SCAN_ROWS, ScanResult
+from spinsqueeze.scan import MAX_SCAN_ROWS
 
 TABLE_ROW_STATE = {"spin": "1", "trace": 1.0,
                    "tensors": [{"k": 2, "q": 0, "re": 0.5},
@@ -332,6 +332,20 @@ def test_scan_bad_range_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["scan", "--phi=--"], ["scan", "--output=--"],
+    ["analyze", "--phi-points=--", "state.json"],
+    ["channel", "--p1=--", "--p2", "0.5", "--theta", "1"],
+])
+def test_option_value_double_dash_exits_2(capsys, argv):
+    # argparse hands --name=-- an empty list, which used to end in a
+    # traceback
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 @pytest.mark.parametrize("axis, spec", [
     ("--p1", "nan"), ("--p2", "inf"), ("--phi", "nan"), ("--theta", "nan"),
     ("--theta", "0:inf:1"), ("--theta", "-inf:1"), ("--phi", "0:1:nan"),
@@ -421,11 +435,10 @@ def _guarded_arange(real):
 def test_scan_axis_input_property(axes, degrees):
     """Any axis text exits 0 or 2 with an error line, and nothing sized
     by the input is allocated before the limits are checked."""
-    empty = ScanResult(*[np.empty(0)] * 4, data=np.empty((0, len(COLUMNS))))
     argv = ["scan", *(f"--{name}={spec}" for name, spec
                       in zip(("p1", "p2", "theta", "phi"), axes))]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "run_scan", lambda config, jobs=1: empty)
+        mp.setattr(cli, "stream_scan", lambda config, fh, fmt, jobs=1: None)
         mp.setattr(np, "arange", _guarded_arange(np.arange))
         mp.setattr(np, "meshgrid", _must_not_allocate)
         code, err = _main_exit(argv + ["--degrees"] * degrees)

@@ -1,6 +1,7 @@
 """Scan kernel against its scalar reference, thread cap, CSV and JSON
 output."""
 
+import contextlib
 import hashlib
 import io
 import json
@@ -20,13 +21,12 @@ from spinsqueeze import (ScanConfig, channel_squeezing, correlations,
                          run_scan, to_tensors, write_csv)
 from spinsqueeze import _kernel, channel, cli
 from spinsqueeze.channel import MARGIN_TOL
-from spinsqueeze.cli import _write_scan
 from spinsqueeze.errors import LakinFrameUndefined
 from spinsqueeze.frames import euler_from_rotation, rotate_tensors
 from spinsqueeze.scan import (_RUN_FIELDS, COLUMNS, CSV_HEADER, FIELDS,
                               ScanResult, available_backends, evaluate_points,
                               get_kernel, rows_as_dicts, scan_backend,
-                              write_json)
+                              stream_scan, write_json)
 
 
 def grid_arrays(rng, n):
@@ -233,6 +233,7 @@ def test_run_cells_constant_along_phi():
     """The writers format the run cells once per run of equal rows, so
     their speed rests on the kernel writing those cells bit for bit the
     same for every phi of a (p1, p2, theta), p1 + p2 = 0 rows included."""
+    assert {"c_zz", "c_xy"} <= set(_RUN_FIELDS)
     axis = [0.0, 0.35, 0.7, 1.0]
     phi = [-7.0, 0.0, 0.5, math.pi / 2, math.pi, 2 * math.pi, 1e3]
     res = run_scan(ScanConfig(p1=axis, p2=axis,
@@ -374,12 +375,15 @@ PINNED_SHA256 = {
 }
 
 
+WRITERS = {"csv": write_csv, "json": write_json}
+
+
 @pytest.mark.parametrize("n", sorted(PINNED_SHA256))
 def test_output_bytes_pinned(n):
     result = pinned_result(n)
     for fmt, want in zip(("csv", "json"), PINNED_SHA256[n]):
         buf = io.StringIO()
-        _write_scan(result, buf, fmt)
+        WRITERS[fmt](result, buf)
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == want, fmt
 
 
@@ -538,3 +542,78 @@ def test_write_csv_memory_does_not_grow_with_rows():
     peak stays under 4 MiB on 43,802 rows."""
     peak = writer_peak(write_csv)
     assert peak < 4 * 2 ** 20, f"write_csv peaked at {peak / 2 ** 20:.1f} MiB"
+
+
+# phi axes of 7 values (which do not divide the 256-row block), of one
+# value, and of more values than a block or a chunk of 64-point kernel
+# blocks holds
+_PHI_COUNTS = st.one_of(st.integers(1, 9), st.sampled_from([255, 256, 257, 300]))
+_MAGNITUDES = st.one_of(st.sampled_from([0.0, 0.35, 1.0]), st.floats(0.0, 1.0))
+_THETAS = st.one_of(st.sampled_from([0.0, math.pi]), st.floats(0.0, math.pi))
+
+
+@st.composite
+def scan_axes(draw) -> tuple:
+    """(p1, p2, theta, phi) axes of at most about 2,000 rows. Magnitudes
+    that both axes share with theta = pi give p1 + p2 = 0 rows."""
+    n_phi = draw(_PHI_COUNTS)
+    p1 = draw(st.lists(_MAGNITUDES, min_size=1, max_size=4))
+    p2 = draw(st.lists(_MAGNITUDES, min_size=1, max_size=4))
+    n_theta = max(1, 2_000 // (n_phi * len(p1) * len(p2)))
+    theta = draw(st.lists(_THETAS, min_size=1, max_size=min(n_theta, 12)))
+    start = draw(st.floats(-10.0, 10.0))
+    step = draw(st.floats(1e-3, 1.0))
+    return p1, p2, theta, (start + step * np.arange(n_phi)).tolist()
+
+
+def _phi(n: int) -> list:
+    return np.linspace(-1.0, 7.0, n).tolist()
+
+
+@settings(max_examples=30)
+@given(axes=scan_axes(), jobs=st.sampled_from([1, 2, 3, 10**6]),
+       block=st.sampled_from([64, 100, _kernel.BLOCK]))
+@example(axes=([0.35, 1.0], [0.35], [0.0, math.pi / 2, math.pi], _phi(7)),
+         jobs=1, block=64)
+@example(axes=([0.0, 0.5], [0.0, 0.5, 1.0], np.linspace(0, math.pi, 90).tolist(),
+               [0.25]), jobs=3, block=64)
+@example(axes=([0.7], [0.7, 0.2], [math.pi, 1.0], _phi(300)), jobs=2, block=100)
+@example(axes=([0.35], [0.35, 0.9], [1.0, math.pi], _phi(257)), jobs=1,
+         block=_kernel.BLOCK)
+def test_stream_scan_bytes_equal_run_scan_writers(axes, jobs, block):
+    """What the CLI streams, a chunk of kernel blocks at a time, is the
+    CSV and JSON of run_scan() through write_csv() and write_json(), for
+    any jobs and any chunk and block edges; p1 + p2 = 0 rows write nan
+    and null."""
+    config = ScanConfig(*axes)
+    texts = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernel, "BLOCK", block)
+        result = run_scan(config, jobs=jobs)
+        for fmt, writer in WRITERS.items():
+            got, want = io.StringIO(), io.StringIO()
+            stream_scan(config, got, fmt, jobs=jobs)
+            writer(result, want)
+            assert got.getvalue() == want.getvalue(), fmt
+            texts[fmt] = got.getvalue()
+    if np.isnan(result.data).any():
+        assert ",nan," in texts["csv"] and "null" in texts["json"]
+
+
+def test_cli_scan_memory_does_not_grow_with_rows():
+    """The CLI streams the 153,307-row grid of the benchmark's seed-0
+    scan-csv with a tracemalloc peak under 4 MiB, where the coordinate
+    and result arrays of the whole grid take about 22 MB."""
+    argv = ["scan", "--p1", "0.4360:0.9460:0.0500", "--p2",
+            "0.4180:0.9280:0.0500", "--theta", "0.0000:180.2000:1.0000",
+            "--phi", "4.0000:97.0000:15.0000", "--degrees"]
+    sink = _ByteCount()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            assert cli.main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.chars == 35_926_879     # the seed-0 CSV, 153,307 rows
+    assert peak < 4 * 2 ** 20, f"the CLI scan peaked at {peak / 2 ** 20:.1f} MiB"

@@ -255,7 +255,7 @@ def _unreachable(*args, **kwargs):
     pytest.fail("analyze() reached the tensor-parameter route")
 
 
-@pytest.mark.parametrize("ts", [1, 3, 6, 20])    # spin 1 projects for its bounds
+@pytest.mark.parametrize("ts", [1, 2, 3, 6, 20])
 @pytest.mark.parametrize("polarized", [True, False])
 def test_analyze_needs_no_tensor_route(monkeypatch, rng, ts, polarized):
     n = ts + 1
