@@ -14,7 +14,9 @@ Conventions, fixed package-wide:
 * Clebsch-Gordan coefficients in the Condon-Shortley phase convention.
 * ``racah_w(a, b, c, d, e, f) = (-1)^(a+b+c+d) {a b e; d c f}``.
 * Active z-y-z Euler rotations,
-  ``D^k_{q'q}(alpha, beta, gamma) = exp(-i q' alpha) d^k_{q'q}(beta) exp(-i q gamma)``.
+  ``D^k_{q'q}(alpha, beta, gamma) = exp(-i q' alpha) d^k_{q'q}(beta) exp(-i q gamma)``,
+  with ``d^k(beta) = exp(-i beta S_y)`` from one cached eigendecomposition
+  of S_y per rank.
 
 Every function is pure; the memoized coefficient caches are only ever
 appended to and are safe for concurrent readers.
@@ -243,49 +245,47 @@ def wigner_9j(j11, j12, j13, j21, j22, j23, j31, j32, j33) -> float:
 
 
 @lru_cache(maxsize=None)
-def _d_table(tk: int) -> np.ndarray:
-    """Wigner's sum for every d^k_{q'q}, regrouped by power.
-
-    ``table[i, j, p]`` is the coefficient of c^p s^(2k-p), with
-    c = cos(beta/2) and s = sin(beta/2), in d^k_{q'q}(beta) for row
-    q' = k - i and column q = k - j:
-
-        d^k_{q'q} = sqrt((k+q)! (k-q)! (k+q')! (k-q')!)
-            sum_n (-1)^(n-q+q') c^(2k-2n+q-q') s^(2n-q+q')
-                  / ((k+q-n)! n! (k-q'-n)! (n-q+q')!).
-
-    Each term of the sum has its own power p = 2k - 2n + q - q', so the
-    table holds the terms themselves. Read-only.
-    """
-    size = tk + 1
-    table = np.zeros((size, size, size))
-    for i, tqp in enumerate(range(tk, -tk - 1, -2)):
-        for j, tq in enumerate(range(tk, -tk - 1, -2)):
-            pre = math.sqrt(_fact2(tk + tq) * _fact2(tk - tq)
-                            * _fact2(tk + tqp) * _fact2(tk - tqp))
-            shift = (tq - tqp) // 2                  # q - q'
-            for n in range(max(0, shift), min(tk + tq, tk - tqp) // 2 + 1):
-                den = (_fact2(tk + tq - 2 * n) * math.factorial(n)
-                       * _fact2(tk - tqp - 2 * n) * math.factorial(n - shift))
-                sign = -1.0 if (n - shift) % 2 else 1.0
-                table[i, j, tk - 2 * n + shift] = sign * pre / den
-    table.flags.writeable = False
-    return table
+def _spin_cached(ts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S_x, S_y, S_z) of spin ts/2, rows and columns m = s..-s, from the
+    ladder-operator matrix elements. Read-only."""
+    s = ts / 2.0
+    ms = np.arange(ts, -ts - 1, -2) / 2.0
+    sz = np.diag(ms).astype(complex)
+    # <m+1|S_+|m> on the superdiagonal
+    sp = np.diag(np.sqrt(s * (s + 1) - ms[1:] * (ms[1:] + 1)), 1).astype(complex)
+    sx = (sp + sp.conj().T) / 2.0
+    sy = (sp - sp.conj().T) / 2j
+    for arr in (sx, sy, sz):
+        arr.flags.writeable = False
+    return sx, sy, sz
 
 
-def _d_powers(tk: int, beta: float) -> np.ndarray:
-    """c^p s^(2k-p) for p = 0..2k, the basis :func:`_d_table` expands in."""
-    p = np.arange(tk + 1)
-    return math.cos(beta / 2.0) ** p * math.sin(beta / 2.0) ** (tk - p)
+@lru_cache(maxsize=None)
+def _sy_eigvecs(tk: int) -> np.ndarray:
+    """Eigenvectors of S_y for rank tk/2, as columns in the order of their
+    eigenvalues m = -k..k. Read-only."""
+    vecs = np.linalg.eigh(_spin_cached(tk)[1])[1]
+    vecs.flags.writeable = False
+    return vecs
+
+
+def _little_d(tk: int, beta: float) -> np.ndarray:
+    """d^k(beta) = exp(-i beta S_y), which is real: V exp(-i beta m) V^dagger
+    with the eigenvectors V of S_y and their exact eigenvalues m."""
+    vecs = _sy_eigvecs(tk)
+    phase = np.exp(-0.5j * beta * np.arange(-tk, tk + 1, 2))
+    return ((vecs * phase) @ vecs.conj().T).real
 
 
 def little_d(k, qp, q, beta: float) -> float:
-    """Reduced rotation matrix element d^k_{q'q}(beta), Wigner's sum formula."""
+    """Reduced rotation matrix element d^k_{q'q}(beta)."""
+    beta = float(beta)
+    if not math.isfinite(beta):
+        raise ValueError("rotation angle beta must be finite")
     kh, qph = _coerce_pair(k, qp, "(k, q')")
     _, qh = _coerce_pair(k, q, "(k, q)")
     tk = kh.twice
-    row = _d_table(tk)[(tk - qph.twice) // 2, (tk - qh.twice) // 2]
-    return float(row @ _d_powers(tk, beta))
+    return float(_little_d(tk, beta)[(tk - qph.twice) // 2, (tk - qh.twice) // 2])
 
 
 def wigner_d(k, qp, q, angles: EulerAngles) -> complex:
@@ -304,7 +304,6 @@ def wigner_d(k, qp, q, angles: EulerAngles) -> complex:
 def wigner_d_matrix(k, angles: EulerAngles) -> np.ndarray:
     """Full D^k matrix with rows q' = k..-k and columns q = k..-k."""
     tk = check_magnitude(HalfInt.of(k), "k").twice
-    d = _d_table(tk) @ _d_powers(tk, angles.beta)
     proj = np.arange(tk, -tk - 1, -2) / 2.0
-    return (np.exp(-1j * proj * angles.alpha)[:, None] * d
+    return (np.exp(-1j * proj * angles.alpha)[:, None] * _little_d(tk, angles.beta)
             * np.exp(-1j * proj * angles.gamma)[None, :])

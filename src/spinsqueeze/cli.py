@@ -55,8 +55,9 @@ DEFAULT_P_STEP = 0.005
 # 25 MB of Python objects at this bound.
 MAX_PHI_POINTS = 100_000
 
-# Largest rank of coeff d: its coefficient table holds (2k+1)^3 floats,
-# 4.3 MB at k = 40. From k = 99/2 on the table's factorials overflow a float.
+# Largest rank of coeff d. Each rank caches its spin matrices and the
+# eigenvectors of S_y for the life of the process, four (2k+1)^2 complex
+# arrays, about 420 kB at k = 40.
 MAX_D_RANK = 40
 
 # Largest |value| of every argument of coeff cg, 6j and 9j. The exact

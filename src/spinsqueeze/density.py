@@ -341,8 +341,8 @@ def classify_orientation(rho: SpinDensity) -> OrientationReport:
     """Decide whether the state is diagonal in some |s m> basis.
 
     Solves the linear system [rho, S.n] = 0 for a real axis n (three
-    unknowns); when a non-trivial solution exists the state is rotated to
-    that quantization axis and diagonality is confirmed. A state
+    unknowns); when a non-trivial solution exists the state is written in
+    the eigenbasis of S.n and diagonality is confirmed there. A state
     proportional to the identity is reported oriented along z by
     convention.
     """
@@ -365,10 +365,9 @@ def classify_orientation(rho: SpinDensity) -> OrientationReport:
     lead = np.argmax(np.abs(axis))
     if axis[lead] < 0:
         axis = -axis
-    theta = math.acos(max(-1.0, min(1.0, axis[2])))
-    phi = math.atan2(axis[1], axis[0])
-    from .angular import EulerAngles, wigner_d_matrix
-    u = wigner_d_matrix(rho.spin, EulerAngles(phi, theta, 0.0))
+    # eigh orders the eigenvalues m of S.n ascending; reversed, the columns
+    # are the |s m> states along the axis, m = s..-s
+    u = np.linalg.eigh(sum(c * sa for c, sa in zip(axis, spins)))[1][:, ::-1]
     rotated = u.conj().T @ mat @ u
     off = rotated - np.diag(np.diag(rotated))
     if np.abs(off).max() > 1e-8:

@@ -114,8 +114,9 @@ def _lakin_rotation(spin, mean: np.ndarray, cov: np.ndarray) -> EulerAngles:
     # Below the cutoff t^2_2 is rounding noise and gamma stays 0, as for
     # spin 1/2, which has no rank 2 (c2 = 0). The noise grows with the
     # size of Q, so the cutoff is relative to its trace, the total spin
-    # variance: at 2s = 20 the noise reached 1.4e-14 Tr Q on 1,000
-    # oriented states, whose t^2_2 vanishes.
+    # variance: at 2s = 20 the noise reached 1.1e-15 Tr Q on 1,000
+    # oriented states, whose t^2_2 vanishes (tests/conftest.py
+    # random_oriented, seed 20240817).
     if c2 > 0 and math.hypot(q[0, 0] - q[1, 1], 2.0 * q[0, 1]) \
             > _GAMMA_REL_TOL * abs(q[0, 0] + q[1, 1] + q[2, 2]):
         gamma = 0.5 * math.atan2(2.0 * q[0, 1], q[0, 0] - q[1, 1])

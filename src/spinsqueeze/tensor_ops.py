@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angular import _cg_exact
+from .angular import _cg_exact, _spin_cached
 from .errors import AngularMomentumError
 from .halfint import HalfInt, check_magnitude
 
@@ -93,23 +93,6 @@ def build_tau(s, k, q) -> np.ndarray:
     if abs(qi) > ki:
         raise AngularMomentumError(f"|q|={abs(qi)} exceeds k={ki}")
     return _tau_cached(sh.twice, ki, qi)
-
-
-@lru_cache(maxsize=None)
-def _spin_cached(ts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    s = ts / 2.0
-    n = ts + 1
-    ms = np.array([tm / 2.0 for tm in range(ts, -ts - 1, -2)])
-    sz = np.diag(ms).astype(complex)
-    sp = np.zeros((n, n), dtype=complex)
-    for j in range(1, n):
-        m = ms[j]
-        sp[j - 1, j] = math.sqrt(s * (s + 1) - m * (m + 1))
-    sx = (sp + sp.conj().T) / 2.0
-    sy = (sp - sp.conj().T) / 2j
-    for arr in (sx, sy, sz):
-        arr.flags.writeable = False
-    return sx, sy, sz
 
 
 def spin_matrices(s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -7,6 +7,12 @@ T^k_q stack as ``spinsqueeze.tensor_ops`` built it. They are kept
 verbatim so the tests can require the integer route to return the same
 ``(sign, square)`` pairs and the same stack bits. A 2s = 40 stack costs
 about 3 s here, so use large spins sparingly.
+
+:func:`little_d_sum` is Wigner's sum for the reduced rotation matrix, as
+``spinsqueeze.angular`` evaluated it before it moved to the spectral form
+of exp(-i beta S_y). Its terms cancel, so it loses digits as 2k grows
+(about 1.7e-14 at 2k = 20 and 1.8e-11 at 2k = 40); it is an independent
+reference only at small ranks.
 """
 
 import math
@@ -101,3 +107,29 @@ def tau_stack(ts: int) -> np.ndarray:
                     tau[i, (ts - tm) // 2] = sign * root * math.sqrt(square)
     out.flags.writeable = False
     return out
+
+
+def little_d_sum(tk: int, beta: float) -> np.ndarray:
+    """d^k(beta) with rows q' = k..-k and columns q = k..-k, from Wigner's sum
+
+        d^k_{q'q} = sqrt((k+q)! (k-q)! (k+q')! (k-q')!)
+            sum_n (-1)^(n-q+q') c^(2k-2n+q-q') s^(2n-q+q')
+                  / ((k+q-n)! n! (k-q'-n)! (n-q+q')!),
+
+    with c = cos(beta/2) and s = sin(beta/2). Each term is filed under its
+    power p = 2k - 2n + q - q' of c in a (2k+1)^3 table, which is then
+    contracted with c^p s^(2k-p)."""
+    size = tk + 1
+    table = np.zeros((size, size, size))
+    for i, tqp in enumerate(range(tk, -tk - 1, -2)):
+        for j, tq in enumerate(range(tk, -tk - 1, -2)):
+            pre = math.sqrt(_fact2(tk + tq) * _fact2(tk - tq)
+                            * _fact2(tk + tqp) * _fact2(tk - tqp))
+            shift = (tq - tqp) // 2                  # q - q'
+            for n in range(max(0, shift), min(tk + tq, tk - tqp) // 2 + 1):
+                den = (_fact2(tk + tq - 2 * n) * math.factorial(n)
+                       * _fact2(tk - tqp - 2 * n) * math.factorial(n - shift))
+                sign = -1.0 if (n - shift) % 2 else 1.0
+                table[i, j, tk - 2 * n + shift] = sign * pre / den
+    p = np.arange(tk + 1)
+    return table @ (math.cos(beta / 2.0) ** p * math.sin(beta / 2.0) ** (tk - p))

@@ -2,8 +2,9 @@
 
 Expected values come from independent routes: hand-evaluated closed
 forms, Clebsch-Gordan contraction oracles for the 6-j and 9-j symbols,
-a matrix-exponential oracle for the rotation matrices, and Racah's sums
-in ``Fraction`` arithmetic (``coeff_oracle``) for the exact coefficients.
+Wigner's sum (``coeff_oracle.little_d_sum``) and Legendre polynomials
+from Bonnet's recurrence for the rotation matrices, and Racah's sums in
+``Fraction`` arithmetic (``coeff_oracle``) for the exact coefficients.
 """
 
 import itertools
@@ -20,6 +21,7 @@ from spinsqueeze import (EulerAngles, HalfInt, clebsch_gordan,
                          clebsch_gordan_exact, little_d, racah_w, wigner_6j,
                          wigner_6j_exact, wigner_9j, wigner_d, wigner_d_matrix)
 from spinsqueeze.angular import _cg_exact, _six_j_exact
+from spinsqueeze.cli import MAX_D_RANK
 from spinsqueeze.errors import AngularMomentumError
 from spinsqueeze.frames import euler_from_rotation, rotation_matrix
 from spinsqueeze.tensor_ops import spin_matrices
@@ -385,6 +387,8 @@ def test_wigner_d_bounds_checked():
 
 
 def _expm_unitary(generator: np.ndarray, angle: float) -> np.ndarray:
+    """exp(-i angle G) from eigh of G. For G = S_y this is the library's own
+    route, so it checks the assembly of D, not the spectral form."""
     vals, vecs = np.linalg.eigh(generator)
     return (vecs * np.exp(-1j * angle * vals)) @ vecs.conj().T
 
@@ -394,7 +398,7 @@ def _expm_unitary(generator: np.ndarray, angle: float) -> np.ndarray:
        st.floats(0.0, 2 * math.pi))
 def test_d_matrix_against_matrix_exponential_oracle(tk, a, b, g):
     """2k = 1..20, half-integer ranks included; little_d reads the same
-    table as the matrix."""
+    eigendecomposition as the matrix."""
     sx, sy, sz = spin_matrices(HalfInt(tk))
     left = wigner_d_matrix(HalfInt(tk), EulerAngles(a, b, g))
     right = _expm_unitary(sz, a) @ _expm_unitary(sy, b) @ _expm_unitary(sz, g)
@@ -402,6 +406,62 @@ def test_d_matrix_against_matrix_exponential_oracle(tk, a, b, g):
     k = HalfInt(tk)
     assert little_d(k, k, HalfInt(-tk), b) == pytest.approx(
         _expm_unitary(sy, b)[0, -1].real, abs=1e-12)
+
+
+_BETAS = (0.0, 1e-3, 0.35, 1.0, 1.2, math.pi / 2, 2.8, math.pi - 1e-3, math.pi)
+
+
+def _legendre(n: int, x: float) -> float:
+    """P_n(x) from Bonnet's recurrence (l+1) P_{l+1} = (2l+1) x P_l - l P_{l-1}."""
+    prev, cur = 1.0, x
+    if n == 0:
+        return prev
+    for ell in range(1, n):
+        prev, cur = cur, ((2 * ell + 1) * x * cur - ell * prev) / (ell + 1)
+    return cur
+
+
+def test_d00_is_legendre_up_to_the_cli_rank():
+    """d^k_00(beta) = P_k(cos beta) for every integer rank coeff d accepts."""
+    for k in range(MAX_D_RANK + 1):
+        for beta in _BETAS:
+            want = _legendre(k, math.cos(beta))
+            assert abs(little_d(k, 0, 0, beta) - want) < 1e-13, (k, beta)
+            d = wigner_d_matrix(k, EulerAngles(0.0, beta, 0.0))
+            assert abs(d[k, k] - want) < 1e-13, (k, beta)
+
+
+def test_d_stretched_element_and_unitarity_up_to_2k_80(rng):
+    """d^k_kk(beta) = cos^(2k)(beta/2), and D is unitary to 1e-13, for every
+    2k <= 80, half-integer ranks included."""
+    for tk in range(81):
+        k = HalfInt(tk)
+        for beta in _BETAS:
+            assert abs(little_d(k, k, k, beta) - math.cos(beta / 2) ** tk) < 1e-13, \
+                (tk, beta)
+        for _ in range(3):
+            angles = EulerAngles(*rng.uniform(0.0, 2.0 * math.pi, size=3))
+            d = wigner_d_matrix(k, angles)
+            assert np.abs(d @ d.conj().T - np.eye(tk + 1)).max() <= 1e-13, tk
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 20), st.floats(0.0, 2 * math.pi), st.floats(0.0, math.pi),
+       st.floats(0.0, 2 * math.pi))
+def test_d_matrix_against_wigner_sum(tk, a, b, g):
+    """Up to 2k = 20, where Wigner's sum still holds 14 digits."""
+    angles = EulerAngles(a, b, g)     # alpha = 2 pi wraps to 0, a sign at half-integer k
+    proj = np.arange(tk, -tk - 1, -2) / 2.0
+    want = (np.exp(-1j * proj * angles.alpha)[:, None]
+            * coeff_oracle.little_d_sum(tk, angles.beta)
+            * np.exp(-1j * proj * angles.gamma)[None, :])
+    assert np.abs(wigner_d_matrix(HalfInt(tk), angles) - want).max() < 1e-13
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+def test_little_d_requires_finite_angle(beta):
+    with pytest.raises(ValueError, match="must be finite"):
+        little_d(1, 0, 0, beta)
 
 
 def test_d_matrix_unitarity(rng):

@@ -174,8 +174,8 @@ def test_coeff_d_rank_limit(capsys, monkeypatch):
     code, out, _ = run(capsys, ["coeff", "d", top, top, top, "0", "0", "0"])
     assert code == 0
     assert out.strip().startswith("1")
-    # k = 1000 would need a 64 GB coefficient table
-    monkeypatch.setattr(angular, "_d_table", _must_not_allocate)
+    # the rank is refused before its spin matrices are diagonalized
+    monkeypatch.setattr(angular, "_sy_eigvecs", _must_not_allocate)
     code, out, err = run(capsys, ["coeff", "d", f"{MAX_D_RANK}.5", "0.5", "0.5",
                                   "0", "1", "0"])
     assert code == 2
