@@ -243,12 +243,8 @@ def variance(rho: SpinDensity, direction) -> float:
     if norm < 1e-300:
         raise ValueError("direction must be a non-zero vector")
     d = d / norm
-    sx, sy, sz = spin_matrices(rho.spin)
-    sn = d[0] * sx + d[1] * sy + d[2] * sz
-    tr = rho.trace
-    mean = np.trace(rho.matrix @ sn).real / tr
-    second = np.trace(rho.matrix @ sn @ sn).real / tr
-    return second - mean * mean
+    mean, second = _moments(rho)
+    return float(d @ second @ d - (d @ mean) ** 2)
 
 
 @dataclass(frozen=True)

@@ -9,17 +9,20 @@ theta, phi innermost). Row coordinates come from the flat index of the
 (p1, p2, theta) triple and the phi index, one chunk of rows at a time.
 :func:`run_scan` evaluates the whole grid as one chunk into a
 :class:`ScanResult`, which :func:`write_csv` and :func:`write_json`
-format. :func:`stream_scan`, which the CLI runs, evaluates, formats and
-writes one chunk of a few kernel blocks at a time, so its memory does not
-grow with the grid. :func:`evaluate_points` cuts each chunk into kernel
-blocks of :data:`spinsqueeze._kernel.BLOCK` points, evaluated in order or
-spread over threads, so the output is byte-identical for every ``jobs``
-value and for both routes.
+format with one % template per row, every cell of every row formatted on
+its own: they are the byte reference of the scan output.
+:func:`stream_scan`, which the CLI runs, evaluates, formats and writes
+one chunk of a few kernel blocks at a time, so its memory does not grow
+with the grid, and formats each axis value once and the cells that do not
+depend on phi once per (p1, p2, theta) triple; the tests hold its bytes
+to those of the writers. :func:`evaluate_points` cuts each chunk into
+kernel blocks of :data:`spinsqueeze._kernel.BLOCK` points, evaluated in
+order or spread over threads, so the output is byte-identical for every
+``jobs`` value and for both routes.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -47,12 +50,10 @@ _FIELD_SQUEEZED = FIELDS.index("squeezed")
 CSV_HEADER = ",".join(FIELDS)
 
 # The cells the kernel computes without phi, and c_xy (always 0): along
-# the innermost phi axis they repeat, so the writers format them once per
-# run of rows and the other eight cells once per row.
+# the innermost phi axis they repeat, so stream_scan formats them once per
+# (p1, p2, theta) triple and the other eight cells once per row.
 _RUN_FIELDS = ("theta_rad", "p1_mag", "p2_mag", "weight", "t1_0", "t2_0",
                "t2_2", "sz_half", "c_zz", "c_xy")
-_RUN_CELLS = [FIELDS.index(f) for f in _RUN_FIELDS]
-_ROW_CELLS = [i for i, f in enumerate(FIELDS) if f not in _RUN_FIELDS]
 # the same cells as kernel columns, in template order
 _RUN_DATA = [COLUMNS.index(f) for f in _RUN_FIELDS if f in COLUMNS]
 _ROW_DATA = [COLUMNS.index(f) for f in FIELDS if f in COLUMNS
@@ -87,9 +88,9 @@ def _json_row(cell) -> str:
         '    "%s": %s' % (f, cell(f)) for f in FIELDS) + "\n  },\n"
 
 
-# templates of the ScanResult writers, which format every cell from floats
-_CSV_ROWS = _templates(_csv_row, ".12g", ".12g")
-_JSON_ROWS = _templates(_json_row, "r", "r")
+# row templates of the ScanResult writers, which format every cell from floats
+_CSV_ROW = _templates(_csv_row, ".12g", ".12g")[0]
+_JSON_ROW = _templates(_json_row, "r", "r")[0]
 
 
 class _Null:
@@ -209,6 +210,9 @@ class ScanConfig:
     def __post_init__(self):
         for name in ("p1", "p2", "theta", "phi"):
             arr = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
+            if arr.ndim != 1:
+                raise ValueError(f"{name} axis must be one-dimensional, "
+                                 f"got shape {arr.shape}")
             if arr.size == 0:
                 raise ValueError(f"{name} axis is empty")
             object.__setattr__(self, name, arr)
@@ -296,29 +300,9 @@ def _row_blocks(result: ScanResult):
         yield block
 
 
-def _fill(run_row: str, runs, lengths, cells: tuple) -> str:
-    """The rows of one block: one % call per run formats its run cells
-    into ``run_row``, the result repeats once per row of the run (its
-    length), and one more % call fills in every row cell."""
-    return "".join([(run_row % tuple(run)) * k
-                    for run, k in zip(runs, lengths)]) % cells
-
-
-def _format_block(block: np.ndarray, cells: np.ndarray, rows: tuple) -> str:
-    """The rows of one block from the ``(row, run_row)`` templates. A run
-    is a stretch of rows whose run cells are bitwise equal (so -0.0 and
-    0.0 differ). A block without runs of two or more rows takes ``row``
-    and a single % call instead, since runs of one row would only add a
-    call per row. ``cells`` holds the values to format, ``block`` their
-    floats."""
-    row, run_row = rows
-    bits = block[:, _RUN_CELLS].view(np.int64)
-    starts = np.flatnonzero(np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)])
-    if len(starts) == len(block):
-        return (row * len(block)) % tuple(cells.ravel().tolist())
-    lengths = np.diff(np.r_[starts, len(block)]).tolist()
-    return _fill(run_row, cells[np.ix_(starts, _RUN_CELLS)].tolist(), lengths,
-                 tuple(cells[:, _ROW_CELLS].ravel().tolist()))
+def _per_row(row: str, cells: np.ndarray) -> str:
+    """The rows of a block of cells: ``row`` once per row, one % call."""
+    return (row * len(cells)) % tuple(cells.ravel().tolist())
 
 
 def _emit(fh: TextIO, fmt: str, texts) -> None:
@@ -338,14 +322,13 @@ def _emit(fh: TextIO, fmt: str, texts) -> None:
 
 def write_csv(result: ScanResult, fh: TextIO) -> None:
     """Emit the scan CSV: header, 12 significant digits, squeezed as 0/1."""
-    _emit(fh, "csv", (_format_block(block, block, _CSV_ROWS)
-                      for block in _row_blocks(result)))
+    _emit(fh, "csv", (_per_row(_CSV_ROW, block) for block in _row_blocks(result)))
 
 
 def write_json(result: ScanResult, fh: TextIO) -> None:
     """Emit the scan JSON one row block at a time: the bytes of
     ``json.dump(rows_as_dicts(result), fh, indent=2)`` and a newline."""
-    _emit(fh, "json", (_format_block(block, _json_cells(block), _JSON_ROWS)
+    _emit(fh, "json", (_per_row(_JSON_ROW, _json_cells(block))
                        for block in _row_blocks(result)))
 
 
@@ -400,7 +383,7 @@ def _stream_blocks(config: ScanConfig, fmt: str, chunks):
                 cells[:n, 2] = p1[i_p1]
                 cells[:n, 3] = p2[i_p2]
                 cells[:n, 4:] = as_cells(block)
-                yield (row * n) % tuple(cells[:n].ravel().tolist())
+                yield _per_row(row, cells[:n])
                 continue
             runs = np.empty((len(block_triples), len(_RUN_FIELDS)), dtype=object)
             runs[:, 0] = theta[i_theta]
@@ -408,8 +391,10 @@ def _stream_blocks(config: ScanConfig, fmt: str, chunks):
             runs[:, 2] = p2[i_p2]
             runs[:, 3:] = as_cells(block[::k, _RUN_DATA])
             cells[:n, 1:] = as_cells(block[:, _ROW_DATA])
-            yield _fill(run_row, runs.tolist(), itertools.repeat(k),
-                        tuple(cells[:n].ravel().tolist()))
+            # one % call per triple formats its run cells, the text repeats
+            # once per phi, and one more % call fills in every row cell
+            text = "".join([(run_row % tuple(run)) * k for run in runs.tolist()])
+            yield text % tuple(cells[:n].ravel().tolist())
         # free this chunk before the next one is evaluated
         del coords, data, block
 

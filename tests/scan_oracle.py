@@ -1,4 +1,5 @@
-"""Scalar reference for the scan kernel: one point per loop iteration.
+"""Scalar references for the scan kernel, one point per loop iteration,
+and for the threshold search.
 
 This is the per-point loop the vectorised kernel in
 ``spinsqueeze._kernel`` replaced, kept verbatim so the tests can require
@@ -17,30 +18,19 @@ the frame-dependent columns are NaN.
 :func:`first_squeezed` is the reference for the threshold search: one
 ``evaluate_points`` call per magnitude P, every column computed and the
 q_value column read.
-
-:func:`write_csv` and :func:`write_json` are the reference for the scan
-writers: one %-template per row, every cell formatted in every row.
 """
 
 from math import cos, inf, nan, sin, sqrt
 
 import numpy as np
 
-from spinsqueeze.scan import (_NULL, CSV_HEADER, FIELDS, IDX_Q_VALUE,
-                              _row_blocks, evaluate_points)
+from spinsqueeze.scan import IDX_Q_VALUE, evaluate_points
 
 _SQRT6 = sqrt(6.0)
 _SQRT3 = sqrt(3.0)
 _SQRT23 = sqrt(2.0 / 3.0)
 _DEGENERATE_TOL2 = 1e-20
 _MARGIN_TOL = 1e-12
-
-_CSV_ROW = ",".join("%d" if f == "squeezed" else "%.12g" for f in FIELDS) + "\n"
-# one row of json.dump(..., indent=2): %r of a float is float.__repr__,
-# which is what the json encoder writes
-_JSON_ROW = "  {\n" + ",\n".join(
-    '    "%s": %s' % (f, "%d" if f == "squeezed" else "%r") for f in FIELDS
-) + "\n  }"
 
 
 def evaluate_into(p1m, p2m, theta, phi, out):
@@ -124,20 +114,3 @@ def first_squeezed(p_values, theta, pure_partner):
             return float(p)
     return inf
 
-
-def write_csv(result, fh):
-    """The scan CSV, every cell of every row formatted on its own."""
-    fh.write(CSV_HEADER + "\n")
-    for block in _row_blocks(result):
-        fh.write((_CSV_ROW * len(block)) % tuple(block.ravel().tolist()))
-
-
-def write_json(result, fh):
-    """The scan JSON, every cell of every row formatted on its own."""
-    opening = "[\n"
-    for block in _row_blocks(result):
-        cells = np.where(np.isfinite(block), block, _NULL)
-        fh.write(opening + (",\n".join([_JSON_ROW] * len(block))
-                            % tuple(cells.ravel().tolist())))
-        opening = ",\n"
-    fh.write("[]\n" if opening == "[\n" else "\n]\n")

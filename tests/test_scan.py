@@ -53,6 +53,16 @@ def assert_bitwise_equal(got, want):
         f"{COLUMNS[diff[0][1]]}: {got[tuple(diff[0])]!r} != {want[tuple(diff[0])]!r}")
 
 
+def assert_same_text(got: str, want: str, label: str) -> None:
+    """Equal texts; a mismatch names the first line that differs, since
+    pytest's diff of two long texts takes minutes."""
+    if got != want:
+        pairs = enumerate(zip(got.split("\n"), want.split("\n")))
+        where = next((f"line {i}: {g!r} != {w!r}" for i, (g, w) in pairs if g != w),
+                     f"{got.count(chr(10))} != {want.count(chr(10))} lines")
+        pytest.fail(f"{label}, {where}")
+
+
 def test_backend_selected():
     assert scan_backend() == "numpy"
     assert available_backends() == {"numpy": get_kernel()}
@@ -230,9 +240,10 @@ def test_degenerate_rows_marked_nan():
 
 
 def test_run_cells_constant_along_phi():
-    """The writers format the run cells once per run of equal rows, so
-    their speed rests on the kernel writing those cells bit for bit the
-    same for every phi of a (p1, p2, theta), p1 + p2 = 0 rows included."""
+    """stream_scan formats the run cells once per (p1, p2, theta) triple
+    and repeats that text for every phi, so its bytes rest on the kernel
+    writing those cells bit for bit the same for every phi of a triple,
+    p1 + p2 = 0 rows included."""
     assert {"c_zz", "c_xy"} <= set(_RUN_FIELDS)
     axis = [0.0, 0.35, 0.7, 1.0]
     phi = [-7.0, 0.0, 0.5, math.pi / 2, math.pi, 2 * math.pi, 1e3]
@@ -275,7 +286,7 @@ def test_scan_config_validation():
         ScanConfig(p1=[0.5], p2=[0.5], theta=[], phi=[0.0])
     for bad in ({"p1": [math.nan]}, {"p2": [math.inf]}, {"phi": [0.0, math.nan]},
                 {"theta": [-1e-9]}, {"theta": [math.pi + 1e-9]},
-                {"theta": [math.nan]}):
+                {"theta": [math.nan]}, {"p1": [[0.5, 0.6]]}, {"phi": [[0.0], [1.0]]}):
         axes = {"p1": [0.5], "p2": [0.5], "theta": [0.3], "phi": [0.0], **bad}
         with pytest.raises(ValueError):
             ScanConfig(**axes)
@@ -393,25 +404,18 @@ _cell = st.floats(allow_nan=True, allow_infinity=True).map(
     lambda x: float("%.12g" % x))
 
 
-def result_of(cells: np.ndarray) -> ScanResult:
-    """The result whose rows, in :data:`FIELDS` order, are ``cells``."""
-    return ScanResult(theta=cells[:, 0], phi=cells[:, 1], p1=cells[:, 2],
-                      p2=cells[:, 3], data=cells[:, 4:])
-
-
-def draw_result(data, n=None) -> tuple[ScanResult, np.ndarray]:
+def draw_result(data) -> tuple[ScanResult, np.ndarray]:
     """A hand-built result with NaN and inf anywhere, and its cells: up to
-    30 drawn rows, repeated to n rows (drawn up to 600 when not given) so
-    that n crosses the writers' 256-row blocks."""
+    30 drawn rows, repeated to a drawn n of up to 600 rows so that n
+    crosses the writers' 256-row blocks."""
     rows = data.draw(hnp.arrays(np.float64, st.tuples(
         st.integers(1, 30), st.just(len(FIELDS))), elements=_cell))
     squeezed = data.draw(hnp.arrays(np.float64, len(rows), elements=(
         st.sampled_from([0.0, 1.0, math.nan, 0.5, -math.inf]))))
     rows[:, FIELDS.index("squeezed")] = squeezed
-    if n is None:
-        n = data.draw(st.integers(0, 600))
-    cells = np.resize(rows, (n, len(FIELDS)))
-    return result_of(cells), cells
+    cells = np.resize(rows, (data.draw(st.integers(0, 600)), len(FIELDS)))
+    return ScanResult(theta=cells[:, 0], phi=cells[:, 1], p1=cells[:, 2],
+                      p2=cells[:, 3], data=cells[:, 4:]), cells
 
 
 @settings(max_examples=40)
@@ -449,56 +453,6 @@ def test_write_json_bytes_equal_json_dump(data):
     assert text == json.dumps(rows_as_dicts(result), indent=2) + "\n"
     assert len(json.loads(text, parse_constant=_reject_constant)) == \
         len(result.theta)
-
-
-# a NaN whose payload differs from np.nan's: it writes as nan too
-_OTHER_NAN = np.array(0x7FF8000000000001, dtype=np.uint64).view(np.float64)
-_run_cell = st.one_of(
-    st.sampled_from([0.0, -0.0]),
-    st.sampled_from([math.nan, _OTHER_NAN, math.inf, -math.inf]), _cell)
-
-
-def draw_runs(data) -> ScanResult:
-    """A hand-built result of up to 900 rows whose run cells repeat over
-    runs of 1 to 9 rows, so that runs straddle the writers' 256-row block
-    edge. The result cycles through up to 12 drawn runs, each of which
-    differs from the one before in one cell alone: a zero there has its
-    sign flipped, so -0.0 often follows 0.0, and any other value is
-    replaced by a drawn one."""
-    n = data.draw(st.integers(0, 900))
-    run = data.draw(hnp.arrays(np.float64, len(_RUN_FIELDS), elements=_run_cell))
-    runs = []
-    for col, value, k in data.draw(st.lists(st.tuples(
-            st.integers(0, len(_RUN_FIELDS) - 1), _run_cell, st.integers(1, 9)),
-            min_size=1, max_size=12)):
-        runs.append(np.tile(run, (k, 1)))
-        run = run.copy()
-        run[col] = -run[col] if run[col] == 0.0 else value
-    _, cells = draw_result(data, n)
-    cells[:, [FIELDS.index(f) for f in _RUN_FIELDS]] = np.resize(
-        np.concatenate(runs), (len(cells), len(_RUN_FIELDS)))
-    return result_of(cells)
-
-
-@settings(max_examples=60)
-@given(st.data())
-def test_run_writers_equal_per_row_oracle(data):
-    """Both writers give the bytes of the per-row writers in scan_oracle,
-    whatever the runs, NaN payloads and signed zeros in the run cells,
-    and on results whose rows seldom repeat (blocks without runs)."""
-    for result in (draw_runs(data), draw_result(data)[0]):
-        for writer, oracle in ((write_csv, scan_oracle.write_csv),
-                               (write_json, scan_oracle.write_json)):
-            got, want = io.StringIO(), io.StringIO()
-            writer(result, got)
-            oracle(result, want)
-            if got.getvalue() != want.getvalue():
-                # name the first line that differs: pytest's diff of two
-                # long texts takes minutes
-                lines = zip(got.getvalue().split("\n"), want.getvalue().split("\n"))
-                i, (g, w) = next((i, pair) for i, pair in enumerate(lines)
-                                 if pair[0] != pair[1])
-                pytest.fail(f"{writer.__name__}, line {i}: {g!r} != {w!r}")
 
 
 class _ByteCount:
@@ -594,7 +548,7 @@ def test_stream_scan_bytes_equal_run_scan_writers(axes, jobs, block):
             got, want = io.StringIO(), io.StringIO()
             stream_scan(config, got, fmt, jobs=jobs)
             writer(result, want)
-            assert got.getvalue() == want.getvalue(), fmt
+            assert_same_text(got.getvalue(), want.getvalue(), fmt)
             texts[fmt] = got.getvalue()
     if np.isnan(result.data).any():
         assert ",nan," in texts["csv"] and "null" in texts["json"]
