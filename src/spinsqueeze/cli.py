@@ -173,10 +173,10 @@ def cmd_scan(args) -> int:
         phi=_parse_axis(args.phi, DEFAULT_ANGLE_STEP, scale=angle),
     )
     if args.output == "-":
-        stream_scan(config, sys.stdout, args.format, jobs=args.jobs)
+        stream_scan(config, sys.stdout, args.format)
     else:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            stream_scan(config, fh, args.format, jobs=args.jobs)
+            stream_scan(config, fh, args.format)
     return EXIT_OK
 
 
@@ -276,9 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degrees", action="store_true", help="angles in degrees")
     p.add_argument("--output", default="-", help="output path ('-' = stdout)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
+    # perfbench passes --jobs 1 on every scan, so the flag stays accepted
     p.add_argument("--jobs", type=int, default=1,
-                   help="threads over the kernel's blocks (capped at the CPU "
-                        "count and the block count)")
+                   help="accepted for compatibility; the scan runs on one "
+                        "thread and the value changes neither output nor speed")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("validate", help="positivity/purity/orientation report")

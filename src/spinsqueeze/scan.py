@@ -12,20 +12,17 @@ theta, phi innermost). Row coordinates come from the flat index of the
 format with one % template per row, every cell of every row formatted on
 its own: they are the byte reference of the scan output.
 :func:`stream_scan`, which the CLI runs, evaluates, formats and writes
-one chunk of a few kernel blocks at a time, so its memory does not grow
-with the grid, and formats each axis value once and the cells that do not
-depend on phi once per (p1, p2, theta) triple; the tests hold its bytes
-to those of the writers. :func:`evaluate_points` cuts each chunk into
-kernel blocks of :data:`spinsqueeze._kernel.BLOCK` points, evaluated in
-order or spread over threads, so the output is byte-identical for every
-``jobs`` value and for both routes.
+one kernel block of rows at a time, so its memory does not grow with the
+grid, and formats each axis value once and the cells that do not depend
+on phi once per (p1, p2, theta) triple; the tests hold its bytes to those
+of the writers. :func:`evaluate_points` evaluates each chunk in kernel
+blocks of :data:`spinsqueeze._kernel.BLOCK` points, in order, on the
+calling thread.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TextIO
 
@@ -148,9 +145,10 @@ def get_kernel():
 def evaluate_points(p1m, p2m, theta, phi, jobs: int = 1) -> np.ndarray:
     """Evaluate the kernel on flat, equal-length coordinate arrays.
 
-    Returns an (N, 14) array with the :data:`COLUMNS` layout. ``jobs``
-    only affects wall time, never the values or their order; the kernel
-    blocks run on at most ``min(jobs, blocks, os.cpu_count())`` threads.
+    Returns an (N, 14) array with the :data:`COLUMNS` layout, computed
+    one kernel block at a time, in order, on the calling thread. ``jobs``
+    is ignored; it stays a keyword because perfbench's ``jobs2`` probe
+    passes it.
     Raises ``ValueError`` unless every magnitude lies in [0, 1], every
     theta in [0, pi] and every phi is finite, NaN included. theta matters
     most: the kernel takes |p1 x p2| = a b sin(theta), so a larger theta
@@ -168,19 +166,9 @@ def evaluate_points(p1m, p2m, theta, phi, jobs: int = 1) -> np.ndarray:
             & (t >= 0.0) & (t <= math.pi) & np.isfinite(f)).all():
         raise ValueError(_domain_error(a, b, t, f))
     out = np.empty((n, len(COLUMNS)), dtype=float)
-
-    def run(lo):
+    for lo in range(0, n, _kernel.BLOCK):
         hi = lo + _kernel.BLOCK
         _kernel.evaluate_into(a[lo:hi], b[lo:hi], t[lo:hi], f[lo:hi], out[lo:hi])
-
-    starts = range(0, n, _kernel.BLOCK)
-    workers = min(jobs, len(starts), os.cpu_count() or 1)
-    if workers <= 1:
-        for lo in starts:
-            run(lo)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, starts))
     return out
 
 
@@ -264,7 +252,7 @@ def _axis_indices(config: ScanConfig, triples: range) -> tuple:
     return i_p1, i_p2, i_theta
 
 
-def _grid_chunks(config: ScanConfig, rows: int, jobs: int):
+def _grid_chunks(config: ScanConfig, rows: int):
     """Evaluate the grid in row order, at most ``rows`` rows at a time (or
     one triple's phis where those alone are more). Yields ``(triples,
     phis, (p1, p2, theta, phi), data)`` of each chunk: its ranges of
@@ -277,13 +265,13 @@ def _grid_chunks(config: ScanConfig, rows: int, jobs: int):
         coords = (np.repeat(config.p1[i_p1], k), np.repeat(config.p2[i_p2], k),
                   np.repeat(config.theta[i_theta], k),
                   np.tile(config.phi[phis.start:phis.stop], len(triples)))
-        yield triples, phis, coords, evaluate_points(*coords, jobs=jobs)
+        yield triples, phis, coords, evaluate_points(*coords)
 
 
-def run_scan(config: ScanConfig, jobs: int = 1) -> ScanResult:
+def run_scan(config: ScanConfig) -> ScanResult:
     """Evaluate the full grid in deterministic row order, in one
     :func:`evaluate_points` call."""
-    [(_, _, (p1, p2, theta, phi), data)] = _grid_chunks(config, config.size, jobs)
+    [(_, _, (p1, p2, theta, phi), data)] = _grid_chunks(config, config.size)
     return ScanResult(theta=theta, phi=phi, p1=p1, p2=p2, data=data)
 
 
@@ -332,21 +320,18 @@ def write_json(result: ScanResult, fh: TextIO) -> None:
                        for block in _row_blocks(result)))
 
 
-def stream_scan(config: ScanConfig, fh: TextIO, fmt: str = "csv",
-                jobs: int = 1) -> None:
+def stream_scan(config: ScanConfig, fh: TextIO, fmt: str = "csv") -> None:
     """Evaluate the grid and write it as ``fmt``, "csv" or "json": the
     bytes of ``write_csv`` or ``write_json`` of ``run_scan(config)``.
 
-    The grid goes through :func:`evaluate_points` (with ``jobs``) and the
-    writer one chunk of at most ``min(jobs, os.cpu_count())`` kernel
-    blocks at a time, so no array grows with the grid. Each axis value is
-    formatted once, and the cells that do not depend on phi once per
-    (p1, p2, theta) triple.
+    The grid goes through :func:`evaluate_points` and the writer one
+    chunk of at most one kernel block of rows at a time, so no array
+    grows with the grid. Each axis value is formatted once, and the cells
+    that do not depend on phi once per (p1, p2, theta) triple.
     """
     if fmt not in _FORMATS:
         raise ValueError(f"unknown scan format {fmt!r}")
-    workers = max(1, min(jobs, os.cpu_count() or 1))
-    chunks = _grid_chunks(config, workers * _kernel.BLOCK, jobs)
+    chunks = _grid_chunks(config, _kernel.BLOCK)
     _emit(fh, fmt, _stream_blocks(config, fmt, chunks))
 
 

@@ -1,14 +1,12 @@
 """Shared helpers: random state generators with fixed seeds, and a
-fixture that makes small scans run on the thread pool."""
-
-from concurrent.futures import ThreadPoolExecutor
+fixture that makes small scans span many kernel blocks."""
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from spinsqueeze import (EulerAngles, HalfInt, SpinDensity, _kernel,
-                         from_tensors, scan, to_tensors)
+                         from_tensors, to_tensors)
 from spinsqueeze.angular import wigner_d_matrix
 
 # Property tests draw the same examples on every run and never fail on
@@ -79,17 +77,7 @@ def rng():
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch):
+def small_blocks(monkeypatch):
     """Kernel blocks of 64 points, so that a grid of a few thousand points
-    spans many blocks, and the max_workers of every thread pool that
-    evaluate_points starts, in order."""
-    sizes = []
-
-    class RecordingExecutor(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
+    spans many blocks."""
     monkeypatch.setattr(_kernel, "BLOCK", 64)
-    monkeypatch.setattr(scan, "ThreadPoolExecutor", RecordingExecutor)
-    return sizes

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 
 import numpy as np
@@ -299,6 +300,24 @@ def test_scan_deterministic_across_jobs(tmp_path, capsys, fmt):
     assert len(set(outputs)) == 1
 
 
+def _no_thread(self):
+    raise AssertionError("a scan started a thread")
+
+
+@pytest.mark.parametrize("jobs", [0, -3, 10**6])
+def test_scan_jobs_starts_no_thread(capsys, monkeypatch, small_blocks, jobs):
+    """Any --jobs, absurd ones included, exits 0, writes the --jobs 1
+    bytes of a grid of many kernel blocks and starts no thread."""
+    argv = ["scan", "--p1", "0:1:0.05", "--p2", "0.85", "--theta", "0:180:1",
+            "--phi", "0:90:45", "--degrees"]
+    code, want, _ = run(capsys, argv + ["--jobs", "1"])
+    assert code == 0
+    monkeypatch.setattr(threading.Thread, "start", _no_thread)
+    code, got, err = run(capsys, argv + ["--jobs", str(jobs)])
+    assert (code, err) == (0, "")
+    assert got == want
+
+
 def test_scan_unwritable_output_exits_4(capsys):
     paths = ["/nonexistent/dir/x.csv"]
     if os.path.exists("/dev/full"):     # a full disk
@@ -438,7 +457,7 @@ def test_scan_axis_input_property(axes, degrees):
     argv = ["scan", *(f"--{name}={spec}" for name, spec
                       in zip(("p1", "p2", "theta", "phi"), axes))]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "stream_scan", lambda config, fh, fmt, jobs=1: None)
+        mp.setattr(cli, "stream_scan", lambda config, fh, fmt: None)
         mp.setattr(np, "arange", _guarded_arange(np.arange))
         mp.setattr(np, "meshgrid", _must_not_allocate)
         code, err = _main_exit(argv + ["--degrees"] * degrees)

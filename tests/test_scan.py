@@ -6,7 +6,6 @@ import hashlib
 import io
 import json
 import math
-import os
 import tracemalloc
 
 import numpy as np
@@ -27,14 +26,6 @@ from spinsqueeze.scan import (_RUN_FIELDS, COLUMNS, CSV_HEADER, FIELDS,
                               ScanResult, available_backends, evaluate_points,
                               get_kernel, rows_as_dicts, scan_backend,
                               stream_scan, write_json)
-
-
-def grid_arrays(rng, n):
-    p1 = rng.uniform(0, 1, n)
-    p2 = rng.uniform(0, 1, n)
-    theta = rng.uniform(0.01, math.pi - 0.01, n)
-    phi = rng.uniform(0, 2 * math.pi, n)
-    return p1, p2, theta, phi
 
 
 def oracle_points(p1, p2, theta, phi) -> np.ndarray:
@@ -171,29 +162,6 @@ def test_margin_bitwise_equals_q_column(points):
     assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
-def test_jobs_thread_count_capped_at_cpu_count(rng, pool_sizes):
-    """An absurd --jobs starts no more threads than there are CPUs, and a
-    one-block call starts none."""
-    cpus = os.cpu_count() or 1
-    p1, p2, theta, phi = grid_arrays(rng, _kernel.BLOCK * (4 * cpus + 3))
-    out = evaluate_points(p1, p2, theta, phi, jobs=10**6)
-    assert pool_sizes == ([] if cpus == 1 else [cpus])
-    assert_bitwise_equal(out, evaluate_points(p1, p2, theta, phi, jobs=1))
-    evaluate_points(p1[:_kernel.BLOCK], p2[:_kernel.BLOCK],
-                    theta[:_kernel.BLOCK], phi[:_kernel.BLOCK], jobs=10**6)
-    assert len(pool_sizes) == (0 if cpus == 1 else 1)
-
-
-def test_jobs_do_not_change_results(rng, pool_sizes):
-    p1, p2, theta, phi = grid_arrays(rng, 5000)
-    base = evaluate_points(p1, p2, theta, phi, jobs=1)
-    for jobs in (2, 3, 8):
-        assert np.array_equal(base, evaluate_points(p1, p2, theta, phi, jobs=jobs),
-                              equal_nan=True)
-    cpus = os.cpu_count() or 1
-    assert pool_sizes == [min(jobs, cpus) for jobs in (2, 3, 8) if cpus > 1]
-
-
 def test_kernel_matches_library_routes(rng):
     """Kernel columns against the high-level API, point by point."""
     for _ in range(40):
@@ -323,13 +291,14 @@ def test_csv_format():
     assert q["theta_rad"] == "%.12g" % (math.pi / 2)
 
 
-def test_csv_byte_identical_across_jobs_and_runs(rng, pool_sizes):
+def test_csv_byte_identical_across_jobs_and_runs(small_blocks):
+    """Repeated scans of a grid of many kernel blocks write the same CSV;
+    the --jobs side of the contract is tested through the CLI."""
     config = ScanConfig(p1=np.linspace(0.1, 1, 7), p2=[0.85],
                         theta=np.linspace(0.01, 3.1, 40),
                         phi=np.linspace(0, 1.5, 5))
-    texts = {csv_string(run_scan(config, jobs=j)) for j in (1, 2, 5, 1)}
+    texts = {csv_string(run_scan(config)) for _ in range(3)}
     assert len(texts) == 1
-    assert len(pool_sizes) == (2 if (os.cpu_count() or 1) > 1 else 0)
 
 
 def test_scan_and_scalar_api_share_thresholds(capsys):
@@ -499,8 +468,8 @@ def test_write_csv_memory_does_not_grow_with_rows():
 
 
 # phi axes of 7 values (which do not divide the 256-row block), of one
-# value, and of more values than a block or a chunk of 64-point kernel
-# blocks holds
+# value, and of more values than a 256-row output block or a 64-point
+# kernel block holds
 _PHI_COUNTS = st.one_of(st.integers(1, 9), st.sampled_from([255, 256, 257, 300]))
 _MAGNITUDES = st.one_of(st.sampled_from([0.0, 0.35, 1.0]), st.floats(0.0, 1.0))
 _THETAS = st.one_of(st.sampled_from([0.0, math.pi]), st.floats(0.0, math.pi))
@@ -525,28 +494,26 @@ def _phi(n: int) -> list:
 
 
 @settings(max_examples=30)
-@given(axes=scan_axes(), jobs=st.sampled_from([1, 2, 3, 10**6]),
-       block=st.sampled_from([64, 100, _kernel.BLOCK]))
+@given(axes=scan_axes(), block=st.sampled_from([64, 100, _kernel.BLOCK]))
 @example(axes=([0.35, 1.0], [0.35], [0.0, math.pi / 2, math.pi], _phi(7)),
-         jobs=1, block=64)
+         block=64)
 @example(axes=([0.0, 0.5], [0.0, 0.5, 1.0], np.linspace(0, math.pi, 90).tolist(),
-               [0.25]), jobs=3, block=64)
-@example(axes=([0.7], [0.7, 0.2], [math.pi, 1.0], _phi(300)), jobs=2, block=100)
-@example(axes=([0.35], [0.35, 0.9], [1.0, math.pi], _phi(257)), jobs=1,
+               [0.25]), block=64)
+@example(axes=([0.7], [0.7, 0.2], [math.pi, 1.0], _phi(300)), block=100)
+@example(axes=([0.35], [0.35, 0.9], [1.0, math.pi], _phi(257)),
          block=_kernel.BLOCK)
-def test_stream_scan_bytes_equal_run_scan_writers(axes, jobs, block):
-    """What the CLI streams, a chunk of kernel blocks at a time, is the
+def test_stream_scan_bytes_equal_run_scan_writers(axes, block):
+    """What the CLI streams, one kernel block of rows at a time, is the
     CSV and JSON of run_scan() through write_csv() and write_json(), for
-    any jobs and any chunk and block edges; p1 + p2 = 0 rows write nan
-    and null."""
+    any chunk and block edges; p1 + p2 = 0 rows write nan and null."""
     config = ScanConfig(*axes)
     texts = {}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernel, "BLOCK", block)
-        result = run_scan(config, jobs=jobs)
+        result = run_scan(config)
         for fmt, writer in WRITERS.items():
             got, want = io.StringIO(), io.StringIO()
-            stream_scan(config, got, fmt, jobs=jobs)
+            stream_scan(config, got, fmt)
             writer(result, want)
             assert_same_text(got.getvalue(), want.getvalue(), fmt)
             texts[fmt] = got.getvalue()
