@@ -11,12 +11,13 @@ with closed-form tensor parameters
     t^1_q = sqrt(6)/(3 + p1.p2) (p1 + p2)_q,
     t^2_q = 2 sqrt(3)/(3 + p1.p2) (p1 x p2)^2_q   (rank-2 tensor product).
 
-Three independent routes to these parameters are implemented: the closed
-forms, a recoupling contraction through 9-j symbols, and a brute-force
-4x4 projection (:func:`project_spin1`). Squeezing and the spin-spin
-correlations of the projected pair are evaluated both from published
-closed forms (verbatim, see :func:`correlations`) and from matrix
-arithmetic (:func:`correlations_oracle`); genuine disagreements between
+Three routes to these parameters are implemented: the closed forms and
+a recoupling contraction through 9-j symbols, which share one spherical
+tensor-product helper, and an independent brute-force 4x4 projection
+(:func:`project_oracle`). Squeezing and the spin-spin correlations of
+the projected pair are evaluated both from published closed forms
+(verbatim, see :func:`correlations`) and from matrix arithmetic on that
+projection (:func:`correlations_oracle`); genuine disagreements between
 the two are reported by :func:`verify_correlations`, never patched over.
 """
 
@@ -36,6 +37,7 @@ from .density import SpinDensity, TensorParams
 from .errors import LakinFrameUndefined
 from .halfint import HalfInt
 from .scan import MAX_SCAN_ROWS
+from .tensor_ops import spin_matrices
 
 __all__ = [
     "ChannelFrame", "ChannelState", "ChannelSqueezing", "Correlations",
@@ -45,9 +47,6 @@ __all__ = [
     "ThresholdScanConfig", "ThresholdScanResult", "threshold_scan",
 ]
 
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _I2 = np.eye(2, dtype=complex)
 
 
@@ -100,8 +99,25 @@ def _spherical(v: np.ndarray) -> dict[int, complex]:
     }
 
 
+def _tensor_product(x: dict, k1: int, y: dict, k2: int, k: int, q: int) -> complex:
+    """(x^{k1} x y^{k2})^k_q, the rank-k tensor product of the spherical
+    components x[q1] (rank k1) and y[q2] (rank k2)."""
+    acc = 0j
+    for q1 in range(-k1, k1 + 1):
+        q2 = q - q1
+        if abs(q2) <= k2:
+            acc += clebsch_gordan(k1, k2, k, q1, q2, q) * x[q1] * y[q2]
+    return acc
+
+
+def _spin_along(v: np.ndarray) -> np.ndarray:
+    """S.v of one spin 1/2, half the Pauli matrices dotted with v."""
+    sx, sy, sz = spin_matrices(HalfInt(1))
+    return v[0] * sx + v[1] * sy + v[2] * sz
+
+
 def _qubit_density(p: np.ndarray) -> np.ndarray:
-    return 0.5 * (_I2 + p[0] * _SX + p[1] * _SY + p[2] * _SZ)
+    return 0.5 * _I2 + _spin_along(p)
 
 
 @lru_cache(maxsize=1)
@@ -198,12 +214,7 @@ def couple_spin1(p1, p2) -> ChannelState:
     for q in (-1, 0, 1):
         entries[(1, q)] = math.sqrt(6.0) / den * (s1[q] + s2[q])
     for q in range(-2, 3):
-        acc = 0j
-        for q1 in (-1, 0, 1):
-            q2 = q - q1
-            if abs(q2) <= 1:
-                acc += clebsch_gordan(1, 1, 2, q1, q2, q) * s1[q1] * s2[q2]
-        entries[(2, q)] = 2.0 * math.sqrt(3.0) / den * acc
+        entries[(2, q)] = 2.0 * math.sqrt(3.0) / den * _tensor_product(s1, 1, s2, 1, 2, q)
     params = TensorParams(HalfInt(2), entries)
     try:
         frame = channel_geometry(v1, v2)
@@ -232,14 +243,8 @@ def couple_spin1_9j(p1, p2) -> TensorParams:
     v1 = _as_polarization(p1, "p1")
     v2 = _as_polarization(p2, "p2")
     den = 3.0 + float(np.dot(v1, v2))
-    s1 = _spherical(v1)
-    s2 = _spherical(v2)
-
-    def tk(s, k, q):
-        if k == 0:
-            return 1.0 if q == 0 else 0.0
-        return s[q]
-
+    t1 = ({0: 1.0}, _spherical(v1))    # t^{k1}(1) for k1 = 0, 1
+    t2 = ({0: 1.0}, _spherical(v2))
     entries: dict[tuple[int, int], complex] = {}
     for k in (1, 2):
         for q in range(-k, k + 1):
@@ -249,13 +254,7 @@ def couple_spin1_9j(p1, p2) -> TensorParams:
                     w = _recoupling_weight(k1, k2, k)
                     if w == 0.0:
                         continue
-                    prod = 0j
-                    for q1 in range(-k1, k1 + 1):
-                        q2 = q - q1
-                        if abs(q2) <= k2:
-                            prod += (clebsch_gordan(k1, k2, k, q1, q2, q)
-                                     * tk(s1, k1, q1) * tk(s2, k2, q2))
-                    acc += w * prod
+                    acc += w * _tensor_product(t1[k1], k1, t2[k2], k2, k, q)
             entries[(k, q)] = 6.0 * math.sqrt(3.0) / den * acc
     return TensorParams(HalfInt(2), entries)
 
@@ -359,19 +358,12 @@ def correlations_oracle(p1, p2, phi: float) -> Correlations:
     ay = -math.sin(phi) * frame.x0 + math.cos(phi) * frame.y0
     az = frame.z0
     basis = _triplet_basis()
-    proj = basis.T @ basis.conj()     # 4x4 projector onto the triplet
-    rc = np.kron(_qubit_density(v1), _qubit_density(v2))
-    rp = proj @ rc @ proj
-    rp = rp / np.trace(rp)
-
-    def s1(v):
-        return np.kron((v[0] * _SX + v[1] * _SY + v[2] * _SZ) / 2.0, _I2)
-
-    def s2(v):
-        return np.kron(_I2, (v[0] * _SX + v[1] * _SY + v[2] * _SZ) / 2.0)
+    # the normalized projection, lifted back onto the product space
+    rp = basis.T @ project_oracle(v1, v2).normalized_matrix() @ basis.conj()
 
     def corr(va, vb):
-        a, b = s1(va), s2(vb)
+        a = np.kron(_spin_along(va), _I2)
+        b = np.kron(_I2, _spin_along(vb))
         return float((np.trace(rp @ a @ b)
                       - np.trace(rp @ a) * np.trace(rp @ b)).real)
 
@@ -417,9 +409,9 @@ def verify_correlations(p1, p2, phi: float, tol: float = 1e-10) -> list[Correlat
         if abs(c - o) > tol:
             out.append(CorrelationMismatch(
                 component=comp, closed=c, oracle=o,
-                p1=tuple(round(x, 12) for x in np.asarray(p1, dtype=float)),
-                p2=tuple(round(x, 12) for x in np.asarray(p2, dtype=float)),
-                phi=phi, note=_FORMULA_NOTES.get(comp, "closed form as published")))
+                p1=tuple(round(float(x), 12) for x in np.asarray(p1, dtype=float)),
+                p2=tuple(round(float(x), 12) for x in np.asarray(p2, dtype=float)),
+                phi=float(phi), note=_FORMULA_NOTES.get(comp, "closed form as published")))
     return out
 
 

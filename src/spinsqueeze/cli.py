@@ -22,9 +22,7 @@ from .channel import (channel_squeezing, correlations, correlations_oracle,
                       couple_spin1, verify_correlations)
 from .density import (check_positivity, classify_orientation, load_state_file,
                       purity_residual)
-from .errors import (AngularMomentumError, HermiticityError,
-                     LakinFrameUndefined, NoAlignment, SchemaError,
-                     UnphysicalStateError)
+from .errors import SchemaError, UnphysicalStateError
 from .halfint import HalfInt
 # rows_as_dicts, run_scan and write_csv are unused here; they stay as
 # attributes of this module because perfbench/spans.py patches them here.
@@ -211,6 +209,8 @@ def cmd_channel(args) -> int:
             raise SchemaError(f"--{name} must be finite")
     theta = _angle(args.theta, args.degrees)
     phi = _angle(args.phi, args.degrees)
+    # a one-point scan grid applies the scan's domain check and messages
+    ScanConfig(p1=args.p1, p2=args.p2, theta=theta, phi=phi)
     p1 = args.p1 * np.array([0.0, 0.0, 1.0])
     p2 = args.p2 * np.array([math.sin(theta), 0.0, math.cos(theta)])
     state = couple_spin1(p1, p2)
@@ -315,8 +315,7 @@ def main(argv=None) -> int:
             print("eigenvalues: "
                   + " ".join(f"{x:.12g}" for x in exc.eigenvalues), file=sys.stderr)
         return EXIT_UNPHYSICAL
-    except (SchemaError, AngularMomentumError, HermiticityError,
-            LakinFrameUndefined, NoAlignment, ValueError) as exc:
+    except ValueError as exc:    # every input error of the package is one
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BrokenPipeError:

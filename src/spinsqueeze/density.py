@@ -326,6 +326,13 @@ def purity_residual(t: TensorParams) -> float:
     return math.sqrt(ts + 1) * float(np.abs(excess).max())
 
 
+def _canonical_sign(v: np.ndarray) -> np.ndarray:
+    """v or -v, whichever has its largest component positive: the one
+    sign rule for an axis that is fixed only up to sign."""
+    lead = np.argmax(np.abs(v))
+    return -v if v[lead] < 0 else v
+
+
 @dataclass(frozen=True)
 class OrientationReport:
     oriented: bool
@@ -355,12 +362,7 @@ def classify_orientation(rho: SpinDensity) -> OrientationReport:
     _, svals, vt = np.linalg.svd(a)
     if svals[-1] > 1e-10 * max(1.0, svals[0]):
         return OrientationReport(False, None, None)
-    axis = vt[-1]
-    axis = axis / np.linalg.norm(axis)
-    # deterministic sign: largest component positive
-    lead = np.argmax(np.abs(axis))
-    if axis[lead] < 0:
-        axis = -axis
+    axis = _canonical_sign(vt[-1] / np.linalg.norm(vt[-1]))
     # eigh orders the eigenvalues m of S.n ascending; reversed, the columns
     # are the |s m> states along the axis, m = s..-s
     u = np.linalg.eigh(sum(c * sa for c, sa in zip(axis, spins)))[1][:, ::-1]

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angular import EulerAngles, wigner_d_matrix
-from .density import (SpinDensity, TensorParams, _moments, spin_scale_rank2,
-                      to_tensors)
+from .density import (SpinDensity, TensorParams, _canonical_sign, _moments,
+                      spin_scale_rank2, to_tensors)
 from .errors import LakinFrameUndefined, NoAlignment
 
 __all__ = ["FrameResult", "rotate_tensors", "special_lakin_frame", "paaf",
@@ -153,11 +153,6 @@ def alignment_tensor(rho: SpinDensity) -> np.ndarray:
     <(S_a S_b + S_b S_a)/2> - delta_ab s(s+1)/3."""
     sv = rho.spin.value
     return _moments(rho)[1] - np.eye(3) * (sv * (sv + 1) / 3.0)
-
-
-def _canonical_sign(v: np.ndarray) -> np.ndarray:
-    lead = np.argmax(np.abs(v))
-    return -v if v[lead] < 0 else v
 
 
 def _unit_projection(target: np.ndarray, normal: np.ndarray):

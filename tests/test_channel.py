@@ -282,6 +282,18 @@ def test_zz_discrepancy_is_detected_and_explained(rng):
     assert flagged_zz > 40
 
 
+def test_mismatch_message_prints_plain_floats():
+    """A mismatch from numpy inputs stores Python floats, so its message
+    reads like the inputs and shows no numpy scalar repr."""
+    mismatches = verify_correlations(0.9 * EZ, tilted(0.85, math.pi / 3),
+                                     np.float64(0.0))
+    assert mismatches
+    for m in mismatches:
+        assert all(type(x) is float for x in (*m.p1, *m.p2, m.phi))
+        assert "p1=(0.0, 0.0, 0.9)" in str(m)
+        assert "np." not in str(m)
+
+
 def test_xy_oracle_vanishes_on_frame_axes(rng):
     for _ in range(25):
         p1 = random_polarization(rng, 0.1)

@@ -661,6 +661,21 @@ def test_channel_non_finite_input_exits_2(capsys, option, value):
     assert option in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--p1", "-0.5", "--p2", "0.85", "--theta", "1"], "|p1| must lie in [0, 1]"),
+    (["--p1", "0.9", "--p2", "1.5", "--theta", "1"], "|p2| must lie in [0, 1]"),
+    (["--p1", "0.9", "--p2", "0.85", "--theta", "400", "--degrees"], "theta must lie"),
+    (["--p1", "0.9", "--p2", "0.85", "--theta", "-0.1"], "theta must lie"),
+])
+def test_channel_rejects_points_outside_the_scan_domain(capsys, argv, message):
+    """channel exits 2 on the points scan rejects, with scan's message."""
+    code, out, err = run(capsys, ["channel", *argv])
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert run(capsys, ["scan", *argv]) == (2, "", err)
+
+
 def test_channel_degenerate_exits_2(capsys):
     code, _, err = run(capsys, ["channel", "--p1", "1", "--p2", "1",
                                 "--theta", "180", "--degrees"])
