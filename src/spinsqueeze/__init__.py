@@ -13,8 +13,9 @@ from .channel import (ChannelFrame, ChannelSqueezing, ChannelState,
                       Correlations, CorrelationMismatch, ThresholdScanConfig,
                       ThresholdScanResult, channel_geometry,
                       channel_squeezing, correlations, correlations_oracle,
-                      couple_spin1, couple_spin1_9j, project_oracle,
-                      threshold_scan, verify_correlations)
+                      couple_spin1, couple_spin1_9j, exact_thresholds,
+                      max_margin, project_oracle, threshold_scan,
+                      verify_correlations)
 from .density import (OrientationReport, PositivityReport, SpinDensity,
                       Spin1Bound, TensorParams, check_positivity,
                       classify_orientation, from_tensors, load_state_file,

@@ -19,6 +19,11 @@ the projected pair are evaluated both from published closed forms
 (verbatim, see :func:`correlations`) and from matrix arithmetic on that
 projection (:func:`correlations_oracle`); genuine disagreements between
 the two are reported by :func:`verify_correlations`, never patched over.
+
+The squeezing boundary is also closed: :func:`max_margin` gives the
+margin maximised over theta and phi for any pair of magnitudes, and
+:func:`exact_thresholds` the least magnitudes that admit squeezing,
+from which :func:`threshold_scan` starts its grid search.
 """
 
 from __future__ import annotations
@@ -43,11 +48,16 @@ __all__ = [
     "ChannelFrame", "ChannelState", "ChannelSqueezing", "Correlations",
     "CorrelationMismatch", "couple_spin1", "couple_spin1_9j", "project_oracle",
     "channel_geometry", "channel_squeezing", "correlations",
-    "correlations_oracle", "verify_correlations",
+    "correlations_oracle", "compare_correlations", "verify_correlations",
+    "max_margin", "exact_thresholds",
     "ThresholdScanConfig", "ThresholdScanResult", "threshold_scan",
 ]
 
 _I2 = np.eye(2, dtype=complex)
+# |p| may exceed 1 by this much: the norm of a normalised vector
+# overshoots 1 by at most one ulp, while any real excess is rejected as
+# the scan domain rejects a magnitude above 1
+_NORM_SLACK = 4.0 * np.finfo(float).eps
 
 
 def _as_polarization(p, name: str) -> np.ndarray:
@@ -58,7 +68,7 @@ def _as_polarization(p, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be finite")
     with np.errstate(over="ignore"):    # |v| near 1e308 is inf, still > 1
         norm = np.linalg.norm(v)
-    if norm > 1.0 + 1e-12:
+    if norm > 1.0 + _NORM_SLACK:
         raise ValueError(f"|{name}| = {norm:.6g} exceeds 1")
     return v
 
@@ -400,8 +410,15 @@ def verify_correlations(p1, p2, phi: float, tol: float = 1e-10) -> list[Correlat
     oracle by more than ``tol``, naming the formula involved. The oracle
     is authoritative; the closed forms are never adjusted.
     """
-    closed = correlations(p1, p2, phi)
-    oracle = correlations_oracle(p1, p2, phi)
+    return compare_correlations(correlations(p1, p2, phi),
+                                correlations_oracle(p1, p2, phi),
+                                p1, p2, phi, tol)
+
+
+def compare_correlations(closed: Correlations, oracle: Correlations, p1, p2,
+                         phi: float, tol: float = 1e-10) -> list[CorrelationMismatch]:
+    """:func:`verify_correlations` on a pair already evaluated at
+    (p1, p2, phi), for callers that also report the two."""
     out = []
     for comp in ("xx", "yy", "zz", "xz", "zy", "xy"):
         c = getattr(closed, comp)
@@ -413,6 +430,86 @@ def verify_correlations(p1, p2, phi: float, tol: float = 1e-10) -> list[Correlat
                 p2=tuple(round(float(x), 12) for x in np.asarray(p2, dtype=float)),
                 phi=float(phi), note=_FORMULA_NOTES.get(comp, "closed form as published")))
     return out
+
+
+# ---------------------------------------------------------------------------
+# The squeezing boundary in closed form
+# ---------------------------------------------------------------------------
+#
+# With a = |p1|, b = |p2| and u = |p1 + p2|, |p1 x p2|^2 = a^2 b^2 - p1.p2^2
+# and p1.p2 = (u^2 - a^2 - b^2)/2, so the margin is
+#
+#     q = u/2 - 1 + cos^2(phi) (4 a^2 b^2 - (u^2 - a^2 - b^2)^2)/(4 u^2),
+#
+# largest at cos^2(phi) = 1, where
+#
+#     q(u) = u/2 - u^2/4 + (a^2 + b^2)/2 - (a^2 - b^2)^2/(4 u^2) - 1.
+#
+# q''(u) = -1/2 - 3 (a^2 - b^2)^2/(2 u^4) < 0, so over theta in [0, pi],
+# i.e. u in [|a - b|, a + b], q peaks at the root u* >= 1 of
+# u^4 - u^3 = (a^2 - b^2)^2 or at the nearer end of that interval, which
+# for a, b <= 1 is a + b. At u*, max q = 3u*/4 - u*^2/2 + (a^2 + b^2)/2 - 1,
+# so the boundary max q = 0 is the curve
+#
+#     a^2 + b^2 = u^2 - 3u/2 + 2,    |a^2 - b^2| = u sqrt(u^2 - u),
+#
+# for u in [1, 9/8] (Kitagawa & Ueda, PRA 47, 5138 (1993), for the
+# criterion q > 0).
+
+
+def _quartic_root(c):
+    """The root u >= 1 of u^4 - u^3 = c for c >= 0, elementwise.
+
+    Ferrari: u^4 - u^3 - c = (u^2 - u/2 + m)^2 - (k u - m/(2k))^2 with
+    k^2 = 1/4 + 2m, where w = 2m solves the resolvent w^3 + 4c w + c = 0,
+    whose one real root has the hyperbolic form below (w = 0 at c = 0).
+    u is the larger root of u^2 - (1/2 + k) u + m (1 + 1/(2k)) = 0.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = -4.0 * np.sqrt(c / 3.0) * np.sinh(
+            np.arcsinh(3.0 * math.sqrt(3.0) / (16.0 * np.sqrt(c))) / 3.0)
+    w = np.where(c == 0.0, 0.0, w)
+    k = np.sqrt(0.25 + w)
+    h = 0.5 + k
+    return 0.5 * (h + np.sqrt(h * h - 2.0 * w * (1.0 + 0.5 / k)))
+
+
+def max_margin(p1_mag, p2_mag):
+    """The squeezing margin q maximised over theta in [0, pi] and phi, for
+    polarization magnitudes ``p1_mag``, ``p2_mag`` in [0, 1] (arrays
+    broadcast). The pair can be squeezed exactly where it is positive.
+    NaN where both magnitudes vanish: then p1 + p2 = 0 at every theta and
+    the kernel's q is NaN everywhere."""
+    a = np.asarray(p1_mag, dtype=float)
+    b = np.asarray(p2_mag, dtype=float)
+    if not (np.all((a >= 0.0) & (a <= 1.0)) and np.all((b >= 0.0) & (b <= 1.0))):
+        raise ValueError("polarization magnitudes must lie in [0, 1]")
+    a2 = a * a
+    b2 = b * b
+    d = a2 - b2
+    u = np.minimum(_quartic_root(d * d), a + b)
+    with np.errstate(invalid="ignore"):    # 0/0 only where a = b = 0
+        half = d / (2.0 * u)
+    return (0.5 * u - 0.25 * u * u + 0.5 * (a2 + b2) - half * half - 1.0)[()]
+
+
+def _boundary_magnitudes(u):
+    """(a, b), a <= b, on the boundary max q = 0 where the margin peaks at
+    |p1 + p2| = u, for u in [1, 9/8]."""
+    s = u * u - 1.5 * u + 2.0
+    d = u * np.sqrt(u * u - u)
+    return np.sqrt(0.5 * (s - d)), np.sqrt(0.5 * (s + d))
+
+
+def exact_thresholds() -> tuple[float, float]:
+    """The least magnitudes that admit squeezing, ``(equal, vs_pure)``:
+    sqrt(3)/2 for |p1| = |p2| (a = b puts the peak at u = 1) and
+    sqrt(37)/8 for |p1| against |p2| = 1 (b = 1 turns the boundary into
+    3/2 - u = sqrt(u^2 - u), so u = 9/8 and a^2 = 37/64). max_margin
+    grows with P along both families, so no smaller P is squeezed."""
+    equal, _ = _boundary_magnitudes(1.0)
+    vs_pure, _ = _boundary_magnitudes(9.0 / 8.0)
+    return float(equal), float(vs_pure)
 
 
 # ---------------------------------------------------------------------------
@@ -453,17 +550,24 @@ class ThresholdScanResult:
     theta_resolution: float
 
 
-def _first_squeezed(p_values: np.ndarray, theta: np.ndarray,
+def _first_squeezed(p_values: np.ndarray, theta: np.ndarray, exact: float,
                     pure_partner: bool) -> float:
     """Smallest P in ``p_values`` (ascending) with a squeezed point on the
-    theta grid at phi = 0, or inf. The margin is evaluated alone, for as
-    many P at once as fill one kernel block (at least one)."""
+    theta grid at phi = 0, or inf. The sweep starts at the last P below
+    the exact threshold ``exact`` by a relative 1e-9, where max q is below
+    -5e-10; max q grows with P, so no earlier P is squeezed. The
+    margin is evaluated alone, for as many P at once as fill one kernel
+    block (at least one). A squeezed starting row means the kernel and
+    the closed form disagree, which raises :class:`RuntimeError`."""
     nt = theta.size
     per_call = max(1, _kernel.BLOCK // nt)
+    # a count gives np.searchsorted's index on an ascending grid, and does
+    # not page in the ~64 kB of numpy code a first searchsorted call does
+    start = int(np.count_nonzero(p_values < exact * (1.0 - 1e-9))) - 1
     theta_rows = np.tile(theta, per_call)
     phi = np.zeros(theta_rows.size)
     ones = np.ones(theta_rows.size)
-    for lo in range(0, p_values.size, per_call):
+    for lo in range(start, p_values.size, per_call):
         ps = p_values[lo:lo + per_call]
         n = ps.size * nt
         a = np.repeat(ps, nt)
@@ -471,28 +575,37 @@ def _first_squeezed(p_values: np.ndarray, theta: np.ndarray,
         q = _kernel._margin(a, b, theta_rows[:n], phi[:n])
         squeezed = (q > MARGIN_TOL).reshape(ps.size, nt).any(axis=1)
         if squeezed.any():
-            return float(ps[squeezed.argmax()])
+            first = int(squeezed.argmax())
+            if lo == start and first == 0:
+                raise RuntimeError(
+                    f"the kernel finds P = {ps[0]!r} squeezed (q = "
+                    f"{np.nanmax(q[:nt])!r}) below the exact threshold "
+                    f"{exact!r}")
+            return float(ps[first])
     return math.inf
 
 
 def threshold_scan(config: ThresholdScanConfig = ThresholdScanConfig()) -> ThresholdScanResult:
-    """Least polarization magnitudes that admit squeezing.
+    """Least polarization magnitudes that admit squeezing, on a grid.
 
-    (a) equal magnitudes |p1| = |p2| = P: scan (P, theta) at phi = 0 for
-    the smallest squeezed P (the analytic optimum over theta gives the
-    margin P^2 - 3/4, so the true threshold is sqrt(3)/2);
-    (b) against a pure partner |p2| = 1: the smallest squeezed |p1|.
+    (a) equal magnitudes |p1| = |p2| = P: the smallest P on a uniform
+    grid over [0, 1] with a squeezed point on the theta grid at phi = 0;
+    (b) against a pure partner |p2| = 1: the smallest such |p1|.
 
-    Both searches sweep P upward on a uniform grid, so the reported
-    values overestimate the true thresholds by at most one grid step
-    (plus the theta-grid refinement error). They evaluate the margin q
-    alone, in batches of as many P as fill one kernel block, and stop
-    at the first batch with a squeezed point.
+    The exact values are :func:`exact_thresholds`, sqrt(3)/2 and
+    sqrt(37)/8; the grid values lie at or above them, by at most one P
+    step plus the theta-grid refinement error. Each search starts at the
+    last grid P below its exact threshold and sweeps upward, evaluating
+    the margin q alone in batches of as many P as fill one kernel block,
+    until the first batch with a squeezed point. It raises
+    :class:`RuntimeError` if that first P is squeezed, i.e. if the kernel
+    contradicts the closed form.
     """
     p_values = np.linspace(0.0, 1.0, config.p_points)
     theta = np.linspace(0.0, math.pi, config.theta_points + 2)[1:-1]
-    equal = _first_squeezed(p_values, theta, pure_partner=False)
-    vs_pure = _first_squeezed(p_values, theta, pure_partner=True)
+    exact_equal, exact_vs_pure = exact_thresholds()
+    equal = _first_squeezed(p_values, theta, exact_equal, pure_partner=False)
+    vs_pure = _first_squeezed(p_values, theta, exact_vs_pure, pure_partner=True)
     return ThresholdScanResult(
         min_polarization_equal=equal,
         min_polarization_vs_pure=vs_pure,

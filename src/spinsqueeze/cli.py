@@ -18,8 +18,8 @@ import numpy as np
 
 from .angular import (EulerAngles, clebsch_gordan_exact, wigner_6j_exact,
                       wigner_9j, wigner_d)
-from .channel import (channel_squeezing, correlations, correlations_oracle,
-                      couple_spin1, verify_correlations)
+from .channel import (channel_squeezing, compare_correlations, correlations,
+                      correlations_oracle, couple_spin1)
 from .density import (check_positivity, classify_orientation, load_state_file,
                       purity_residual)
 from .errors import SchemaError, UnphysicalStateError
@@ -217,7 +217,7 @@ def cmd_channel(args) -> int:
     sq = channel_squeezing(p1, p2, phi)
     closed = correlations(p1, p2, phi)
     oracle = correlations_oracle(p1, p2, phi)
-    mismatches = verify_correlations(p1, p2, phi)
+    mismatches = compare_correlations(closed, oracle, p1, p2, phi)
     report = {
         "p1_mag": args.p1, "p2_mag": args.p2,
         "theta_rad": theta, "phi_rad": phi,

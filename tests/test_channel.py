@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import scan_oracle
@@ -19,9 +19,10 @@ from spinsqueeze import (ThresholdScanConfig, analyze,
                          correlations_oracle, couple_spin1, couple_spin1_9j,
                          project_oracle, threshold_scan, to_tensors,
                          verify_correlations)
-from spinsqueeze import _kernel
+from spinsqueeze import _kernel, channel
+from spinsqueeze.channel import exact_thresholds, max_margin
 from spinsqueeze.errors import LakinFrameUndefined
-from spinsqueeze.scan import MAX_SCAN_ROWS
+from spinsqueeze.scan import MAX_SCAN_ROWS, ScanConfig
 
 EZ = np.array([0.0, 0.0, 1.0])
 
@@ -63,8 +64,41 @@ def test_antiparallel_pure_loses_polarization():
 
 
 def test_polarization_magnitude_validated():
-    with pytest.raises(ValueError):
-        couple_spin1([0, 0, 1.001], EZ)
+    """A norm above 1 by more than rounding is outside the library's
+    domain, as the same magnitude is outside the scan's."""
+    for mag in (1.001, 1 + 5e-13):
+        with pytest.raises(ValueError, match="exceeds 1"):
+            couple_spin1([0, 0, mag], EZ)
+        with pytest.raises(ValueError, match="exceeds 1"):
+            channel_squeezing([0, 0, 0.5], [0, 0, mag], 0.0)
+        with pytest.raises(ValueError):
+            ScanConfig(p1=mag, p2=0.5, theta=0.0, phi=0.0)
+
+
+unit_component = st.floats(-1.0, 1.0)
+
+
+@settings(deadline=None, max_examples=60)
+@given(unit_component, unit_component, unit_component, st.floats(0.0, math.pi))
+@example(1.0, 1.0, 1.0, 0.3)
+@example(0.1, 0.7, -0.3, math.pi / 3)
+def test_unit_polarizations_accepted_by_every_route(x, y, z, theta):
+    """A normalised vector, whose norm may round one ulp above 1, and the
+    unit vector the channel command builds are inside every route's
+    domain."""
+    v = np.array([x, y, z])
+    norm = np.linalg.norm(v)
+    assume(norm > 1e-3)
+    p1 = v / norm
+    p2 = np.array([math.sin(theta), 0.0, math.cos(theta)])
+    couple_spin1(p1, p2)
+    couple_spin1_9j(p1, p2)
+    project_oracle(p1, p2)
+    assume(np.linalg.norm(p1 + p2) > 1e-6)
+    channel_geometry(p1, p2)
+    channel_squeezing(p1, p2, 0.0)
+    correlations(p1, p2, 0.0)
+    verify_correlations(p1, p2, 0.0)
 
 
 @pytest.mark.parametrize("func", [channel_squeezing, correlations,
@@ -389,26 +423,145 @@ def assert_thresholds_match_oracle(config: ThresholdScanConfig):
 
 @settings(deadline=None, max_examples=8)
 @given(st.integers(200, 415), st.integers(200, 415))
-# the equal-magnitude threshold is the first P of a batch (277, 200) and
-# the last P of one (270, 205)
-@example(277, 200)
-@example(270, 205)
+# counted from the sweep's first P, the last below sqrt(3)/2, the
+# equal-magnitude threshold is the first P of the second batch
+# (2912, 2731) and the last P of the first batch (200, 2731)
+@example(2912, 2731)
+@example(200, 2731)
+@example(408, 411)
+@example(415, 400)
 def test_threshold_scan_equals_per_p_oracle(p_points, theta_points):
     assert_thresholds_match_oracle(ThresholdScanConfig(p_points, theta_points))
 
 
-@pytest.mark.parametrize("p_points, theta_points, index", [(277, 200, 0),
-                                                           (270, 205, -1)])
+@pytest.mark.parametrize("p_points, theta_points, index", [(2912, 2731, 0),
+                                                           (200, 2731, -1)])
 def test_threshold_examples_sit_on_batch_boundaries(p_points, theta_points, index):
-    """The explicit examples above test what they claim: the threshold's
-    P index is the first or the last of a block-sized batch of P."""
+    """The explicit examples above test what they claim: counted from the
+    last P below sqrt(3)/2, where the sweep starts, the threshold's P
+    index is the first or the last of a block-sized batch of P."""
     per_call = _kernel.BLOCK // theta_points
+    assert per_call > 1
+    start = np.count_nonzero(np.linspace(0.0, 1.0, p_points) < math.sqrt(3) / 2) - 1
     res = threshold_scan(ThresholdScanConfig(p_points, theta_points))
-    i = round(res.min_polarization_equal * (p_points - 1))
-    assert i % per_call == index % per_call
+    offset = round(res.min_polarization_equal * (p_points - 1)) - start
+    assert offset > 0
+    assert offset % per_call == index % per_call
 
 
 def test_threshold_scan_one_p_per_call_above_block():
     config = ThresholdScanConfig(p_points=200, theta_points=_kernel.BLOCK + 1)
     assert _kernel.BLOCK // config.theta_points == 0
     assert_thresholds_match_oracle(config)
+
+
+def test_threshold_scan_starts_one_row_below_the_exact_threshold(monkeypatch):
+    """On the default grid each search evaluates one block-sized batch of
+    P, the one that starts below its exact threshold."""
+    sizes = []
+    inner = _kernel._margin
+
+    def margin(a, b, theta, phi):
+        sizes.append(a.size)
+        return inner(a, b, theta, phi)
+
+    monkeypatch.setattr(_kernel, "_margin", margin)
+    threshold_scan()
+    assert len(sizes) == 2
+    assert max(sizes) <= _kernel.BLOCK
+
+
+def test_threshold_scan_raises_when_the_kernel_contradicts_the_closed_form(monkeypatch):
+    # a claimed threshold above sqrt(3)/2 starts the sweep on a squeezed P
+    monkeypatch.setattr(channel, "exact_thresholds",
+                        lambda: (0.9, math.sqrt(37) / 8))
+    with pytest.raises(RuntimeError, match="below the exact threshold"):
+        threshold_scan()
+
+
+# ---------------------------------------------------------------------------
+# the squeezing boundary in closed form
+# ---------------------------------------------------------------------------
+
+magnitude = st.floats(0.0, 1.0)
+
+
+def kernel_margin(a, b, theta, phi):
+    """The kernel's q at each theta (array) for one (a, b, phi)."""
+    theta = np.asarray(theta, dtype=float).reshape(-1)
+    n = theta.size
+    return _kernel._margin(np.full(n, a), np.full(n, b), theta, np.full(n, phi))
+
+
+def test_exact_thresholds():
+    equal, vs_pure = exact_thresholds()
+    assert abs(equal - math.sqrt(3) / 2) <= 1e-15
+    assert abs(vs_pure - math.sqrt(37) / 8) <= 1e-15
+    assert abs(max_margin(equal, equal)) <= 1e-12
+    assert abs(max_margin(vs_pure, 1.0)) <= 1e-12
+
+
+@given(magnitude, magnitude, st.floats(0.0, math.pi), st.floats(-math.pi, math.pi))
+def test_max_margin_bounds_the_kernel_margin(a, b, theta, phi):
+    q = kernel_margin(a, b, theta, phi)[0]
+    assume(not math.isnan(q))
+    assert q <= max_margin(a, b) + 1e-12
+
+
+@settings(deadline=None, max_examples=50)
+@given(magnitude, magnitude)
+@example(math.sqrt(3) / 2, math.sqrt(3) / 2)
+@example(math.sqrt(37) / 8, 1.0)
+@example(1.0, 0.0)
+@example(0.4, 0.4)
+def test_max_margin_is_the_dense_theta_maximum(a, b):
+    """Against the kernel on 20,001 theta points at phi = 0. At its peak
+    |d^2 q/d theta^2| = |q''(u)| (ab sin theta/u)^2 <= 2, so the grid
+    maximum falls short of the true one by at most dtheta^2/4."""
+    theta = np.linspace(0.0, math.pi, 20_001)
+    q = kernel_margin(a, b, theta, 0.0)
+    assume(not np.isnan(q).all())
+    gap = max_margin(a, b) - np.nanmax(q)
+    assert -1e-12 <= gap <= (theta[1] - theta[0]) ** 2 / 4
+
+
+@given(magnitude, magnitude, st.floats(0.0, math.pi), st.floats(-math.pi, math.pi))
+def test_margin_as_a_function_of_the_resultant(a, b, theta, phi):
+    """With u = |p1 + p2| the kernel's q is
+    u/2 - 1 + cos^2(phi) (4a^2b^2 - (u^2 - a^2 - b^2)^2)/(4u^2), which at
+    phi = 0 is u/2 - u^2/4 + (a^2 + b^2)/2 - (a^2 - b^2)^2/(4u^2) - 1."""
+    u = float(np.linalg.norm(tilted(a, 0.0) + tilted(b, theta)))
+    assume(u >= 0.1)
+    cross2 = 4 * a * a * b * b - (u * u - a * a - b * b) ** 2
+    q = kernel_margin(a, b, theta, phi)[0]
+    assert q == pytest.approx(u / 2 - 1 + math.cos(phi) ** 2 * cross2 / (4 * u * u),
+                              abs=1e-12)
+    q0 = kernel_margin(a, b, theta, 0.0)[0]
+    assert q0 == pytest.approx(u / 2 - u * u / 4 + (a * a + b * b) / 2
+                               - (a * a - b * b) ** 2 / (4 * u * u) - 1, abs=1e-12)
+
+
+@given(st.floats(1.0, 9 / 8))
+def test_max_margin_vanishes_on_the_boundary_curve(u):
+    a, b = channel._boundary_magnitudes(u)
+    assert abs(max_margin(a, min(b, 1.0))) <= 1e-12
+
+
+@given(magnitude, magnitude)
+def test_max_margin_grows_along_both_threshold_families(p, p2):
+    """Why the threshold sweep may start below the exact threshold: no
+    smaller P has a larger maximal margin."""
+    lo, hi = sorted((p, p2))
+    assert max_margin(lo, 1.0) <= max_margin(hi, 1.0) + 1e-15
+    assume(lo > 0.0)
+    assert max_margin(lo, lo) <= max_margin(hi, hi) + 1e-15
+
+
+def test_max_margin_domain():
+    assert math.isnan(max_margin(0.0, 0.0))
+    assert max_margin(1.0, 0.0) == -0.5
+    assert np.array_equal(max_margin([0.5, 1.0], 1.0),
+                          [max_margin(0.5, 1.0), max_margin(1.0, 1.0)])
+    for bad in (-0.1, 1 + 5e-13, math.nan):
+        with pytest.raises(ValueError, match="must lie in"):
+            max_margin(bad, 0.5)

@@ -650,6 +650,31 @@ def test_channel_point_reports_zz_mismatch_for_mixed_inputs(capsys):
     assert not any("C_xy" in m for m in report["correlation_mismatches"])
 
 
+def test_channel_evaluates_each_correlation_route_once(capsys, monkeypatch):
+    """The report and its mismatch list share one closed-form and one
+    oracle evaluation."""
+    from spinsqueeze import channel
+    calls = {"closed": 0, "oracle": 0}
+
+    def counted(key, func):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    closed = counted("closed", channel.correlations)
+    monkeypatch.setattr(channel, "correlations", closed)
+    monkeypatch.setattr(cli, "correlations", closed)
+    # every oracle route projects the pair once
+    monkeypatch.setattr(channel, "project_oracle",
+                        counted("oracle", channel.project_oracle))
+    code, out, _ = run(capsys, ["channel", "--p1", "0.9", "--p2", "0.85",
+                                "--theta", "60", "--phi", "0", "--degrees"])
+    assert code == 0
+    assert calls == {"closed": 1, "oracle": 1}
+    assert any("C_zz" in m for m in json.loads(out)["correlation_mismatches"])
+
+
 @pytest.mark.parametrize("option", ["--p1", "--p2", "--theta", "--phi"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_channel_non_finite_input_exits_2(capsys, option, value):
