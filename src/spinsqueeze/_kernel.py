@@ -1,13 +1,24 @@
-"""Scan kernel: closed-form channel-pair evaluation on flat point arrays.
+"""The coupled pair's closed forms, and the scan kernel that evaluates them
+on flat point arrays.
 
-numpy-vectorised on blocks of about :data:`BLOCK` points:
-:func:`evaluate_into` fills all 14 columns, and the threshold search
-reads the q_value column alone from :func:`_margin`. Both take q and the
-terms it shares with the other columns from one helper. Every
-column is the same expression, in the same operation order, as the
-per-point loop kept as the reference in ``tests/scan_oracle.py``, and
-the tests require the two to agree bit for bit: elementwise float64
-ufuncs round each operation exactly as scalar arithmetic does.
+Two layers:
+
+* :func:`_invariants` turns scan coordinates (|p1|, |p2|, theta) into
+  the pair invariants a^2, b^2, p1.p2, |p1 + p2|^2, |p1 x p2| and
+  sin theta;
+* :func:`_closed_forms` turns those invariants, with cos phi and
+  sin phi, into every column but the squeezed flag.
+
+The scalar API in ``channel.py`` computes the same invariants from the
+polarization vectors and calls :func:`_closed_forms` on floats, so each
+formula exists once. :func:`evaluate_into` fills all 14 columns for
+scans in blocks of about :data:`BLOCK` points, and the threshold search
+reads the q_value column alone from :func:`_margin`; both take q from
+:func:`_margin_terms`. Every column is the same expression, in the same
+operation order, as the per-point loop kept as the reference in
+``tests/scan_oracle.py``, and the tests require the two to agree bit for
+bit: elementwise float64 ufuncs round each operation exactly as scalar
+arithmetic does.
 
 Column layout (matches scan.COLUMNS):
   0 weight, 1 t1_0, 2 t2_0, 3 t2_2, 4 variance_perp, 5 sz_half,
@@ -36,80 +47,80 @@ MARGIN_TOL = 1e-12
 BLOCK = 8192
 
 
-def _shared_terms(a, b, theta, phi):
-    """The squeezing margin q and the terms every other column is built
-    from: ``(q, |p1 + p2|^2, sin theta, cos phi, a^2, b^2, p1.p2,
-    |p1 x p2|, |p1 x p2|^2, |p1 + p2|, cos^2 phi)``. Rows with p1 + p2 = 0
-    divide by zero, so callers run it under ``np.errstate`` and
-    overwrite those rows."""
-    ct = np.cos(theta)
+def _invariants(a, b, theta):
+    """Pair invariants from scan coordinates a = |p1|, b = |p2| and the
+    opening angle theta in [0, pi]: ``(a^2, b^2, p1.p2, |p1 + p2|^2,
+    |p1 x p2|, sin theta)``."""
     st = np.sin(theta)
-    cp = np.cos(phi)
     a2 = a * a
     b2 = b * b
-    pd = a * b * ct
-    ps2 = a2 + b2 + 2.0 * pd
-    cross = a * b * st          # |p1 x p2|, theta in [0, pi]
+    pd = a * b * np.cos(theta)
+    return a2, b2, pd, a2 + b2 + 2.0 * pd, a * b * st, st
+
+
+def _margin_terms(ps2, cross, cp):
+    """The squeezing margin q with the terms it shares with the other
+    columns: ``(q, |p1 + p2|, |p1 x p2|^2, cos^2 phi)``."""
     cross2 = cross * cross
     ps = np.sqrt(ps2)
     cp2 = cp * cp
-    q = 0.5 * ps + cross2 / ps2 * cp2 - 1.0
-    return q, ps2, st, cp, a2, b2, pd, cross, cross2, ps, cp2
+    return 0.5 * ps + cross2 / ps2 * cp2 - 1.0, ps, cross2, cp2
+
+
+def _closed_forms(a2, b2, pd, ps2, cross, st, cp, sp):
+    """Every closed form of the coupled pair, from the invariants of
+    :func:`_invariants` and cos phi, sin phi (arrays or floats):
+    ``(weight, t1_0, t2_0, t2_2, variance_perp, sz_half, q_value, c_xx,
+    c_yy, c_zz, c_xz, c_zy)``, tensor parameters in the distinguished
+    frame and correlations as published. |p1 + p2|^2 = 0 divides by
+    zero, so array callers run it under ``np.errstate`` and overwrite
+    those rows."""
+    q, ps, cross2, cp2 = _margin_terms(ps2, cross, cp)
+    den = 3.0 + pd
+    c2p = cp2 - sp * sp
+    px1 = cross / ps
+    pz1 = (a2 + pd) / ps
+    pz2 = (b2 + pd) / ps
+    t20 = 2.0 * _SQRT3 / den * (_SQRT23 * pz1 * pz2 + px1 * px1 / _SQRT6)
+    var = 2.0 * (ps2 - cross2 * cp2) / (den * ps2)
+    sin2t = st * st
+    cxx = (ps2 - pd * (a2 + b2) - 2.0 * a2 * b2 * (1.0 + sin2t * c2p)) / (4.0 * den * ps2)
+    cyy = (ps2 - 2.0 * a2 * b2 * (1.0 - sin2t * c2p) - pd * (a2 + b2)) / (4.0 * den * ps2)
+    cxz = cross * (b2 - a2) * cp / (2.0 * den * ps2)
+    pn = 4.0 * a2 * b2 + 2.0 * pd * (a2 + b2) - sin2t
+    czz = 1.0 / 12.0 - ps2 / (den * den) + pn / (3.0 * den * ps2)
+    czy = (a2 - b2) * cross * sp / (2.0 * den * ps2)
+    return (den / 12.0, _SQRT6 * ps / den, t20, -_SQRT3 * px1 * px1 / den,
+            var, ps / den, q, cxx, cyy, czz, cxz, czy)
 
 
 def _margin(a, b, theta, phi):
     """The q_value column alone for a batch of points, the same bits as
     :func:`evaluate_into` writes: NaN where |p1 + p2|^2 <= DEGENERATE_TOL2."""
+    _, _, _, ps2, cross, _ = _invariants(a, b, theta)
     with np.errstate(divide="ignore", invalid="ignore"):
-        q, ps2, *_ = _shared_terms(a, b, theta, phi)
+        q, *_ = _margin_terms(ps2, cross, np.cos(phi))
     q[ps2 <= DEGENERATE_TOL2] = np.nan
     return q
+
+
+# out columns of _closed_forms' values; 7 is the squeezed flag, 13 is c_xy = 0
+_COLUMNS = (0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12)
 
 
 def evaluate_into(a, b, theta, phi, out):
     """Fill out[i, :] for one block of points: a = |p1|, b = |p2|, theta
     and phi are length-N float64 arrays (out N x 14), theta in [0, pi].
     Callers pass at most :data:`BLOCK` points at a time."""
+    a2, b2, pd, ps2, cross, st = _invariants(a, b, theta)
     # degenerate rows divide by zero; their columns are overwritten below
     with np.errstate(divide="ignore", invalid="ignore"):
-        q, ps2, st, cp, a2, b2, pd, cross, cross2, ps, cp2 = \
-            _shared_terms(a, b, theta, phi)
-        sp = np.sin(phi)
-        den = 3.0 + pd
-        weight = den / 12.0
-        c2p = cp2 - sp * sp
-        # tensor parameters in the distinguished frame
-        px1 = cross / ps
-        pz1 = (a2 + pd) / ps
-        pz2 = (b2 + pd) / ps
-        t10 = _SQRT6 * ps / den
-        t20 = 2.0 * _SQRT3 / den * (_SQRT23 * pz1 * pz2 + px1 * px1 / _SQRT6)
-        t22 = -_SQRT3 * px1 * px1 / den
-        var = 2.0 * (ps2 - cross2 * cp2) / (den * ps2)
-        szh = ps / den
-        # correlations, closed forms as published
-        sin2t = st * st
-        cxx = (ps2 - pd * (a2 + b2) - 2.0 * a2 * b2 * (1.0 + sin2t * c2p)) / (4.0 * den * ps2)
-        cyy = (ps2 - 2.0 * a2 * b2 * (1.0 - sin2t * c2p) - pd * (a2 + b2)) / (4.0 * den * ps2)
-        cxz = cross * (b2 - a2) * cp / (2.0 * den * ps2)
-        pn = 4.0 * a2 * b2 + 2.0 * pd * (a2 + b2) - sin2t
-        czz = 1.0 / 12.0 - ps2 / (den * den) + pn / (3.0 * den * ps2)
-        czy = (a2 - b2) * cross * sp / (2.0 * den * ps2)
-        out[:, 0] = weight
-        out[:, 1] = t10
-        out[:, 2] = t20
-        out[:, 3] = t22
-        out[:, 4] = var
-        out[:, 5] = szh
-        out[:, 6] = q
-        out[:, 7] = q > MARGIN_TOL
-        out[:, 8] = cxx
-        out[:, 9] = cyy
-        out[:, 10] = czz
-        out[:, 11] = cxz
-        out[:, 12] = czy
-        out[:, 13] = 0.0
-        degenerate = ps2 <= DEGENERATE_TOL2
-        if degenerate.any():
-            out[degenerate, 1:] = np.nan
-            out[np.ix_(degenerate, (1, 5, 7))] = 0.0
+        values = _closed_forms(a2, b2, pd, ps2, cross, st, np.cos(phi), np.sin(phi))
+    for j, v in zip(_COLUMNS, values):
+        out[:, j] = v
+    out[:, 7] = values[6] > MARGIN_TOL
+    out[:, 13] = 0.0
+    degenerate = ps2 <= DEGENERATE_TOL2
+    if degenerate.any():
+        out[degenerate, 1:] = np.nan
+        out[np.ix_(degenerate, (1, 5, 7))] = 0.0

@@ -15,10 +15,13 @@ Three routes to these parameters are implemented: the closed forms and
 a recoupling contraction through 9-j symbols, which share one spherical
 tensor-product helper, and an independent brute-force 4x4 projection
 (:func:`project_oracle`). Squeezing and the spin-spin correlations of
-the projected pair are evaluated both from published closed forms
-(verbatim, see :func:`correlations`) and from matrix arithmetic on that
-projection (:func:`correlations_oracle`); genuine disagreements between
-the two are reported by :func:`verify_correlations`, never patched over.
+the projected pair are evaluated both from published closed forms and
+from matrix arithmetic on that projection (:func:`correlations_oracle`);
+genuine disagreements between the two are reported by
+:func:`verify_correlations`, never patched over. The closed forms are
+the scan kernel's (``_kernel._closed_forms``): :func:`channel_squeezing`
+and :func:`correlations` feed it the invariants of the two vectors,
+where a scan feeds it those of its coordinates.
 
 The squeezing boundary is also closed: :func:`max_margin` gives the
 margin maximised over theta and phi for any pair of magnitudes, and
@@ -81,8 +84,7 @@ def _as_angle(phi, name: str) -> float:
 
 
 def _pair(p1, p2):
-    """Validated p1 and p2 with the invariants the closed forms share:
-    ``(v1, v2, p1.p2, 3 + p1.p2, |p1 + p2|^2, |p1 x p2|^2)``.
+    """Validated p1 and p2 with |p1 + p2|^2: ``(v1, v2, |p1 + p2|^2)``.
 
     Raises :class:`LakinFrameUndefined` when |p1 + p2|^2 <= DEGENERATE_TOL2,
     the scan kernel's test, so every route agrees on which pairs have a
@@ -90,13 +92,29 @@ def _pair(p1, p2):
     """
     v1 = _as_polarization(p1, "p1")
     v2 = _as_polarization(p2, "p2")
-    pd = float(np.dot(v1, v2))
     total = v1 + v2
     ps2 = float(np.dot(total, total))
     if ps2 <= DEGENERATE_TOL2:
         raise LakinFrameUndefined("p1 + p2 = 0: no distinguished frame")
-    cross = np.cross(v1, v2)
-    return v1, v2, pd, 3.0 + pd, ps2, float(np.dot(cross, cross))
+    return v1, v2, ps2
+
+
+def _scalar_closed_forms(p1, p2, phi):
+    """The scan kernel's closed forms (:func:`_kernel._closed_forms`) at
+    one pair and azimuth, from the invariants of the two vectors.
+    |p1 + p2|^2 is summed from the vectors, so it keeps its accuracy near
+    p1 + p2 = 0, and sin theta = |p1 x p2|/(|p1| |p2|), or 0 where a
+    polarization vanishes."""
+    v1, v2, ps2 = _pair(p1, p2)
+    phi = _as_angle(phi, "phi")
+    # hypot neither under- nor overflows, so sin theta keeps its digits
+    # however small a polarization is
+    a = math.hypot(*v1)
+    b = math.hypot(*v2)
+    cross = math.hypot(*np.cross(v1, v2))
+    st = cross / (a * b) if a * b > 0.0 else 0.0
+    return _kernel._closed_forms(a * a, b * b, float(np.dot(v1, v2)), ps2, cross,
+                                 st, math.cos(phi), math.sin(phi))
 
 
 def _spherical(v: np.ndarray) -> dict[int, complex]:
@@ -190,7 +208,7 @@ def channel_geometry(p1, p2) -> ChannelFrame:
 
     Raises :class:`LakinFrameUndefined` when p1 + p2 vanishes.
     """
-    v1, v2, _, _, ps2, _ = _pair(p1, p2)
+    v1, v2, ps2 = _pair(p1, p2)
     z0 = (v1 + v2) / math.sqrt(ps2)
     trans = v1 - np.dot(v1, z0) * z0
     # when p1 and p2 are nearly collinear the subtraction cancels most
@@ -299,15 +317,9 @@ class ChannelSqueezing:
 def channel_squeezing(p1, p2, phi: float) -> ChannelSqueezing:
     """Evaluate the closed forms for the transverse variance, the mean
     spin and the squeezing margin of the projected pair."""
-    _, _, _, den, ps2, cross2 = _pair(p1, p2)
-    phi = _as_angle(phi, "phi")
-    ps = math.sqrt(ps2)
-    cp = math.cos(phi)
-    var = 2.0 * (ps2 - cross2 * cp * cp) / (den * ps2)
-    sz = 2.0 * ps / den
-    q = 0.5 * ps + cross2 / ps2 * cp * cp - 1.0
-    return ChannelSqueezing(variance_perp=var, sz_expect=sz, q_value=q,
-                            squeezed=bool(q > MARGIN_TOL))
+    _, _, _, _, var, szh, q, *_ = _scalar_closed_forms(p1, p2, phi)
+    return ChannelSqueezing(variance_perp=float(var), sz_expect=float(2.0 * szh),
+                            q_value=float(q), squeezed=bool(q > MARGIN_TOL))
 
 
 @dataclass(frozen=True)
@@ -333,22 +345,9 @@ def correlations(p1, p2, phi: float) -> Correlations:
     disagree with direct matrix arithmetic in parts of parameter space;
     see :func:`verify_correlations`.
     """
-    v1, v2, pd, den, ps2, cross2 = _pair(p1, p2)
-    phi = _as_angle(phi, "phi")
-    a2 = float(np.dot(v1, v1))
-    b2 = float(np.dot(v2, v2))
-    crossn = math.sqrt(cross2)
-    sin2t = cross2 / (a2 * b2) if a2 * b2 > DEGENERATE_TOL2 else 0.0
-    c2p = math.cos(2.0 * phi)
-    cp = math.cos(phi)
-    sp = math.sin(phi)
-    cxx = (ps2 - pd * (a2 + b2) - 2.0 * a2 * b2 * (1.0 + sin2t * c2p)) / (4.0 * den * ps2)
-    cyy = (ps2 - 2.0 * a2 * b2 * (1.0 - sin2t * c2p) - pd * (a2 + b2)) / (4.0 * den * ps2)
-    cxz = crossn * (b2 - a2) * cp / (2.0 * den * ps2)
-    pn = 4.0 * a2 * b2 + 2.0 * pd * (a2 + b2) - sin2t
-    czz = 1.0 / 12.0 - ps2 / (den * den) + pn / (3.0 * den * ps2)
-    czy = (a2 - b2) * crossn * sp / (2.0 * den * ps2)
-    return Correlations(xx=cxx, yy=cyy, zz=czz, xz=cxz, zy=czy, xy=0.0)
+    *_, cxx, cyy, czz, cxz, czy = _scalar_closed_forms(p1, p2, phi)
+    return Correlations(xx=float(cxx), yy=float(cyy), zz=float(czz),
+                        xz=float(cxz), zy=float(czy), xy=0.0)
 
 
 def correlations_oracle(p1, p2, phi: float) -> Correlations:

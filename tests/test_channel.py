@@ -22,7 +22,7 @@ from spinsqueeze import (ThresholdScanConfig, analyze,
 from spinsqueeze import _kernel, channel
 from spinsqueeze.channel import exact_thresholds, max_margin
 from spinsqueeze.errors import LakinFrameUndefined
-from spinsqueeze.scan import MAX_SCAN_ROWS, ScanConfig
+from spinsqueeze.scan import COLUMNS, MAX_SCAN_ROWS, ScanConfig, evaluate_points
 
 EZ = np.array([0.0, 0.0, 1.0])
 
@@ -216,20 +216,36 @@ def test_degenerate_sum_rejected():
         channel_squeezing(EZ, -EZ, 0.0)
 
 
-def test_closed_form_agrees_with_generic_analyzer(rng):
-    for _ in range(150):
-        p1 = random_polarization(rng)
-        p2 = random_polarization(rng)
-        if np.linalg.norm(p1 + p2) < 1e-3:
-            continue
-        ch = channel_squeezing(p1, p2, 0.0)
-        rep = analyze(project_oracle(p1, p2))
-        assert ch.squeezed == rep.squeezed
-        # q_value is the analyzer margin rescaled by (3 + p1.p2)/2
-        den = (3 + float(np.dot(p1, p2))) / 2
-        assert ch.q_value == pytest.approx(den * rep.q_margin, abs=1e-10)
-        assert ch.variance_perp == pytest.approx(rep.min_variance, abs=1e-10)
-        assert 0.5 * ch.sz_expect == pytest.approx(rep.sz_half, abs=1e-10)
+def _unit_ball_vector(r, z, azimuth):
+    rho = math.sqrt(1.0 - z * z)
+    return r * np.array([rho * math.cos(azimuth), rho * math.sin(azimuth), z])
+
+
+polarization = st.builds(_unit_ball_vector, st.floats(0.0, 1.0),
+                         st.floats(-1.0, 1.0), st.floats(0.0, 2 * math.pi))
+
+
+@settings(deadline=None, max_examples=200)
+@given(polarization, polarization, st.floats(allow_nan=False, allow_infinity=False))
+@example(EZ, tilted(1.0, math.pi / 2), 0.0)
+@example(0.9 * EZ, tilted(0.85, math.pi / 3), 0.0)
+@example(0.3 * EZ, tilted(0.2, 2.0), 1e300)
+def test_closed_form_agrees_with_generic_analyzer(p1, p2, phi):
+    """variance_perp, sz and q against analyze() on the 4x4 projection, a
+    route that shares no formula with the closed forms, at any azimuth.
+    The closed forms' frame has t^2_2 <= 0 and analyze() turns it >= 0,
+    hence phi + pi/2; phi is first reduced to [-pi, pi] so that adding
+    pi/2 keeps its digits."""
+    assume(np.linalg.norm(p1 + p2) >= 0.1)
+    ch = channel_squeezing(p1, p2, phi)
+    rep = analyze(project_oracle(p1, p2))
+    reduced = math.atan2(math.sin(phi), math.cos(phi))
+    assert ch.variance_perp == pytest.approx(
+        rep.variance_at(reduced + math.pi / 2), abs=1e-12)
+    assert ch.sz_expect / 2 == pytest.approx(rep.sz_half, abs=1e-12)
+    den = (3 + float(np.dot(p1, p2))) / 2
+    assert ch.q_value == pytest.approx(
+        den * (ch.sz_expect / 2 - ch.variance_perp), abs=1e-12)
 
 
 def test_pure_limit_reduces_to_half_angle_form(rng):
@@ -250,6 +266,20 @@ def test_parallel_pure_has_no_correlations():
     for comp in ("xx", "yy", "zz", "xz", "zy", "xy"):
         assert abs(getattr(closed, comp)) < 1e-14
         assert abs(getattr(oracle, comp)) < 1e-14
+
+
+@pytest.mark.parametrize("p1_mag", [1e-9, 2.1e-10, 1.9e-10, 1e-11, 1e-300])
+def test_correlations_equal_the_scan_row_at_tiny_polarization(p1_mag):
+    """sin theta is read from the directions of p1 and p2 however small
+    |p1| |p2| is, so the closed forms match the scan row on both sides of
+    |p1| |p2| = 1e-10; there C_zz's -sin^2(theta) term dominates."""
+    c = correlations(p1_mag * EZ, tilted(0.5, 1.2), 0.3)
+    row = evaluate_points([p1_mag], [0.5], [1.2], [0.3])[0]
+    for comp in ("xx", "yy", "zz", "xz", "zy", "xy"):
+        assert getattr(c, comp) == pytest.approx(
+            row[COLUMNS.index(f"c_{comp}")], abs=1e-12), comp
+    if p1_mag == 1e-11:
+        assert c.zz == pytest.approx(-0.3305319367810806, abs=1e-12)
 
 
 def test_closed_xy_always_zero(rng):

@@ -675,6 +675,34 @@ def test_channel_evaluates_each_correlation_route_once(capsys, monkeypatch):
     assert any("C_zz" in m for m in json.loads(out)["correlation_mismatches"])
 
 
+@pytest.mark.parametrize("point", [
+    ["--p1", "0.9", "--p2", "0.85", "--theta", "60", "--phi", "0", "--degrees"],
+    ["--p1", "1e-11", "--p2", "0.5", "--theta", "1.2", "--phi", "0.3"],
+])
+def test_channel_and_scan_agree_at_one_point(capsys, point):
+    """The channel report and the one-row scan evaluate the same closed
+    forms: the 12 values they share agree to the scan's 12 digits. The
+    tensors rotate between their frames, so only |t^1| is shared."""
+    code, text, _ = run(capsys, ["scan", *point])
+    assert code == 0
+    header, values = (line.split(",") for line in text.strip().split("\n"))
+    row = dict(zip(header, map(float, values)))
+    code, out, _ = run(capsys, ["channel", *point])
+    assert code == 0
+    report = json.loads(out)
+    t1 = math.hypot(*(x for name, pair in report["tensors"].items()
+                      if name.startswith("t1_") for x in pair))
+    shared = {"weight": report["weight"], "t1_0": t1,
+              "variance_perp": report["variance_perp"],
+              "sz_half": report["sz_expect"] / 2, "q_value": report["q_value"],
+              "squeezed": float(report["squeezed"])}
+    for comp, value in report["correlations_closed_form"].items():
+        shared[f"c_{comp}"] = value
+    assert len(shared) == 12
+    for name, value in shared.items():
+        assert row[name] == pytest.approx(value, rel=1e-11, abs=1e-11), name
+
+
 @pytest.mark.parametrize("option", ["--p1", "--p2", "--theta", "--phi"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_channel_non_finite_input_exits_2(capsys, option, value):
