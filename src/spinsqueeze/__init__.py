@@ -28,12 +28,11 @@ from .errors import (AngularMomentumError, HermiticityError,
 from .frames import (FrameResult, paaf, rotate_tensors, rotation_matrix,
                      special_lakin_frame)
 from .halfint import HalfInt
-from .scan import (ScanConfig, ScanResult, available_backends,
-                   evaluate_points, run_scan, scan_backend, stream_scan,
-                   write_csv, write_json)
+from .scan import (ScanConfig, ScanResult, evaluate_points, run_scan,
+                   stream_scan, write_csv, write_json)
 from .squeezing import (SqueezingReport, analyze, lf_criterion, lf_variances,
                         oriented_margin)
-from .tensor_ops import build_tau, projection_values, spin_matrices
+from .tensor_ops import build_tau, spin_matrices
 
 __version__ = "0.1.0"
 

@@ -96,7 +96,10 @@ def _closed_forms(a2, b2, pd, ps2, cross, st, cp, sp):
 
 def _margin(a, b, theta, phi):
     """The q_value column alone for a batch of points, the same bits as
-    :func:`evaluate_into` writes: NaN where |p1 + p2|^2 <= DEGENERATE_TOL2."""
+    :func:`evaluate_into` writes: NaN where |p1 + p2|^2 <= DEGENERATE_TOL2.
+    ``theta`` is an array; a, b and phi are arrays of its length or
+    floats, which give the same bits since a float times an array rounds
+    each element as two arrays do."""
     _, _, _, ps2, cross, _ = _invariants(a, b, theta)
     with np.errstate(divide="ignore", invalid="ignore"):
         q, *_ = _margin_terms(ps2, cross, np.cos(phi))

@@ -81,9 +81,6 @@ class EulerAngles:
     def identity() -> "EulerAngles":
         return EulerAngles(0.0, 0.0, 0.0)
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.alpha, self.beta, self.gamma)
-
 
 def _fact2(twice: int) -> int:
     """(twice/2)! for an even non-negative twice-value."""

@@ -402,27 +402,27 @@ class CorrelationMismatch:
                 f"phi={self.phi:.6g} ({self.note})")
 
 
-def verify_correlations(p1, p2, phi: float, tol: float = 1e-10) -> list[CorrelationMismatch]:
+def verify_correlations(p1, p2, phi: float) -> list[CorrelationMismatch]:
     """Compare closed forms against the matrix-arithmetic oracle.
 
     Returns one record per component whose closed form deviates from the
-    oracle by more than ``tol``, naming the formula involved. The oracle
+    oracle by more than 1e-10, naming the formula involved. The oracle
     is authoritative; the closed forms are never adjusted.
     """
     return compare_correlations(correlations(p1, p2, phi),
                                 correlations_oracle(p1, p2, phi),
-                                p1, p2, phi, tol)
+                                p1, p2, phi)
 
 
 def compare_correlations(closed: Correlations, oracle: Correlations, p1, p2,
-                         phi: float, tol: float = 1e-10) -> list[CorrelationMismatch]:
+                         phi: float) -> list[CorrelationMismatch]:
     """:func:`verify_correlations` on a pair already evaluated at
     (p1, p2, phi), for callers that also report the two."""
     out = []
     for comp in ("xx", "yy", "zz", "xz", "zy", "xy"):
         c = getattr(closed, comp)
         o = getattr(oracle, comp)
-        if abs(c - o) > tol:
+        if abs(c - o) > 1e-10:
             out.append(CorrelationMismatch(
                 component=comp, closed=c, oracle=o,
                 p1=tuple(round(float(x), 12) for x in np.asarray(p1, dtype=float)),
@@ -554,33 +554,22 @@ def _first_squeezed(p_values: np.ndarray, theta: np.ndarray, exact: float,
     """Smallest P in ``p_values`` (ascending) with a squeezed point on the
     theta grid at phi = 0, or inf. The sweep starts at the last P below
     the exact threshold ``exact`` by a relative 1e-9, where max q is below
-    -5e-10; max q grows with P, so no earlier P is squeezed. The
-    margin is evaluated alone, for as many P at once as fill one kernel
-    block (at least one). A squeezed starting row means the kernel and
-    the closed form disagree, which raises :class:`RuntimeError`."""
-    nt = theta.size
-    per_call = max(1, _kernel.BLOCK // nt)
+    -5e-10; max q grows with P, so no earlier P is squeezed. Each P is one
+    margin evaluation over the theta grid. A squeezed starting row means
+    the kernel and the closed form disagree, which raises
+    :class:`RuntimeError`."""
     # a count gives np.searchsorted's index on an ascending grid, and does
     # not page in the ~64 kB of numpy code a first searchsorted call does
     start = int(np.count_nonzero(p_values < exact * (1.0 - 1e-9))) - 1
-    theta_rows = np.tile(theta, per_call)
-    phi = np.zeros(theta_rows.size)
-    ones = np.ones(theta_rows.size)
-    for lo in range(start, p_values.size, per_call):
-        ps = p_values[lo:lo + per_call]
-        n = ps.size * nt
-        a = np.repeat(ps, nt)
-        b = ones[:n] if pure_partner else a
-        q = _kernel._margin(a, b, theta_rows[:n], phi[:n])
-        squeezed = (q > MARGIN_TOL).reshape(ps.size, nt).any(axis=1)
-        if squeezed.any():
-            first = int(squeezed.argmax())
-            if lo == start and first == 0:
+    for i in range(start, p_values.size):
+        p = float(p_values[i])
+        q = _kernel._margin(p, 1.0 if pure_partner else p, theta, 0.0)
+        if (q > MARGIN_TOL).any():
+            if i == start:
                 raise RuntimeError(
-                    f"the kernel finds P = {ps[0]!r} squeezed (q = "
-                    f"{np.nanmax(q[:nt])!r}) below the exact threshold "
-                    f"{exact!r}")
-            return float(ps[first])
+                    f"the kernel finds P = {p!r} squeezed (q = "
+                    f"{float(np.nanmax(q))!r}) below the exact threshold {exact!r}")
+            return p
     return math.inf
 
 
@@ -594,9 +583,10 @@ def threshold_scan(config: ThresholdScanConfig = ThresholdScanConfig()) -> Thres
     The exact values are :func:`exact_thresholds`, sqrt(3)/2 and
     sqrt(37)/8; the grid values lie at or above them, by at most one P
     step plus the theta-grid refinement error. Each search starts at the
-    last grid P below its exact threshold and sweeps upward, evaluating
-    the margin q alone in batches of as many P as fill one kernel block,
-    until the first batch with a squeezed point. It raises
+    last grid P below its exact threshold and sweeps upward one P at a
+    time, evaluating the margin q alone over the theta grid, until the
+    first P with a squeezed point; on the default grid that is the
+    second P of each search. It raises
     :class:`RuntimeError` if that first P is squeezed, i.e. if the kernel
     contradicts the closed form.
     """

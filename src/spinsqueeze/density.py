@@ -82,14 +82,13 @@ class TensorParams:
     is replaced by 1) or a mapping (k, q) -> complex with integer
     0 <= k <= 2s and |q| <= k, whose omitted entries are zero. The
     conjugation pairing t^k_q* = (-1)^q t^k_{-q} is enforced on
-    construction (``fill_partners=True`` completes the missing partners
-    of a mapping instead of rejecting them).
+    construction: a mapping's omitted partners are completed from it, and
+    given entries that contradict it are rejected.
     """
 
     __slots__ = ("spin", "trace", "vector")
 
-    def __init__(self, spin, entries, trace: float = 1.0,
-                 fill_partners: bool = False):
+    def __init__(self, spin, entries, trace: float = 1.0):
         sh = check_magnitude(HalfInt.of(spin), "spin")
         trace = float(trace)
         if not math.isfinite(trace) or trace <= 0:
@@ -120,7 +119,7 @@ class TensorParams:
         if mapping and given[0] and abs(vec[0] - 1.0) > 1e-9:
             raise ValueError(
                 f"t^0_0 must equal 1 after trace normalization, got {vec[0]}")
-        if mapping and fill_partners:
+        if mapping:
             fill = ~given & given[partner]
             vec[fill] = sign[fill] * vec[partner[fill]].conj()
         vec[0] = 1.0
@@ -422,7 +421,7 @@ def tensor_params_from_dict(data: Mapping) -> TensorParams:
             raise SchemaError(
                 f"tensor entry (k={k}, q={q}) exceeds the float range") from None
     try:
-        return TensorParams(spin, entries, trace=float(trace), fill_partners=True)
+        return TensorParams(spin, entries, trace=float(trace))
     except OverflowError:
         raise SchemaError("trace exceeds the float range") from None
     except (AngularMomentumError, HermiticityError, ValueError) as exc:

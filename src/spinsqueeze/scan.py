@@ -159,12 +159,10 @@ def evaluate_points(p1m, p2m, theta, phi, jobs: int = 1) -> np.ndarray:
     n = arrays[0].size
     if any(a.size != n for a in arrays):
         raise ValueError("coordinate arrays must have equal length")
-    # one pass of comparisons that fail on NaN; only boolean temporaries,
-    # since float ones the size of a scan raised its peak RSS
+    error = _domain_error(*arrays)
+    if error is not None:
+        raise ValueError(error)
     a, b, t, f = arrays
-    if not ((a >= 0.0) & (a <= 1.0) & (b >= 0.0) & (b <= 1.0)
-            & (t >= 0.0) & (t <= math.pi) & np.isfinite(f)).all():
-        raise ValueError(_domain_error(a, b, t, f))
     out = np.empty((n, len(COLUMNS)), dtype=float)
     for lo in range(0, n, _kernel.BLOCK):
         hi = lo + _kernel.BLOCK
@@ -174,7 +172,9 @@ def evaluate_points(p1m, p2m, theta, phi, jobs: int = 1) -> np.ndarray:
 
 def _domain_error(p1m, p2m, theta, phi):
     """Which coordinate puts a point outside the domain of the kernel, or
-    None when every point lies inside."""
+    None when every point lies inside. The comparisons fail on NaN, and
+    their temporaries are boolean, since float ones the size of a scan
+    raised its peak RSS."""
     for name, x in (("|p1|", p1m), ("|p2|", p2m)):
         if not ((x >= 0.0) & (x <= 1.0)).all():
             return f"polarization magnitude {name} must lie in [0, 1]"

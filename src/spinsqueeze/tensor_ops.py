@@ -27,13 +27,7 @@ from .angular import _cg_exact, _spin_cached
 from .errors import AngularMomentumError
 from .halfint import HalfInt, check_magnitude
 
-__all__ = ["build_tau", "spin_matrices", "projection_values"]
-
-
-def projection_values(s) -> list[HalfInt]:
-    """Projections m = s, s-1, ..., -s in basis order."""
-    ts = HalfInt.of(s).twice
-    return [HalfInt(tm) for tm in range(ts, -ts - 1, -2)]
+__all__ = ["build_tau", "spin_matrices"]
 
 
 @lru_cache(maxsize=None)

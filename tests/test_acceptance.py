@@ -268,7 +268,7 @@ def test_criterion_7_figure_scans(tmp_path):
             theta = float(r["theta_rad"])
             p1 = p1m * np.array([0.0, 0.0, 1.0])
             p2 = p2m * np.array([math.sin(theta), 0.0, math.cos(theta)])
-            mismatches = verify_correlations(p1, p2, phi, tol=1e-10)
+            mismatches = verify_correlations(p1, p2, phi)
             for m in mismatches:
                 assert m.component in ("zz", "xy"), m
                 assert "closed form" in m.note

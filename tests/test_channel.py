@@ -454,8 +454,8 @@ def assert_thresholds_match_oracle(config: ThresholdScanConfig):
 @settings(deadline=None, max_examples=8)
 @given(st.integers(200, 415), st.integers(200, 415))
 # counted from the sweep's first P, the last below sqrt(3)/2, the
-# equal-magnitude threshold is the first P of the second batch
-# (2912, 2731) and the last P of the first batch (200, 2731)
+# equal-magnitude threshold of (2912, 2731) is two rows up, so that search
+# evaluates three rows; that of (200, 2731) is one row up
 @example(2912, 2731)
 @example(200, 2731)
 @example(408, 411)
@@ -464,41 +464,56 @@ def test_threshold_scan_equals_per_p_oracle(p_points, theta_points):
     assert_thresholds_match_oracle(ThresholdScanConfig(p_points, theta_points))
 
 
-@pytest.mark.parametrize("p_points, theta_points, index", [(2912, 2731, 0),
-                                                           (200, 2731, -1)])
-def test_threshold_examples_sit_on_batch_boundaries(p_points, theta_points, index):
-    """The explicit examples above test what they claim: counted from the
-    last P below sqrt(3)/2, where the sweep starts, the threshold's P
-    index is the first or the last of a block-sized batch of P."""
-    per_call = _kernel.BLOCK // theta_points
-    assert per_call > 1
-    start = np.count_nonzero(np.linspace(0.0, 1.0, p_points) < math.sqrt(3) / 2) - 1
-    res = threshold_scan(ThresholdScanConfig(p_points, theta_points))
-    offset = round(res.min_polarization_equal * (p_points - 1)) - start
-    assert offset > 0
-    assert offset % per_call == index % per_call
-
-
-def test_threshold_scan_one_p_per_call_above_block():
+def test_threshold_scan_with_more_theta_points_than_a_kernel_block():
     config = ThresholdScanConfig(p_points=200, theta_points=_kernel.BLOCK + 1)
-    assert _kernel.BLOCK // config.theta_points == 0
     assert_thresholds_match_oracle(config)
 
 
 def test_threshold_scan_starts_one_row_below_the_exact_threshold(monkeypatch):
-    """On the default grid each search evaluates one block-sized batch of
-    P, the one that starts below its exact threshold."""
-    sizes = []
+    """On the default grid each search evaluates two rows of 400 theta
+    points: the last P below its exact threshold, then the next P, which
+    is squeezed."""
+    calls = []
     inner = _kernel._margin
 
     def margin(a, b, theta, phi):
-        sizes.append(a.size)
+        calls.append((a, b, np.size(theta)))
         return inner(a, b, theta, phi)
 
     monkeypatch.setattr(_kernel, "_margin", margin)
-    threshold_scan()
-    assert len(sizes) == 2
-    assert max(sizes) <= _kernel.BLOCK
+    res = threshold_scan()
+    p_values = np.linspace(0.0, 1.0, 400)
+    rows = []
+    for exact, found in zip(exact_thresholds(), (res.min_polarization_equal,
+                                                 res.min_polarization_vs_pure)):
+        start = np.count_nonzero(p_values < exact) - 1
+        assert p_values[start + 1] == found
+        rows += [p_values[start], p_values[start + 1]]
+    assert [a for a, _, _ in calls] == rows
+    assert [b for _, b, _ in calls] == rows[:2] + [1.0, 1.0]
+    assert [n for _, _, n in calls] == [400] * 4
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.floats(0.0, 1.0), st.booleans(),
+       st.lists(st.floats(0.0, math.pi), min_size=1, max_size=50),
+       st.floats(-10.0, 10.0))
+@example(0.0, False, [0.5, math.pi], 0.0)    # p1 + p2 = 0 at every theta
+@example(0.0, True, [0.0, 1.0], 0.0)
+@example(1.0, False, [0.0, math.pi], 0.0)    # pure and antiparallel
+@example(1.0, True, [1.0, 2.0], 0.0)
+def test_margin_of_float_magnitudes_is_bitwise_the_array_margin(p, pure, theta, phi):
+    """The threshold search passes P, the partner's magnitude and phi as
+    floats; they give the bits of the full-array call and of the q_value
+    column, NaN included."""
+    theta = np.array(theta)
+    n = theta.size
+    partner = 1.0 if pure else p
+    got = _kernel._margin(p, partner, theta, phi)
+    arrays = np.full(n, p), np.full(n, partner), theta, np.full(n, phi)
+    column = evaluate_points(*arrays)[:, COLUMNS.index("q_value")]
+    for want in (_kernel._margin(*arrays), column):
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 def test_threshold_scan_raises_when_the_kernel_contradicts_the_closed_form(monkeypatch):

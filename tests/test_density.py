@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,13 +54,25 @@ def test_table_row_variances_via_matrix_route():
 
 
 def test_hermiticity_violation_reports_entry():
-    # both partners are given, so fill_partners has nothing to fill and
-    # the contradiction stands
-    for fill_partners in (False, True):
-        with pytest.raises(HermiticityError) as exc:
-            TensorParams(1, {(1, 1): 0.5 + 0.1j, (1, -1): 0.5 + 0.1j},
-                         fill_partners=fill_partners)
-        assert str(exc.value).endswith("at (k, q) = (1, -1), (1, 1)")
+    # both partners are given, so there is nothing to fill and the
+    # contradiction stands
+    with pytest.raises(HermiticityError) as exc:
+        TensorParams(1, {(1, 1): 0.5 + 0.1j, (1, -1): 0.5 + 0.1j})
+    assert str(exc.value).endswith("at (k, q) = (1, -1), (1, 1)")
+
+
+def test_readme_library_example_fills_the_omitted_partner(capsys):
+    """The README's library example runs with warnings as errors; its
+    mapping omits t^2_-2, which is filled in from t^2_2."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exec(compile(example, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("True ")
+    partial = TensorParams(1, {(1, 0): 0.9, (2, 0): 0.5, (2, 2): 0.45})
+    assert np.array_equal(partial.vector, TensorParams(1, TABLE1_S1_ROW).vector)
 
 
 def test_vector_and_mapping_construction_agree(rng):
@@ -75,7 +88,7 @@ def test_vector_and_mapping_construction_agree(rng):
 
 
 def test_items_list_every_entry_in_stack_order():
-    t = TensorParams(1, {(2, 1): 0.2 + 0.1j}, fill_partners=True)
+    t = TensorParams(1, {(2, 1): 0.2 + 0.1j})
     keys = [(1, -1), (1, 0), (1, 1),
             (2, -2), (2, -1), (2, 0), (2, 1), (2, 2)]
     assert [kq for kq, _ in t.items()] == keys
@@ -92,7 +105,7 @@ def test_get_outside_the_allowed_range_is_zero(k, q):
 @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.1, -math.inf)])
 def test_non_finite_tensor_parameter_rejected(value):
     with pytest.raises(ValueError, match=r"non-finite .* \(2, 1\)$"):
-        TensorParams(1, {(1, 0): 0.5, (2, 1): value}, fill_partners=True)
+        TensorParams(1, {(1, 0): 0.5, (2, 1): value})
     vec = np.zeros(9, dtype=complex)
     vec[7] = value
     with pytest.raises(ValueError, match=r"\(2, 1\)$"):
@@ -251,7 +264,7 @@ def test_table1_spin1_rows_are_physical():
     rows = [(0.7, 0.65, 0.8), (0.5, 0.45, 0.9), (0.4, 0.65, 0.5), (0.3, 0.49, 0.7)]
     for t20, t22, t10 in rows:
         rho = from_tensors(TensorParams(
-            1, {(1, 0): t10, (2, 0): t20, (2, 2): t22}, fill_partners=True))
+            1, {(1, 0): t10, (2, 0): t20, (2, 2): t22}))
         rep = check_positivity(rho)
         assert rep.psd, (t20, t22, t10)
         assert all(b.satisfied for b in rep.spin1_bounds)
@@ -263,7 +276,7 @@ def test_table1_spin32_rows_are_not_psd():
     rows = [(0.9, 0.3, 1.25), (0.7, 0.5, 1.06), (0.61, 0.49, 0.99), (0.41, 0.63, 0.81)]
     for t20, t22, t10 in rows:
         rho = from_tensors(TensorParams(
-            "3/2", {(1, 0): t10, (2, 0): t20, (2, 2): t22}, fill_partners=True))
+            "3/2", {(1, 0): t10, (2, 0): t20, (2, 2): t22}))
         assert not check_positivity(rho).psd, (t20, t22, t10)
 
 

@@ -118,8 +118,7 @@ def test_gamma_cancels_tensor_phase():
     mag = 0.3
     phase = math.pi / 4
     t = TensorParams(1, {(1, 0): 0.8,
-                         (2, 2): mag * complex(math.cos(phase), math.sin(phase))},
-                     fill_partners=True)
+                         (2, 2): mag * complex(math.cos(phase), math.sin(phase))})
     res = special_lakin_frame(from_tensors(t))
     assert res.rotation.gamma == pytest.approx(math.pi / 8, abs=1e-12)
     assert res.params.get(2, 2) == pytest.approx(mag, abs=1e-12)
@@ -139,8 +138,7 @@ def test_gamma_kept_for_small_t22_at_large_spin():
     """A t^2_2 of 1e-10, far above the noise, still sets gamma at 2s = 20."""
     phase = math.pi / 3
     t = TensorParams(10, {(1, 0): 0.5,
-                          (2, 2): 1e-10 * complex(math.cos(phase), math.sin(phase))},
-                     fill_partners=True)
+                          (2, 2): 1e-10 * complex(math.cos(phase), math.sin(phase))})
     rho = from_tensors(t)
     assert analyze(rho).frame.gamma == pytest.approx(phase / 2, abs=1e-4)
     assert special_lakin_frame(rho).rotation.gamma == \
@@ -180,7 +178,7 @@ def test_pure_t22_state_principal_axes():
 def test_imaginary_t22_diagonalized_by_bisector_rotation():
     # purely imaginary t^2_2 puts the alignment on the x/y bisectors;
     # the principal-axes rotation must kill it
-    t = TensorParams(1, {(2, 2): 0.3j}, fill_partners=True)
+    t = TensorParams(1, {(2, 2): 0.3j})
     a = alignment_tensor(from_tensors(t))
     assert abs(a[0, 1]) > 1e-3          # off-diagonal before
     res = paaf(from_tensors(t))

@@ -56,8 +56,7 @@ def test_discrepant_cells_are_flagged_loudly():
 def _row_state(row) -> SpinDensity:
     """The row's state in its own special Lakin frame."""
     return from_tensors(TensorParams(
-        row.spin, {(1, 0): row.t10, (2, 0): row.t20, (2, 2): row.t22},
-        fill_partners=True))
+        row.spin, {(1, 0): row.t10, (2, 0): row.t20, (2, 2): row.t22}))
 
 
 @settings(max_examples=40)
