@@ -91,9 +91,9 @@ def _parse_axis(spec: str, default_step: float, scale=lambda x: x) -> np.ndarray
 
 
 def cmd_analyze(args) -> int:
-    if args.phi_points > MAX_PHI_POINTS:
-        raise SchemaError(f"--phi-points {args.phi_points} exceeds the limit "
-                          f"of {MAX_PHI_POINTS}")
+    if not 0 <= args.phi_points <= MAX_PHI_POINTS:
+        raise SchemaError(f"--phi-points {args.phi_points} is outside the limits "
+                          f"0..{MAX_PHI_POINTS}")
     _, rho = load_state_file(args.state)
     report = analyze(rho)
     json.dump(report.as_dict(phi_points=args.phi_points), sys.stdout, indent=2)

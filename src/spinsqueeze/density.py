@@ -343,22 +343,21 @@ def classify_orientation(rho: SpinDensity) -> OrientationReport:
     """Decide whether the state is diagonal in some |s m> basis.
 
     Solves the linear system [rho, S.n] = 0 for a real axis n (three
-    unknowns); when a non-trivial solution exists the state is written in
-    the eigenbasis of S.n and diagonality is confirmed there. A state
-    proportional to the identity is reported oriented along z by
-    convention.
+    unknowns, 2n^2 real equations) by a thin SVD; when a non-trivial
+    solution exists the state is written in the eigenbasis of S.n and
+    diagonality is confirmed there. A state proportional to the identity
+    is reported oriented along z by convention.
     """
     n = rho.dim
     mat = rho.normalized_matrix()
     if np.abs(mat - np.eye(n) / n).max() < 1e-12:
         return OrientationReport(True, np.array([0.0, 0.0, 1.0]), np.full(n, 1.0 / n))
     spins = spin_matrices(rho.spin)
-    cols = []
-    for sa in spins:
-        comm = mat @ sa - sa @ mat
-        cols.append(np.concatenate([comm.real.ravel(), comm.imag.ravel()]))
-    a = np.column_stack(cols)
-    _, svals, vt = np.linalg.svd(a)
+    stack = np.array(spins)
+    comm = (mat @ stack - stack @ mat).reshape(3, -1)
+    # column a: the real, then the imaginary, parts of [rho, S_a]
+    a = np.concatenate([comm.real, comm.imag], axis=1).T
+    _, svals, vt = np.linalg.svd(a, full_matrices=False)
     if svals[-1] > 1e-10 * max(1.0, svals[0]):
         return OrientationReport(False, None, None)
     axis = _canonical_sign(vt[-1] / np.linalg.norm(vt[-1]))

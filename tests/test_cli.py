@@ -120,6 +120,20 @@ def test_analyze_phi_points_over_limit_exits_2(tmp_path, capsys, monkeypatch):
     assert "limit" in err
 
 
+def test_analyze_phi_points_negative_exits_2_and_zero_gives_no_curve(
+        tmp_path, capsys, monkeypatch):
+    path = write_state(tmp_path, TABLE_ROW_STATE)
+    code, out, _ = run(capsys, ["analyze", path, "--phi-points", "0"])
+    assert code == 0
+    assert json.loads(out)["variance_curve"] == []
+    monkeypatch.setattr(np, "linspace", _must_not_allocate)
+    code, out, err = run(capsys, ["analyze", path, "--phi-points", "-1"])
+    assert code == 2
+    assert out == ""
+    assert "--phi-points -1" in err
+    assert "non-negative" not in err      # numpy's message, not ours
+
+
 # ---------------------------------------------------------------------------
 # coeff
 # ---------------------------------------------------------------------------

@@ -2,12 +2,13 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density, random_hermitian_state, random_oriented
@@ -18,9 +19,10 @@ from spinsqueeze import (EulerAngles, HalfInt, SpinDensity, TensorParams,
                          spin_scale_rank1, spin_scale_rank2, state_from_dict,
                          state_to_dict, tensor_params_from_dict, to_tensors,
                          variance)
+from spinsqueeze.density import _canonical_sign
 from spinsqueeze.errors import (AngularMomentumError, HermiticityError,
                                 SchemaError)
-from spinsqueeze.tensor_ops import build_tau
+from spinsqueeze.tensor_ops import build_tau, spin_matrices
 
 TABLE1_S1_ROW = {(1, 0): 0.9, (2, 0): 0.5, (2, 2): 0.45, (2, -2): 0.45}
 
@@ -342,12 +344,55 @@ def test_every_spin_half_state_is_oriented(rng):
         assert rep.oriented
 
 
-def test_diagonal_state_oriented_along_z():
-    rho = SpinDensity(1, np.diag([0.6, 0.3, 0.1]).astype(complex))
-    rep = classify_orientation(rho)
+@st.composite
+def _oriented_case(draw):
+    """(2s, a unit axis n, Dirichlet populations p), 2s = 1..40."""
+    ts = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = rng.normal(size=3)
+    return ts, n / np.linalg.norm(n), rng.dirichlet(np.ones(ts + 1))
+
+
+@settings(deadline=None, max_examples=150)
+@given(_oriented_case())
+@example((2, np.array([0.0, 0.0, 1.0]), np.array([0.6, 0.3, 0.1])))
+def test_oriented_states_give_their_axis_and_populations(case):
+    """U diag(p) U^dagger, with U the |s m> states along n (m = s..-s), is
+    oriented along n up to sign, with populations p, reversed when the
+    sign flips."""
+    ts, n, p = case
+    spins = spin_matrices(HalfInt(ts))
+    u = np.linalg.eigh(sum(c * sa for c, sa in zip(n, spins)))[1][:, ::-1]
+    rep = classify_orientation(SpinDensity(HalfInt(ts), u @ np.diag(p) @ u.conj().T))
     assert rep.oriented
-    assert np.abs(np.abs(rep.axis) - [0, 0, 1]).max() < 1e-10
-    assert np.abs(rep.populations - [0.6, 0.3, 0.1]).max() < 1e-10
+    axis = _canonical_sign(n)
+    assert np.abs(rep.axis - axis).max() < 1e-12
+    expected = p if np.array_equal(axis, n) else p[::-1]
+    assert np.abs(rep.populations - expected).max() < 1e-12
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(2, 40), st.integers(0, 2**32 - 1))
+def test_generic_rank2_states_are_not_oriented(ts, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(ts + 1, 2)) + 1j * rng.normal(size=(ts + 1, 2))
+    rep = classify_orientation(SpinDensity(HalfInt(ts), g @ g.conj().T))
+    assert not rep.oriented
+    assert rep.axis is None and rep.populations is None
+
+
+def test_orientation_memory_does_not_grow_as_n4(rng):
+    """At s = 20 the commutator matrix is 3362 x 3; a full SVD of it builds
+    a 3362 x 3362 U, 86 MiB."""
+    rho = random_density(rng, 40)
+    classify_orientation(rho)                 # warm the spin-matrix cache
+    tracemalloc.start()
+    try:
+        classify_orientation(rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
 def test_identity_state_reported_oriented_along_z():
