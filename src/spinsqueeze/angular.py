@@ -24,7 +24,6 @@ appended to and are safe for concurrent readers.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -274,15 +273,22 @@ def _little_d(tk: int, beta: float) -> np.ndarray:
     return ((vecs * phase) @ vecs.conj().T).real
 
 
+def _entry(k, qp, q) -> tuple[int, int, int]:
+    """(2k, row, column) of the (q', q) element in a rank-k matrix with
+    rows q' = k..-k and columns q = k..-k."""
+    kh, qph = _coerce_pair(k, qp, "(k, q')")
+    _, qh = _coerce_pair(k, q, "(k, q)")
+    tk = kh.twice
+    return tk, (tk - qph.twice) // 2, (tk - qh.twice) // 2
+
+
 def little_d(k, qp, q, beta: float) -> float:
     """Reduced rotation matrix element d^k_{q'q}(beta)."""
     beta = float(beta)
     if not math.isfinite(beta):
         raise ValueError("rotation angle beta must be finite")
-    kh, qph = _coerce_pair(k, qp, "(k, q')")
-    _, qh = _coerce_pair(k, q, "(k, q)")
-    tk = kh.twice
-    return float(_little_d(tk, beta)[(tk - qph.twice) // 2, (tk - qh.twice) // 2])
+    tk, row, col = _entry(k, qp, q)
+    return float(_little_d(tk, beta)[row, col])
 
 
 def wigner_d(k, qp, q, angles: EulerAngles) -> complex:
@@ -291,11 +297,8 @@ def wigner_d(k, qp, q, angles: EulerAngles) -> complex:
     ``D = exp(-i q' alpha) d^k_{q'q}(beta) exp(-i q gamma)``; as a matrix in
     (q', q) this is unitary and represents the active z-y-z rotation.
     """
-    kh = HalfInt.of(k)
-    qph, qh = HalfInt.of(qp), HalfInt.of(q)
-    d = little_d(kh, qph, qh, angles.beta)
-    return (cmath.exp(-1j * qph.value * angles.alpha) * d
-            * cmath.exp(-1j * qh.value * angles.gamma))
+    tk, row, col = _entry(k, qp, q)
+    return complex(wigner_d_matrix(HalfInt(tk), angles)[row, col])
 
 
 def wigner_d_matrix(k, angles: EulerAngles) -> np.ndarray:

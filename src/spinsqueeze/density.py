@@ -26,8 +26,8 @@ import numpy as np
 from .angular import clebsch_gordan, racah_w  # noqa: F401
 from .errors import AngularMomentumError, HermiticityError, SchemaError
 from .halfint import HalfInt, check_magnitude
-from .tensor_ops import (_moment_stack, _stack_order, _tau_stack,  # noqa: F401
-                         build_tau, spin_matrices)
+from .tensor_ops import (MAX_STATE_SPIN, _moment_stack, _stack_order,  # noqa: F401
+                         _tau_stack, build_tau, spin_matrices)
 
 __all__ = [
     "TensorParams",
@@ -52,10 +52,6 @@ __all__ = [
 
 HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-10
-
-# Largest spin a state file may name: the stack of every T^k_q of a spin
-# holds (2s+1)^4 complex numbers, 45 MB at s = 20.
-MAX_STATE_SPIN = 20
 
 
 def spin_scale_rank1(s) -> float:

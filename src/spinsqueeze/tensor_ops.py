@@ -29,11 +29,22 @@ from .halfint import HalfInt, check_magnitude
 
 __all__ = ["build_tau", "spin_matrices"]
 
+# Largest spin whose T^k_q stack is built: the stack holds (2s+1)^4
+# complex numbers, 45 MB at s = 20 and 26 GB at s = 100.
+MAX_STATE_SPIN = 20
+
+
+def _check_stack_spin(ts: int):
+    if ts > 2 * MAX_STATE_SPIN:
+        raise ValueError(f"spin {HalfInt(ts)} exceeds the limit of {MAX_STATE_SPIN} "
+                         "for the T^k_q stack")
+
 
 @lru_cache(maxsize=None)
 def _tau_stack(ts: int) -> np.ndarray:
     """Every T^k_q of spin ts/2, k = 0..2s and q = -k..k, stacked in that
     order: T^k_q is entry k*k + k + q. Read-only."""
+    _check_stack_spin(ts)
     n = ts + 1
     out = np.zeros((n * n, n, n), dtype=complex)
     for k in range(n):
@@ -55,6 +66,7 @@ def _tau_stack(ts: int) -> np.ndarray:
 def _stack_order(ts: int) -> tuple[tuple, np.ndarray, np.ndarray]:
     """The order of the T^k_q stack of spin ts/2: the (k, q) of each entry,
     and for each entry the entry of (k, -q) and the sign (-1)^q."""
+    _check_stack_spin(ts)
     keys = tuple((k, q) for k in range(ts + 1) for q in range(-k, k + 1))
     partner = np.array([k * k + k - q for k, q in keys])
     sign = np.array([(-1.0) ** q for _, q in keys])

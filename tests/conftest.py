@@ -1,5 +1,8 @@
-"""Shared helpers: random state generators with fixed seeds, and a
-fixture that makes small scans span many kernel blocks."""
+"""Shared helpers: random state generators with fixed seeds, the
+README's code examples, and a fixture that makes small scans span many
+kernel blocks."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,13 @@ from spinsqueeze.angular import wigner_d_matrix
 settings.register_profile("tier1", derandomize=True, deadline=None,
                           database=None)
 settings.load_profile("tier1")
+
+
+def readme_example(heading: str, language: str) -> str:
+    """The first ``language`` code block after ``heading`` in README.md."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split(heading, 1)[1]
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
 
 
 def random_density(rng, twice_s: int, pure: bool = False,

@@ -179,6 +179,8 @@ def test_racah_w_triangle_selection():
     assert racah_w("1/2", 1, "1/2", 1, "1/2", "1/2") == 0.0
     assert wigner_6j(1, 1, 3, 1, 1, 1) == 0.0
     assert racah_w(1, 1, 1, 1, 5, 1) == 0.0
+    # a + b + c + d half-integral
+    assert racah_w("1/2", 1, 1, 1, "1/2", "1/2") == 0.0
 
 
 def test_6j_known_value():

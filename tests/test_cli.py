@@ -16,16 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import readme_example
 import spinsqueeze
 from spinsqueeze import angular, cli, density
 from spinsqueeze.cli import MAX_D_RANK, MAX_J, MAX_PHI_POINTS, main
 from spinsqueeze.density import MAX_STATE_SPIN
 from spinsqueeze.scan import MAX_SCAN_ROWS
 
-TABLE_ROW_STATE = {"spin": "1", "trace": 1.0,
-                   "tensors": [{"k": 2, "q": 0, "re": 0.5},
-                               {"k": 2, "q": 2, "re": 0.45},
-                               {"k": 1, "q": 0, "re": 0.9}]}
+# The README's example state file: the spin-1 row of the reference table,
+# squeezed along phi = pi/2.
+TABLE_ROW_STATE = json.loads(readme_example("### State files", "json"))
 
 
 def write_state(tmp_path, data, name="state.json"):
@@ -143,6 +143,9 @@ def test_coeff_cg_trivial(capsys):
     assert code == 0
     assert out.splitlines()[0] == "1"
     assert "exact: 1" in out
+    # <1 0 1 0|1 0> vanishes by parity
+    assert run(capsys, ["coeff", "cg", "1", "1", "1", "0", "0", "0"]) == \
+        (0, "0\nexact: 0\n", "")
 
 
 def test_coeff_cg_closed_form(capsys):
@@ -189,6 +192,14 @@ def test_coeff_d_rank_limit(capsys, monkeypatch):
     code, out, _ = run(capsys, ["coeff", "d", top, top, top, "0", "0", "0"])
     assert code == 0
     assert out.strip().startswith("1")
+    # d^40_00(1) = P_40(cos 1), from Bonnet's recurrence
+    # (l + 1) P_{l+1} = (2l + 1) x P_l - l P_{l-1}
+    code, out, _ = run(capsys, ["coeff", "d", top, "0", "0", "0", "1", "0"])
+    assert code == 0
+    x, prev, legendre = math.cos(1.0), 1.0, math.cos(1.0)
+    for ell in range(1, MAX_D_RANK):
+        prev, legendre = legendre, ((2 * ell + 1) * x * legendre - ell * prev) / (ell + 1)
+    assert abs(complex(out.strip()) - legendre) < 1e-13
     # the rank is refused before its spin matrices are diagonalized
     monkeypatch.setattr(angular, "_sy_eigvecs", _must_not_allocate)
     code, out, err = run(capsys, ["coeff", "d", f"{MAX_D_RANK}.5", "0.5", "0.5",
@@ -439,12 +450,11 @@ _AXIS_SPEC = st.lists(_AXIS_PART, min_size=1, max_size=4).map(":".join)
 
 
 def _main_run(argv) -> tuple[int, str, str]:
-    """Exit code, stdout and stderr of main(argv); a warning, which the
-    CLI would print to stderr ahead of its error line, raises."""
+    """Exit code, stdout and stderr of main(argv). A warning, which the
+    CLI would print to stderr ahead of its error line, raises: the suite
+    runs with warnings as errors."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            warnings.catch_warnings():
-        warnings.simplefilter("error")
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
@@ -659,9 +669,10 @@ def test_channel_point_reports_zz_mismatch_for_mixed_inputs(capsys):
     code, out, _ = run(capsys, ["channel", "--p1", "0.9", "--p2", "0.85",
                                 "--theta", "60", "--phi", "0", "--degrees"])
     assert code == 0
-    report = json.loads(out)
-    assert any("C_zz" in m for m in report["correlation_mismatches"])
-    assert not any("C_xy" in m for m in report["correlation_mismatches"])
+    found = json.loads(out)["correlation_mismatches"]
+    assert any("C_zz" in m for m in found)
+    assert not any("C_xy" in m for m in found)
+    assert not any("np." in m for m in found)
 
 
 def test_channel_evaluates_each_correlation_route_once(capsys, monkeypatch):

@@ -2,17 +2,20 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
-import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_density, random_hermitian_state, random_oriented
+from conftest import (random_density, random_hermitian_state, random_oriented,
+                      readme_example)
 from purity_oracle import purity_residual_tensor_form
+import spinsqueeze
 from spinsqueeze import (EulerAngles, HalfInt, SpinDensity, TensorParams,
                          check_positivity, classify_orientation, from_tensors,
                          polarization, purity_residual, rotate_tensors,
@@ -66,12 +69,8 @@ def test_hermiticity_violation_reports_entry():
 def test_readme_library_example_fills_the_omitted_partner(capsys):
     """The README's library example runs with warnings as errors; its
     mapping omits t^2_-2, which is filled in from t^2_2."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = readme.split("## Library example", 1)[1]
-    example = section.split("```python\n", 1)[1].split("```", 1)[0]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        exec(compile(example, "README.md", "exec"), {})
+    example = readme_example("## Library example", "python")
+    exec(compile(example, "README.md", "exec"), {})
     assert capsys.readouterr().out.startswith("True ")
     partial = TensorParams(1, {(1, 0): 0.9, (2, 0): 0.5, (2, 2): 0.45})
     assert np.array_equal(partial.vector, TensorParams(1, TABLE1_S1_ROW).vector)
@@ -208,10 +207,8 @@ def test_maximally_mixed_spin_half_isotropic(rng):
                                        (1.0, 0.0), (0.0, 0.0, 0.0)])
 def test_variance_rejects_bad_direction(direction):
     rho = SpinDensity(1, np.eye(3) / 3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="direction"):
-            variance(rho, direction)
+    with pytest.raises(ValueError, match="direction"):
+        variance(rho, direction)
 
 
 def _variances_from_tensors(t: TensorParams):
@@ -381,9 +378,22 @@ def test_generic_rank2_states_are_not_oriented(ts, seed):
     assert rep.axis is None and rep.populations is None
 
 
-def test_orientation_memory_does_not_grow_as_n4(rng):
+# Runs `spinsqueeze validate` in this interpreter and prints its peak RSS
+# in KiB to stderr.
+_VALIDATE_PEAK_RSS = """
+import resource, sys
+from spinsqueeze.cli import main
+code = main(["validate", sys.argv[1]])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_orientation_memory_does_not_grow_as_n4(rng, tmp_path):
     """At s = 20 the commutator matrix is 3362 x 3; a full SVD of it builds
-    a 3362 x 3362 U, 86 MiB."""
+    a 3362 x 3362 U, 86 MiB. `spinsqueeze validate` of an s = 20 oriented
+    state file stays under 150 MB of RSS, read in a fresh interpreter: in
+    this one RUSAGE_CHILDREN is the largest child of the whole run."""
     rho = random_density(rng, 40)
     classify_orientation(rho)                 # warm the spin-matrix cache
     tracemalloc.start()
@@ -393,6 +403,17 @@ def test_orientation_memory_does_not_grow_as_n4(rng):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20, peak
+    state = SpinDensity(20, np.diag(rng.dirichlet(np.ones(41))))
+    path = tmp_path / "oriented-s20.json"
+    path.write_text(json.dumps(state_to_dict(to_tensors(state))))
+    src = os.path.dirname(os.path.dirname(spinsqueeze.__file__))
+    child = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _VALIDATE_PEAK_RSS, str(path)],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert json.loads(child.stdout)["oriented"] is True
+    peak_mb = int(child.stderr) / 1024
+    assert peak_mb < 150, f"validate at s = 20 peaked at {peak_mb:.0f} MB of RSS"
 
 
 def test_identity_state_reported_oriented_along_z():

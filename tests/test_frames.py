@@ -9,6 +9,7 @@ from conftest import random_density, random_oriented
 from spinsqueeze import (EulerAngles, SpinDensity, TensorParams, analyze,
                          from_tensors, paaf, polarization, rotate_tensors,
                          special_lakin_frame, to_tensors)
+from spinsqueeze.angular import wigner_d_matrix
 from spinsqueeze.errors import LakinFrameUndefined, NoAlignment
 from spinsqueeze.frames import (alignment_tensor, euler_from_rotation,
                                 rotation_matrix)
@@ -194,6 +195,33 @@ def test_paaf_invariants_random(rng):
             assert abs(res.params.get(2, 1)) < 1e-10
             assert abs(res.params.get(2, -1)) < 1e-10
             assert abs(res.params.get(2, 2).imag) < 1e-10
+
+
+def _spin1_along_x(populations) -> SpinDensity:
+    """A spin-1 state diagonal in the |1 m> basis quantized along x."""
+    u = wigner_d_matrix(1, EulerAngles(0.0, math.pi / 2, 0.0))
+    return SpinDensity(1, u @ np.diag(populations).astype(complex) @ u.conj().T)
+
+
+@pytest.mark.parametrize("rho", [
+    # m = 0 along z: the top pair is degenerate and its free plane, x-y,
+    # has no z component, so the z slot falls back to the x axis
+    SpinDensity(1, np.diag([0.0, 1.0, 0.0]).astype(complex)),
+    # m = +-1 along x: the bottom pair is degenerate and its free plane,
+    # y-z, has no x component, so the x slot falls back to the y axis
+    _spin1_along_x([0.5, 0.0, 0.5]),
+], ids=["top-pair", "bottom-pair"])
+def test_paaf_degenerate_pairs(rho):
+    res = paaf(rho)
+    assert abs(res.params.get(2, 1)) < 1e-12
+    assert abs(res.params.get(2, -1)) < 1e-12
+    assert abs(res.params.get(2, 2).imag) < 1e-12
+    # right-handed, with the eigenvalues in the slots z >= x >= y
+    assert np.linalg.det(rotation_matrix(res.rotation)) == pytest.approx(1.0, abs=1e-12)
+    a = alignment_tensor(from_tensors(res.params))
+    assert np.abs(a - np.diag(np.diag(a))).max() < 1e-12
+    assert a[2, 2] >= a[0, 0] - 1e-12 and a[0, 0] >= a[1, 1] - 1e-12
+    assert paaf(rho).rotation == res.rotation
 
 
 def test_paaf_eigenvalues_rotation_invariant(rng):

@@ -6,7 +6,9 @@ import hashlib
 import io
 import json
 import math
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,10 @@ from spinsqueeze.scan import (_RUN_FIELDS, COLUMNS, CSV_HEADER, FIELDS,
                               ScanResult, available_backends, evaluate_points,
                               get_kernel, rows_as_dicts, scan_backend,
                               stream_scan, write_json)
+
+# the benchmark's seed-0 grids and pinned CSV digest
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+import scanspec  # noqa: E402
 
 
 def oracle_points(p1, p2, theta, phi) -> np.ndarray:
@@ -245,6 +251,8 @@ def test_evaluate_points_rejects_theta_outside_0_pi():
             evaluate_points([0.9, 0.9], [0.85, 0.85], [0.3, 0.3], [0.5, bad])
     # the bounds themselves are inside the domain
     evaluate_points([0.0, 1.0], [1.0, 0.0], [0.0, math.pi], [-1e300, 1e300])
+    with pytest.raises(ValueError, match="equal length"):
+        evaluate_points([0.9, 0.9], [0.85], [0.3, 0.3], [0.5, 0.5])
 
 
 def test_scan_config_validation():
@@ -258,6 +266,9 @@ def test_scan_config_validation():
         axes = {"p1": [0.5], "p2": [0.5], "theta": [0.3], "phi": [0.0], **bad}
         with pytest.raises(ValueError):
             ScanConfig(**axes)
+    config = ScanConfig(p1=[0.5], p2=[0.5], theta=[0.3], phi=[0.0])
+    with pytest.raises(ValueError, match="format"):
+        stream_scan(config, io.StringIO(), "xml")
 
 
 def test_run_scan_row_order():
@@ -426,13 +437,15 @@ def test_write_json_bytes_equal_json_dump(data):
 
 class _ByteCount:
     """A text sink that keeps only the number of characters written (the
-    scan JSON is ASCII, so characters are bytes)."""
+    scan output is ASCII, so characters are bytes) and their sha256."""
 
     def __init__(self):
         self.chars = 0
+        self.sha256 = hashlib.sha256()
 
     def write(self, text):
         self.chars += len(text)
+        self.sha256.update(text.encode())
 
 
 def writer_peak(writer) -> int:
@@ -524,17 +537,25 @@ def test_stream_scan_bytes_equal_run_scan_writers(axes, block):
 def test_cli_scan_memory_does_not_grow_with_rows():
     """The CLI streams the 153,307-row grid of the benchmark's seed-0
     scan-csv with a tracemalloc peak under 4 MiB, where the coordinate
-    and result arrays of the whole grid take about 22 MB."""
-    argv = ["scan", "--p1", "0.4360:0.9460:0.0500", "--p2",
-            "0.4180:0.9280:0.0500", "--theta", "0.0000:180.2000:1.0000",
-            "--phi", "4.0000:97.0000:15.0000", "--degrees"]
+    and result arrays of the whole grid take about 22 MB. Its bytes, and
+    those of write_csv(run_scan()) on the same grid, are the ones pinned
+    in perfbench/scanspec.py."""
+    grid = scanspec.scan_grid("scan-csv", scanspec.DEFAULT_SEED)
     sink = _ByteCount()
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(sink):
-            assert cli.main(argv) == 0
+            assert cli.main(grid.argv("-")) == 0
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sink.chars == 35_926_879     # the seed-0 CSV, 153,307 rows
+    assert sink.sha256.hexdigest() == scanspec.CSV_SHA256_DEFAULT_SEED
+    assert sink.chars == 35_926_879     # 153,307 rows
     assert peak < 4 * 2 ** 20, f"the CLI scan peaked at {peak / 2 ** 20:.1f} MiB"
+    config = ScanConfig(
+        p1=cli._parse_axis(grid.p1.spec, 1.0), p2=cli._parse_axis(grid.p2.spec, 1.0),
+        theta=cli._parse_axis(grid.theta.spec, 1.0, scale=np.radians),
+        phi=cli._parse_axis(grid.phi.spec, 1.0, scale=np.radians))
+    library = _ByteCount()
+    write_csv(run_scan(config), library)
+    assert library.sha256.hexdigest() == scanspec.CSV_SHA256_DEFAULT_SEED

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 import coeff_oracle
-from spinsqueeze import HalfInt, build_tau, clebsch_gordan, racah_w, spin_matrices
+from spinsqueeze import (HalfInt, SpinDensity, TensorParams, analyze, build_tau,
+                         check_positivity, classify_orientation, clebsch_gordan,
+                         racah_w, spin_matrices, to_tensors)
 from spinsqueeze.angular import _cg_exact
 from spinsqueeze.errors import AngularMomentumError
-from spinsqueeze.tensor_ops import _tau_stack
+from spinsqueeze.tensor_ops import MAX_STATE_SPIN, _tau_stack
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -185,3 +187,19 @@ def test_tau_stack_bits_equal_rational_oracle_at_state_limit():
     """s = 20, the largest spin a state file may have (about 4 s)."""
     built = _tau_stack.__wrapped__(40)      # not kept in the stack cache
     assert np.array_equal(_bits(built), _bits(coeff_oracle.tau_stack(40)))
+
+
+def test_tensor_stack_refused_above_the_state_spin_limit():
+    """At s = 21 the T^k_q stack would hold 43^4 complex numbers, 55 MB;
+    at s = 100, 26 GB. What builds the stack refuses any spin above the
+    limit. The analysis, positivity and orientation checks read only the
+    state's matrix and spin moments, and take any spin."""
+    twice_s = 2 * MAX_STATE_SPIN + 2
+    rho = SpinDensity(HalfInt(twice_s), np.diag(np.linspace(1.0, 2.0, twice_s + 1)))
+    for build in (lambda: to_tensors(rho), lambda: TensorParams(HalfInt(twice_s), {}),
+                  lambda: build_tau(HalfInt(twice_s), 0, 0)):
+        with pytest.raises(ValueError, match=f"exceeds the limit of {MAX_STATE_SPIN}"):
+            build()
+    assert not analyze(rho).squeezed
+    assert check_positivity(rho).psd
+    assert classify_orientation(rho).oriented
