@@ -26,8 +26,8 @@ import numpy as np
 from .angular import clebsch_gordan, racah_w  # noqa: F401
 from .errors import AngularMomentumError, HermiticityError, SchemaError
 from .halfint import HalfInt, check_magnitude
-from .tensor_ops import (MAX_STATE_SPIN, _moment_stack, _stack_order,  # noqa: F401
-                         _tau_stack, build_tau, spin_matrices)
+from .tensor_ops import (MAX_STATE_SPIN, _moment_stack, _spin_stack,  # noqa: F401
+                         _stack_order, _tau_stack, build_tau)
 
 __all__ = [
     "TensorParams",
@@ -108,10 +108,10 @@ class TensorParams:
             vec = np.array(entries, dtype=complex)
             if vec.shape != (len(keys),):
                 raise ValueError(f"tensor vector shape {vec.shape} != ({len(keys)},)")
-        bad = np.flatnonzero(~np.isfinite(vec))
-        if bad.size:
+        finite = np.isfinite(vec)
+        if not finite.all():
             raise ValueError("non-finite tensor parameter at (k, q) = "
-                             + ", ".join(str(keys[i]) for i in bad))
+                             + ", ".join(str(keys[i]) for i in np.flatnonzero(~finite)))
         if mapping and given[0] and abs(vec[0] - 1.0) > 1e-9:
             raise ValueError(
                 f"t^0_0 must equal 1 after trace normalization, got {vec[0]}")
@@ -119,8 +119,9 @@ class TensorParams:
             fill = ~given & given[partner]
             vec[fill] = sign[fill] * vec[partner[fill]].conj()
         vec[0] = 1.0
-        bad = np.flatnonzero(np.abs(vec.conj() - sign * vec[partner]) > HERMITICITY_TOL)
-        if bad.size:
+        defect = np.abs(vec.conj() - sign * vec[partner])
+        if defect.max() > HERMITICITY_TOL:
+            bad = np.flatnonzero(defect > HERMITICITY_TOL)
             raise HermiticityError("conjugation pairing violated at (k, q) = "
                                    + ", ".join(str(keys[i]) for i in bad))
         vec.flags.writeable = False
@@ -148,14 +149,19 @@ class TensorParams:
 
 @dataclass(frozen=True)
 class SpinDensity:
-    """A (2s+1) x (2s+1) Hermitian matrix with positive trace."""
+    """A (2s+1) x (2s+1) Hermitian matrix with positive trace.
+
+    ``matrix`` is a read-only, C-ordered copy of the input; ``trace`` is
+    its real trace, computed once when the matrix is validated.
+    """
 
     spin: HalfInt
     matrix: np.ndarray = field(repr=False)
+    trace: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sh = check_magnitude(HalfInt.of(self.spin), "spin")
-        mat = np.array(self.matrix, dtype=complex)
+        mat = np.array(self.matrix, dtype=complex, order="C")
         n = sh.twice + 1
         if mat.shape != (n, n):
             raise ValueError(f"matrix shape {mat.shape} != ({n}, {n}) for spin {sh}")
@@ -170,14 +176,11 @@ class SpinDensity:
         mat.flags.writeable = False
         object.__setattr__(self, "spin", sh)
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "trace", float(tr.real))
 
     @property
     def dim(self) -> int:
         return self.spin.twice + 1
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
 
     def normalized_matrix(self) -> np.ndarray:
         return self.matrix / self.trace
@@ -187,9 +190,11 @@ def _unit_trace_matrix(t: TensorParams) -> np.ndarray:
     """(1/(2s+1)) sum_kq (-1)^q t^k_{-q} T^k_q: the state with trace 1."""
     ts = t.spin.twice
     _, partner, sign = _stack_order(ts)
-    # T^k_q is multiplied by (-1)^q t^k_{-q}
+    stack = _tau_stack(ts)
+    # T^k_q is multiplied by (-1)^q t^k_{-q}: one vector-matrix product
+    # with the flattened stack
     coeffs = sign * t.vector[partner]
-    return np.tensordot(coeffs, _tau_stack(ts), axes=1) / (ts + 1)
+    return (coeffs @ stack.reshape(len(stack), -1)).reshape(ts + 1, ts + 1) / (ts + 1)
 
 
 def _project(matrix: np.ndarray, ts: int) -> np.ndarray:
@@ -207,18 +212,19 @@ def from_tensors(t: TensorParams) -> SpinDensity:
 
 def to_tensors(rho: SpinDensity) -> TensorParams:
     """Project a density matrix onto the tensor operator basis."""
-    tr = np.trace(rho.matrix)
-    if abs(tr) < 1e-300:
+    tr = rho.trace
+    if tr < 1e-300:
         raise ValueError("zero-trace density matrix has no tensor parameters")
     return TensorParams(rho.spin, _project(rho.matrix, rho.spin.twice) / tr,
-                        trace=float(tr.real))
+                        trace=tr)
 
 
 def _moments(rho: SpinDensity) -> tuple[np.ndarray, np.ndarray]:
     """<S_a> and <(S_a S_b + S_b S_a)/2> per unit trace, as a 3-vector and
-    a symmetric 3x3 matrix: one matrix-vector product with the moment
-    stack, Tr(matrix M) = sum_ij matrix_ij M_ji."""
-    vals = (_moment_stack(rho.spin.twice) @ rho.matrix.T.ravel()).real / rho.trace
+    a symmetric 3x3 matrix: one matrix-vector product of the moment stack,
+    whose rows are the flattened M^T, with the flattened matrix:
+    Tr(matrix M) = sum_ij matrix_ij M_ji."""
+    vals = (_moment_stack(rho.spin.twice) @ rho.matrix.ravel()).real / rho.trace
     return vals[:3], vals[3:].reshape(3, 3)
 
 
@@ -346,25 +352,26 @@ def classify_orientation(rho: SpinDensity) -> OrientationReport:
     """
     n = rho.dim
     mat = rho.normalized_matrix()
-    if np.abs(mat - np.eye(n) / n).max() < 1e-12:
+    # the first entry is a necessary test that rejects most states at once
+    if abs(mat[0, 0] - 1.0 / n) < 1e-12 and np.abs(mat - np.eye(n) / n).max() < 1e-12:
         return OrientationReport(True, np.array([0.0, 0.0, 1.0]), np.full(n, 1.0 / n))
-    spins = spin_matrices(rho.spin)
-    stack = np.array(spins)
+    stack = _spin_stack(rho.spin.twice)
     comm = (mat @ stack - stack @ mat).reshape(3, -1)
-    # column a: the real, then the imaginary, parts of [rho, S_a]
-    a = np.concatenate([comm.real, comm.imag], axis=1).T
-    _, svals, vt = np.linalg.svd(a, full_matrices=False)
+    # column a: the real and imaginary parts of [rho, S_a], interleaved;
+    # the order of the rows changes neither the singular values nor V
+    _, svals, vt = np.linalg.svd(comm.view(float).T, full_matrices=False)
     if svals[-1] > 1e-10 * max(1.0, svals[0]):
         return OrientationReport(False, None, None)
     axis = _canonical_sign(vt[-1] / np.linalg.norm(vt[-1]))
     # eigh orders the eigenvalues m of S.n ascending; reversed, the columns
     # are the |s m> states along the axis, m = s..-s
-    u = np.linalg.eigh(sum(c * sa for c, sa in zip(axis, spins)))[1][:, ::-1]
+    u = np.linalg.eigh((axis @ stack.reshape(3, -1)).reshape(n, n))[1][:, ::-1]
     rotated = u.conj().T @ mat @ u
-    off = rotated - np.diag(np.diag(rotated))
-    if np.abs(off).max() > 1e-8:
+    off = np.abs(rotated)
+    off.flat[::n + 1] = 0.0
+    if off.max() > 1e-8:
         return OrientationReport(False, None, None)
-    return OrientationReport(True, axis, np.real(np.diag(rotated)))
+    return OrientationReport(True, axis, rotated.diagonal().real)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ import numpy as np
 
 from .angular import EulerAngles, wigner_d_matrix
 from .density import (SpinDensity, TensorParams, _canonical_sign, _moments,
-                      spin_scale_rank2, to_tensors)
+                      to_tensors)
 from .errors import LakinFrameUndefined, NoAlignment
 
 __all__ = ["FrameResult", "rotate_tensors", "special_lakin_frame", "paaf",
@@ -36,7 +36,7 @@ __all__ = ["FrameResult", "rotate_tensors", "special_lakin_frame", "paaf",
 
 POLARIZATION_TOL = 1e-10
 # gamma follows t^2_2 only where |Q_xx - Q_yy + 2i Q_xy| exceeds this
-# fraction of Tr Q; see _lakin_rotation
+# fraction of Tr Q; see _lakin_frame
 _GAMMA_REL_TOL = 1e-12
 
 
@@ -68,13 +68,17 @@ def rotate_tensors(t: TensorParams, angles: EulerAngles) -> TensorParams:
 
 def rotation_matrix(angles: EulerAngles) -> np.ndarray:
     """Active z-y-z rotation matrix; its columns are the rotated frame axes."""
-    ca, sa = math.cos(angles.alpha), math.sin(angles.alpha)
-    cb, sb = math.cos(angles.beta), math.sin(angles.beta)
-    cg, sg = math.cos(angles.gamma), math.sin(angles.gamma)
-    rz1 = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
-    ry = np.array([[cb, 0.0, sb], [0.0, 1.0, 0.0], [-sb, 0.0, cb]])
-    rz2 = np.array([[cg, -sg, 0.0], [sg, cg, 0.0], [0.0, 0.0, 1.0]])
-    return rz1 @ ry @ rz2
+    return _zyz_matrix(angles.alpha, angles.beta, angles.gamma)
+
+
+def _zyz_matrix(alpha: float, beta: float, gamma: float) -> np.ndarray:
+    """R_z(alpha) R_y(beta) R_z(gamma), written out as one array."""
+    ca, sa = math.cos(alpha), math.sin(alpha)
+    cb, sb = math.cos(beta), math.sin(beta)
+    cg, sg = math.cos(gamma), math.sin(gamma)
+    return np.array([ca * cb * cg - sa * sg, -ca * cb * sg - sa * cg, ca * sb,
+                     sa * cb * cg + ca * sg, ca * cg - sa * cb * sg, sa * sb,
+                     -sb * cg, sb * sg, cb]).reshape(3, 3)
 
 
 def euler_from_rotation(r: np.ndarray) -> EulerAngles:
@@ -93,43 +97,51 @@ def euler_from_rotation(r: np.ndarray) -> EulerAngles:
     return EulerAngles(alpha, beta, gamma)
 
 
-def _lakin_rotation(spin, mean: np.ndarray, cov: np.ndarray) -> EulerAngles:
+def _lakin_frame(spin, mean: np.ndarray,
+                 cov: np.ndarray) -> tuple[EulerAngles, float, float, float]:
     """The rotation of :func:`special_lakin_frame` from the mean spin and
-    the spin covariance. alpha and beta point z along the mean spin;
-    gamma rotates the transverse covariance Q = R(alpha, beta, 0)^T cov
-    R(alpha, beta, 0) to its principal axes. In the R(alpha, beta, 0)
-    frame t^2_2 = (Q_xx - Q_yy + 2i Q_xy) / (2 c2), with
-    c2 = spin_scale_rank2(s), so this gamma makes t^2_2 real and
-    non-negative."""
-    norm = float(np.linalg.norm(mean))
+    the spin covariance, with |<S>| and the covariance on the rotated x
+    and y axes: ``(rotation, norm, vx, vy)``.
+
+    alpha and beta point z along the mean spin; gamma rotates the
+    transverse covariance Q = R(alpha, beta, 0)^T cov R(alpha, beta, 0)
+    to its principal axes. In the R(alpha, beta, 0) frame
+    t^2_2 = (Q_xx - Q_yy + 2i Q_xy) / (2 c2), with c2 =
+    spin_scale_rank2(s), so this gamma makes t^2_2 real and non-negative,
+    and the x and y variances become the principal values
+    (Q_xx + Q_yy)/2 +- |Q_xx - Q_yy + 2i Q_xy|/2 of the transverse block.
+    """
+    x, y, z = mean.tolist()
+    norm = math.sqrt(x * x + y * y + z * z)
     if norm <= POLARIZATION_TOL * spin.value:
         raise LakinFrameUndefined(
             f"|polarization| = {norm:.3e} is below threshold; no preferred frame")
-    theta = math.acos(max(-1.0, min(1.0, mean[2] / norm)))
-    phi = math.atan2(mean[1], mean[0])
-    r = rotation_matrix(EulerAngles(phi, theta, 0.0))
-    q = r.T @ cov @ r
-    c2 = spin_scale_rank2(spin)
-    gamma = 0.0
+    theta = math.acos(max(-1.0, min(1.0, z / norm)))
+    phi = math.atan2(y, x)
+    r = _zyz_matrix(phi, theta, 0.0)
+    (qxx, qxy, _), (_, qyy, _), (_, _, qzz) = (r.T @ cov @ r).tolist()
+    gamma, vx, vy = 0.0, qxx, qyy
+    split = math.hypot(qxx - qyy, 2.0 * qxy)
     # Below the cutoff t^2_2 is rounding noise and gamma stays 0, as for
     # spin 1/2, which has no rank 2 (c2 = 0). The noise grows with the
     # size of Q, so the cutoff is relative to its trace, the total spin
     # variance: at 2s = 20 the noise reached 1.1e-15 Tr Q on 1,000
     # oriented states, whose t^2_2 vanishes (tests/conftest.py
     # random_oriented, seed 20240817).
-    if c2 > 0 and math.hypot(q[0, 0] - q[1, 1], 2.0 * q[0, 1]) \
-            > _GAMMA_REL_TOL * abs(q[0, 0] + q[1, 1] + q[2, 2]):
-        gamma = 0.5 * math.atan2(2.0 * q[0, 1], q[0, 0] - q[1, 1])
+    if spin.twice > 1 and split > _GAMMA_REL_TOL * abs(qxx + qyy + qzz):
+        gamma = 0.5 * math.atan2(2.0 * qxy, qxx - qyy)
         if gamma < 0:
             gamma += math.pi
-    return EulerAngles(phi, theta, gamma)
+        mid = 0.5 * (qxx + qyy)
+        vx, vy = mid + 0.5 * split, mid - 0.5 * split
+    return EulerAngles(phi, theta, gamma), norm, vx, vy
 
 
 def _mean_and_covariance(rho: SpinDensity) -> tuple[np.ndarray, np.ndarray]:
     """<S> and the covariance <(S_a S_b + S_b S_a)/2> - <S_a><S_b>, per
     unit trace."""
     mean, second = _moments(rho)
-    return mean, second - np.outer(mean, mean)
+    return mean, second - mean[:, None] * mean
 
 
 def special_lakin_frame(rho: SpinDensity) -> FrameResult:
@@ -144,7 +156,7 @@ def special_lakin_frame(rho: SpinDensity) -> FrameResult:
     every frame is then equivalent and the squeezing analysis rejects
     the state separately.
     """
-    rotation = _lakin_rotation(rho.spin, *_mean_and_covariance(rho))
+    rotation = _lakin_frame(rho.spin, *_mean_and_covariance(rho))[0]
     return FrameResult(rotation, rotate_tensors(to_tensors(rho), rotation))
 
 

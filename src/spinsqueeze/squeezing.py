@@ -35,8 +35,8 @@ from .density import (SpinDensity, check_positivity, spin_scale_rank1,
 from .errors import AngularMomentumError, LakinFrameUndefined, UnphysicalStateError
 # special_lakin_frame is unused here; it stays as an attribute of this
 # module because perfbench/spans.py patches it here.
-from .frames import (_lakin_rotation, _mean_and_covariance,  # noqa: F401
-                     rotation_matrix, special_lakin_frame)
+from .frames import (_lakin_frame, _mean_and_covariance,  # noqa: F401
+                     special_lakin_frame)
 from .halfint import HalfInt, check_magnitude
 
 __all__ = ["SqueezingReport", "analyze", "lf_criterion", "lf_variances",
@@ -124,7 +124,7 @@ def analyze(rho: SpinDensity) -> SqueezingReport:
     sv = rho.spin.value
     mean, cov = _mean_and_covariance(rho)
     try:
-        rotation = _lakin_rotation(rho.spin, mean, cov)
+        rotation, norm, vx, vy = _lakin_frame(rho.spin, mean, cov)
     except LakinFrameUndefined:
         vx, vy = float(cov[0, 0]), float(cov[1, 1])
         phi_min = 0.0 if vx <= vy else 0.5 * math.pi
@@ -135,11 +135,7 @@ def analyze(rho: SpinDensity) -> SqueezingReport:
             min_variance=mv, q_margin=-mv, xi=math.inf, squeezed=False,
             frame=EulerAngles.identity(), reason="no vector polarization")
     # the frame's x and y axes are the principal axes of the transverse
-    # covariance, so its diagonal there holds both extremes of Var(phi)
-    r = rotation_matrix(rotation)
-    vx = float(r[:, 0] @ cov @ r[:, 0])
-    vy = float(r[:, 1] @ cov @ r[:, 1])
-    norm = float(np.linalg.norm(mean))     # <S_z0> > 0 in this frame
+    # covariance, so vx and vy are both extremes of Var(phi); <S_z0> = norm
     sz_half = 0.5 * norm
     phi_min = 0.0 if vx <= vy else 0.5 * math.pi
     min_variance = min(vx, vy)
@@ -189,6 +185,8 @@ def oriented_margin(s, populations) -> float:
     n = sh.twice + 1
     if p.shape != (n,):
         raise ValueError(f"expected {n} populations for spin {sh}, got shape {p.shape}")
+    if not np.isfinite(p).all():
+        raise ValueError("populations must be finite")
     if np.any(p < -1e-12):
         raise ValueError("populations must be non-negative")
     if abs(p.sum() - 1.0) > 1e-9:

@@ -10,10 +10,10 @@ Matrix elements follow the Madison normalization,
 ``Tr(T^k_q^dagger T^k'_q') = (2s+1) delta_kk' delta_qq'``.
 
 Construction is lazy and memoized per spin: the first request builds
-every T^k_q of that spin as one stack. S_a and every (S_a S_b + S_b S_a)/2
-form a second, much smaller stack per spin. The returned arrays are
-frozen (non-writeable) so cached values are safe to share between
-threads.
+every T^k_q of that spin as one stack. (S_x, S_y, S_z) form a second
+stack, and S_a with every (S_a S_b + S_b S_a)/2 a third, both much smaller.
+The returned arrays are frozen (non-writeable) so cached values are safe
+to share between threads.
 """
 
 from __future__ import annotations
@@ -114,12 +114,21 @@ def spin_matrices(s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
+def _spin_stack(ts: int) -> np.ndarray:
+    """(S_x, S_y, S_z) of spin ts/2 as one (3, ts+1, ts+1) array. Read-only."""
+    out = np.array(spin_matrices(HalfInt(ts)))
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
 def _moment_stack(ts: int) -> np.ndarray:
     """The operators of the first and second spin moments of spin ts/2
     as one (12, (ts+1)^2) stack: S_x, S_y, S_z, then (S_a S_b + S_b S_a)/2
-    for a, b = x, y, z in row-major order, each flattened. Read-only."""
-    spins = spin_matrices(HalfInt(ts))
+    for a, b = x, y, z in row-major order, each transposed and flattened,
+    so that Tr(matrix M) = stack row . matrix.ravel(). Read-only."""
+    spins = _spin_stack(ts)
     sym = [(a @ b + b @ a) / 2.0 for a in spins for b in spins]
-    out = np.array([m.ravel() for m in (*spins, *sym)])
+    out = np.array([m.T.ravel() for m in (*spins, *sym)])
     out.flags.writeable = False
     return out

@@ -378,13 +378,19 @@ def test_generic_rank2_states_are_not_oriented(ts, seed):
     assert rep.axis is None and rep.populations is None
 
 
-# Runs `spinsqueeze validate` in this interpreter and prints its peak RSS
-# in KiB to stderr.
+# Runs `spinsqueeze validate` in this interpreter and prints its own peak
+# RSS in KiB to stderr: VmHWM, because on Linux ru_maxrss carries over
+# across fork and exec the peak of the process that started it (pytest's).
 _VALIDATE_PEAK_RSS = """
 import resource, sys
 from spinsqueeze.cli import main
 code = main(["validate", sys.argv[1]])
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+try:
+    with open("/proc/self/status", encoding="ascii") as fh:
+        peak = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+except OSError:
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(peak, file=sys.stderr)
 sys.exit(code)
 """
 
@@ -392,8 +398,8 @@ sys.exit(code)
 def test_orientation_memory_does_not_grow_as_n4(rng, tmp_path):
     """At s = 20 the commutator matrix is 3362 x 3; a full SVD of it builds
     a 3362 x 3362 U, 86 MiB. `spinsqueeze validate` of an s = 20 oriented
-    state file stays under 150 MB of RSS, read in a fresh interpreter: in
-    this one RUSAGE_CHILDREN is the largest child of the whole run."""
+    state file stays under 150 MB of RSS, read as the peak of a fresh
+    interpreter's own pages."""
     rho = random_density(rng, 40)
     classify_orientation(rho)                 # warm the spin-matrix cache
     tracemalloc.start()

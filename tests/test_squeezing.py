@@ -148,6 +148,13 @@ def test_oriented_margin_validation():
         oriented_margin(1, [0.7, 0.1, 0.1])       # not normalized
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_oriented_margin_rejects_non_finite_populations(bad):
+    # NaN fails both the sign and the sum comparison without raising
+    with pytest.raises(ValueError, match="finite"):
+        oriented_margin(1, [bad, 0.5, 0.5])
+
+
 def test_oriented_margin_never_positive(rng):
     for ts in (1, 2, 3, 4, 5):
         n = ts + 1
@@ -184,11 +191,11 @@ def test_verdict_frame_independent(rng):
         assert rep.q_margin == pytest.approx(rep0.q_margin, abs=1e-10)
 
 
-def q_margin_oracle(rho: SpinDensity) -> float:
-    """|<S>|/2 minus the least transverse variance, from spin matrices: the
-    smaller eigenvalue of the covariance of S along two axes normal to <S>."""
+def spin_matrix_oracle(rho: SpinDensity) -> tuple[np.ndarray, np.ndarray]:
+    """<S>, and the ascending eigenvalues of the covariance of S along two
+    axes normal to <S>: every entry a trace of rho times spin matrices."""
     spins = spin_matrices(rho.spin)
-    m = rho.normalized_matrix()
+    m = rho.matrix / np.trace(rho.matrix).real
 
     def mean(op):
         return float(np.trace(m @ op).real)
@@ -203,7 +210,13 @@ def q_margin_oracle(rho: SpinDensity) -> float:
     ma, mb = mean(a), mean(b)
     cab = mean((a @ b + b @ a) / 2) - ma * mb
     cov = np.array([[mean(a @ a) - ma * ma, cab], [cab, mean(b @ b) - mb * mb]])
-    return float(np.linalg.norm(vec)) / 2 - float(np.linalg.eigvalsh(cov)[0])
+    return vec, np.linalg.eigvalsh(cov)
+
+
+def q_margin_oracle(rho: SpinDensity) -> float:
+    """|<S>|/2 minus the least transverse variance, from spin matrices."""
+    vec, principal = spin_matrix_oracle(rho)
+    return float(np.linalg.norm(vec)) / 2 - float(principal[0])
 
 
 @settings(max_examples=60)
@@ -249,6 +262,44 @@ def test_moment_route_matches_paper_closed_forms(ts, kind, seed):
     assert rep.sz_half == pytest.approx(sz_half, abs=tol)
     if abs(vx - vy) > 1e-10:    # rounding decides ties on either route
         assert rep.phi_min == (0.0 if vx <= vy else 0.5 * math.pi)
+
+
+@settings(max_examples=120)
+@given(st.integers(1, 20),
+       st.sampled_from(["pure", "mixed", "oriented"]),
+       st.integers(0, 2**32 - 1))
+def test_report_numbers_match_spin_matrix_oracle(ts, kind, seed):
+    """s <= 10: every number of the report against spin-matrix traces. The
+    two variances are the principal values of the transverse covariance;
+    the frame's z axis is <S>, and its x axis is an eigenvector of the
+    covariance in the plane normal to <S>, with the variance_x0 eigenvalue."""
+    rho = _state(np.random.default_rng(seed), ts, kind)
+    rep = analyze(rho)
+    vec, principal = spin_matrix_oracle(rho)
+    norm = float(np.linalg.norm(vec))
+    s = ts / 2
+    tol = 1e-12 * s * (s + 1)
+    assert rep.reason is None
+    assert sorted([rep.variance_x0, rep.variance_y0]) == pytest.approx(principal, abs=tol)
+    assert rep.min_variance == pytest.approx(principal[0], abs=tol)
+    assert rep.q_margin == pytest.approx(norm / 2 - principal[0], abs=tol)
+    assert rep.sz_half == pytest.approx(norm / 2, abs=tol)
+    assert rep.xi == pytest.approx(math.sqrt(2 * s * principal[0]) / norm, abs=tol)
+    assert rep.mean_spin == pytest.approx(vec / norm, abs=tol)
+    r = rotation_matrix(rep.frame)
+    assert r[:, 2] == pytest.approx(vec / norm, abs=tol)
+    # S along the frame's x and y axes, from the spin matrices
+    spins = spin_matrices(rho.spin)
+    sx0, sy0 = (sum(c * sa for c, sa in zip(r[:, i], spins)) for i in (0, 1))
+    m = rho.matrix / np.trace(rho.matrix).real
+
+    def cov(a, b):
+        return float(np.trace(m @ (a @ b + b @ a)).real) / 2 \
+            - float(np.trace(m @ a).real) * float(np.trace(m @ b).real)
+
+    assert cov(sx0, sx0) == pytest.approx(rep.variance_x0, abs=tol)
+    assert cov(sy0, sy0) == pytest.approx(rep.variance_y0, abs=tol)
+    assert cov(sx0, sy0) == pytest.approx(0.0, abs=tol)
 
 
 def _unreachable(*args, **kwargs):
