@@ -307,6 +307,39 @@ def check_positivity(rho: SpinDensity) -> PositivityReport:
                             state=rho)
 
 
+# check_positivity's PSD_TOL is narrowed by this much in _certainly_psd
+_CHOLESKY_MARGIN = 1e-12
+
+
+def _certainly_psd(rho: SpinDensity) -> bool:
+    """A sufficient test for ``check_positivity(rho).psd``: True only where
+    that is True, from one Cholesky factorization and no eigenvalues.
+
+    The factorization is of H = A + (PSD_TOL - delta) I, A = rho / Tr rho,
+    delta = _CHOLESKY_MARGIN. If it runs to completion, its factor R
+    satisfies R^H R = H + E with |E| <= gamma_{n+1} |R^H| |R| entrywise
+    (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3;
+    complex arithmetic changes the constant by a small factor),
+    gamma_m = m u / (1 - m u), u = 2^-53, so
+    ||E||_2 <= gamma_{n+1} ||R||_F^2 = gamma_{n+1} Tr(H + E), about
+    (n + 1) u: 4.7e-15 at n = 41, with the rounding of the shifted
+    diagonal included. Hence lambda_min(A) >= -PSD_TOL + delta - ||E||.
+    eigvalsh is backward stable too, and its smallest eigenvalue of A is
+    off by a few n u ||A||_2 at most, with ||A||_2 <= Tr(H + E) + ||E||
+    close to 1. Both errors stay far below delta = 1e-12 for n up to
+    thousands, so eigvalsh gives lambda_min >= -PSD_TOL wherever this
+    returns True. Both read the lower triangle of the same A. A False is
+    no verdict: the caller asks check_positivity.
+    """
+    mat = rho.normalized_matrix()
+    mat.flat[::rho.dim + 1] += PSD_TOL - _CHOLESKY_MARGIN
+    try:
+        np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def purity_residual(t: TensorParams) -> float:
     """How far the tensor parameters are from describing a pure state.
 
@@ -347,8 +380,11 @@ def classify_orientation(rho: SpinDensity) -> OrientationReport:
     Solves the linear system [rho, S.n] = 0 for a real axis n (three
     unknowns, 2n^2 real equations) by a thin SVD; when a non-trivial
     solution exists the state is written in the eigenbasis of S.n and
-    diagonality is confirmed there. A state proportional to the identity
-    is reported oriented along z by convention.
+    diagonality is confirmed there. A bound on the determinant of the
+    system's 3x3 Gram matrix rejects most non-oriented states before the
+    SVD; where it decides, the SVD would have decided the same. A state
+    proportional to the identity is reported oriented along z by
+    convention.
     """
     n = rho.dim
     mat = rho.normalized_matrix()
@@ -356,10 +392,23 @@ def classify_orientation(rho: SpinDensity) -> OrientationReport:
     if abs(mat[0, 0] - 1.0 / n) < 1e-12 and np.abs(mat - np.eye(n) / n).max() < 1e-12:
         return OrientationReport(True, np.array([0.0, 0.0, 1.0]), np.full(n, 1.0 / n))
     stack = _spin_stack(rho.spin.twice)
-    comm = (mat @ stack - stack @ mat).reshape(3, -1)
-    # column a: the real and imaginary parts of [rho, S_a], interleaved;
-    # the order of the rows changes neither the singular values nor V
-    _, svals, vt = np.linalg.svd(comm.view(float).T, full_matrices=False)
+    # row a: the real and imaginary parts of [rho, S_a], interleaved; the
+    # order of the columns changes neither the singular values nor V
+    rows = (mat @ stack - stack @ mat).reshape(3, -1).view(float)
+    # Gram certificate. With G = rows rows^T = A^T A for A = rows^T and
+    # sigma_1 >= sigma_2 >= sigma_3 the singular values of A,
+    # det G = (sigma_1 sigma_2 sigma_3)^2 and sigma_1^2 sigma_2^2 <=
+    # (Tr G)^2, so det G > 1e-9 (Tr G)^2 max(1, Tr G) proves
+    # sigma_3 > 3e-5 max(1, sigma_1): far outside the SVD test below
+    # (1e-10), with room for the rounding of G and of its determinant
+    # (relative 1e-12 at n = 41). Such a state is not oriented.
+    (g00, g01, g02), (_, g11, g12), (_, _, g22) = (rows @ rows.T).tolist()
+    tr = g00 + g11 + g22
+    det = (g00 * (g11 * g22 - g12 * g12) - g01 * (g01 * g22 - g12 * g02)
+           + g02 * (g01 * g12 - g11 * g02))
+    if det > 1e-9 * tr * tr * max(1.0, tr):
+        return OrientationReport(False, None, None)
+    _, svals, vt = np.linalg.svd(rows.T, full_matrices=False)
     if svals[-1] > 1e-10 * max(1.0, svals[0]):
         return OrientationReport(False, None, None)
     axis = _canonical_sign(vt[-1] / np.linalg.norm(vt[-1]))

@@ -98,10 +98,11 @@ def euler_from_rotation(r: np.ndarray) -> EulerAngles:
 
 
 def _lakin_frame(spin, mean: np.ndarray,
-                 cov: np.ndarray) -> tuple[EulerAngles, float, float, float]:
+                 cov: np.ndarray) -> tuple[EulerAngles, float, float, float, float]:
     """The rotation of :func:`special_lakin_frame` from the mean spin and
-    the spin covariance, with |<S>| and the covariance on the rotated x
-    and y axes: ``(rotation, norm, vx, vy)``.
+    the spin covariance, with |<S>|, the covariance on the rotated x and
+    y axes, and the azimuth of the smaller one from the x axis:
+    ``(rotation, norm, vx, vy, phi_min)``.
 
     alpha and beta point z along the mean spin; gamma rotates the
     transverse covariance Q = R(alpha, beta, 0)^T cov R(alpha, beta, 0)
@@ -110,6 +111,9 @@ def _lakin_frame(spin, mean: np.ndarray,
     spin_scale_rank2(s), so this gamma makes t^2_2 real and non-negative,
     and the x and y variances become the principal values
     (Q_xx + Q_yy)/2 +- |Q_xx - Q_yy + 2i Q_xy|/2 of the transverse block.
+    Then vx > vy and phi_min = pi/2. Where gamma stays 0, Q is isotropic
+    to rounding and phi_min = 0, whichever of vx and vy the rounding
+    made smaller.
     """
     x, y, z = mean.tolist()
     norm = math.sqrt(x * x + y * y + z * z)
@@ -118,9 +122,19 @@ def _lakin_frame(spin, mean: np.ndarray,
             f"|polarization| = {norm:.3e} is below threshold; no preferred frame")
     theta = math.acos(max(-1.0, min(1.0, z / norm)))
     phi = math.atan2(y, x)
-    r = _zyz_matrix(phi, theta, 0.0)
-    (qxx, qxy, _), (_, qyy, _), (_, _, qzz) = (r.T @ cov @ r).tolist()
-    gamma, vx, vy = 0.0, qxx, qyy
+    # Q_xx, Q_xy and Q_yy from the x and y axes of R(alpha, beta, 0),
+    # (ca cb, sa cb, -sb) and (-sa, ca, 0), in floats; Tr Q = Tr cov
+    ca, sa = math.cos(phi), math.sin(phi)
+    cb, sb = math.cos(theta), math.sin(theta)
+    ux, uy, uz = ca * cb, sa * cb, -sb
+    (cxx, cxy, cxz), (_, cyy, cyz), (_, _, czz) = cov.tolist()
+    wx = cxx * ux + cxy * uy + cxz * uz      # cov applied to the x axis
+    wy = cxy * ux + cyy * uy + cyz * uz
+    wz = cxz * ux + cyz * uy + czz * uz
+    qxx = ux * wx + uy * wy + uz * wz
+    qxy = ca * wy - sa * wx
+    qyy = sa * sa * cxx - 2.0 * sa * ca * cxy + ca * ca * cyy
+    gamma, vx, vy, phi_min = 0.0, qxx, qyy, 0.0
     split = math.hypot(qxx - qyy, 2.0 * qxy)
     # Below the cutoff t^2_2 is rounding noise and gamma stays 0, as for
     # spin 1/2, which has no rank 2 (c2 = 0). The noise grows with the
@@ -128,13 +142,14 @@ def _lakin_frame(spin, mean: np.ndarray,
     # variance: at 2s = 20 the noise reached 1.1e-15 Tr Q on 1,000
     # oriented states, whose t^2_2 vanishes (tests/conftest.py
     # random_oriented, seed 20240817).
-    if spin.twice > 1 and split > _GAMMA_REL_TOL * abs(qxx + qyy + qzz):
+    if spin.twice > 1 and split > _GAMMA_REL_TOL * abs(cxx + cyy + czz):
         gamma = 0.5 * math.atan2(2.0 * qxy, qxx - qyy)
         if gamma < 0:
             gamma += math.pi
         mid = 0.5 * (qxx + qyy)
-        vx, vy = mid + 0.5 * split, mid - 0.5 * split
-    return EulerAngles(phi, theta, gamma), norm, vx, vy
+        # split/2 exceeds 5e-13 mid, far above mid's rounding: vx > vy
+        vx, vy, phi_min = mid + 0.5 * split, mid - 0.5 * split, 0.5 * math.pi
+    return EulerAngles(phi, theta, gamma), norm, vx, vy, phi_min
 
 
 def _mean_and_covariance(rho: SpinDensity) -> tuple[np.ndarray, np.ndarray]:

@@ -30,8 +30,8 @@ from typing import Optional
 import numpy as np
 
 from .angular import EulerAngles
-from .density import (SpinDensity, check_positivity, spin_scale_rank1,
-                      spin_scale_rank2)
+from .density import (SpinDensity, _certainly_psd, check_positivity,
+                      spin_scale_rank1, spin_scale_rank2)
 from .errors import AngularMomentumError, LakinFrameUndefined, UnphysicalStateError
 # special_lakin_frame is unused here; it stays as an attribute of this
 # module because perfbench/spans.py patches it here.
@@ -111,20 +111,27 @@ def analyze(rho: SpinDensity) -> SqueezingReport:
     """Full squeezing analysis of a physical density matrix.
 
     Raises :class:`UnphysicalStateError` when the state is not positive
-    semi-definite. States without vector polarization are reported
-    unsqueezed with reason "no vector polarization" (their transverse
-    variances are still evaluated, in the input frame).
+    semi-definite, exactly where ``check_positivity(rho).psd`` is False.
+    States without vector polarization are reported unsqueezed with
+    reason "no vector polarization" (their transverse variances are still
+    evaluated, in the input frame). ``phi_min`` is pi/2 where gamma turned
+    the frame onto distinct principal axes, else 0: a transverse
+    covariance that is isotropic to rounding, as at spin 1/2 and for every
+    oriented state, reports phi_min = 0.
     """
-    pos = check_positivity(rho)
-    if not pos.psd:
-        raise UnphysicalStateError(
-            f"state is not positive semi-definite "
-            f"(eigenvalues {np.array2string(pos.eigenvalues, precision=6)})",
-            eigenvalues=pos.eigenvalues)
+    # the Cholesky certificate passes almost every physical state; where
+    # it does not, the eigenvalues decide and are reported
+    if not _certainly_psd(rho):
+        pos = check_positivity(rho)
+        if not pos.psd:
+            raise UnphysicalStateError(
+                f"state is not positive semi-definite "
+                f"(eigenvalues {np.array2string(pos.eigenvalues, precision=6)})",
+                eigenvalues=pos.eigenvalues)
     sv = rho.spin.value
     mean, cov = _mean_and_covariance(rho)
     try:
-        rotation, norm, vx, vy = _lakin_frame(rho.spin, mean, cov)
+        rotation, norm, vx, vy, phi_min = _lakin_frame(rho.spin, mean, cov)
     except LakinFrameUndefined:
         vx, vy = float(cov[0, 0]), float(cov[1, 1])
         phi_min = 0.0 if vx <= vy else 0.5 * math.pi
@@ -137,7 +144,6 @@ def analyze(rho: SpinDensity) -> SqueezingReport:
     # the frame's x and y axes are the principal axes of the transverse
     # covariance, so vx and vy are both extremes of Var(phi); <S_z0> = norm
     sz_half = 0.5 * norm
-    phi_min = 0.0 if vx <= vy else 0.5 * math.pi
     min_variance = min(vx, vy)
     q_margin = sz_half - min_variance
     xi = math.sqrt(max(0.0, 2.0 * sv * min_variance)) / norm

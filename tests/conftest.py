@@ -1,6 +1,6 @@
 """Shared helpers: random state generators with fixed seeds, the
-README's code examples, and a fixture that makes small scans span many
-kernel blocks."""
+README's code examples, a call counter, and a fixture that makes small
+scans span many kernel blocks."""
 
 from pathlib import Path
 
@@ -79,6 +79,20 @@ def rotate_state(rng, rho: SpinDensity) -> SpinDensity:
                          np.arccos(rng.uniform(-1, 1)),
                          rng.uniform(0, 2 * np.pi))
     return from_tensors(rotate_tensors(to_tensors(rho), angles))
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Wrap ``module.name`` so that each call appends its name to the
+    returned list, for the length of the test."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 @pytest.fixture

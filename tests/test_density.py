@@ -12,8 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (random_density, random_hermitian_state, random_oriented,
-                      readme_example)
+from conftest import (count_calls, random_density, random_hermitian_state,
+                      random_oriented, readme_example)
+from orientation_oracle import classify_orientation_svd
 from purity_oracle import purity_residual_tensor_form
 import spinsqueeze
 from spinsqueeze import (EulerAngles, HalfInt, SpinDensity, TensorParams,
@@ -376,6 +377,54 @@ def test_generic_rank2_states_are_not_oriented(ts, seed):
     rep = classify_orientation(SpinDensity(HalfInt(ts), g @ g.conj().T))
     assert not rep.oriented
     assert rep.axis is None and rep.populations is None
+
+
+@st.composite
+def _orientation_cases(draw):
+    """Generic, pure, oriented and near-oriented states at 2s = 1..40; a
+    near-oriented state is an oriented one plus eps times a Hermitian
+    matrix with largest entry 1."""
+    ts = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["generic", "pure", "oriented", "near-oriented"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind in ("generic", "pure"):
+        return random_density(rng, ts, pure=kind == "pure")
+    rho = random_oriented(rng, ts)[0]
+    if kind == "oriented":
+        return rho
+    eps = draw(st.sampled_from([1e-14, 1e-12, 1e-10, 1e-8, 1e-6]))
+    n = ts + 1
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    h = g + g.conj().T
+    return SpinDensity(HalfInt(ts), rho.matrix + eps * h / np.abs(h).max())
+
+
+def _report_bytes(rep):
+    return (rep.oriented,
+            None if rep.axis is None else rep.axis.tobytes(),
+            None if rep.populations is None else rep.populations.tobytes())
+
+
+@settings(deadline=None, max_examples=250)
+@given(_orientation_cases())
+def test_orientation_matches_svd_oracle_bitwise(rho):
+    """The Gram-determinant certificate decides only where the SVD would
+    decide the same: the flag, axis and populations are those of the
+    SVD-only route, byte for byte."""
+    assert _report_bytes(classify_orientation(rho)) == \
+        _report_bytes(classify_orientation_svd(rho))
+
+
+@pytest.mark.parametrize("ts", [2, 3, 20, 40])
+def test_generic_state_is_rejected_without_svd(monkeypatch, rng, ts):
+    """A generic rank-2 state is rejected by the Gram certificate; an
+    oriented one still takes the SVD."""
+    svd_calls = count_calls(monkeypatch, np.linalg, "svd")
+    g = rng.normal(size=(ts + 1, 2)) + 1j * rng.normal(size=(ts + 1, 2))
+    assert not classify_orientation(SpinDensity(HalfInt(ts), g @ g.conj().T)).oriented
+    assert svd_calls == []
+    assert classify_orientation(random_oriented(rng, ts)[0]).oriented
+    assert svd_calls == ["svd"]
 
 
 # Runs `spinsqueeze validate` in this interpreter and prints its own peak

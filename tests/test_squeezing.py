@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_density, random_oriented, rotate_state
+from conftest import count_calls, random_density, random_oriented, rotate_state
 from spinsqueeze import (EulerAngles, HalfInt, SpinDensity, TensorParams,
-                         analyze, angular, density, frames, squeezing,
-                         from_tensors, lf_criterion, lf_variances,
-                         oriented_margin, special_lakin_frame,
+                         analyze, angular, check_positivity, density,
+                         frames, squeezing, from_tensors, lf_criterion,
+                         lf_variances, oriented_margin, special_lakin_frame,
                          spin_matrices, spin_scale_rank1, variance)
 from spinsqueeze.errors import AngularMomentumError, UnphysicalStateError
 from spinsqueeze.frames import rotation_matrix
@@ -318,6 +318,60 @@ def test_analyze_needs_no_tensor_route(monkeypatch, rng, ts, polarized):
         monkeypatch.setattr(module, name, _unreachable)
     rep = analyze(rho)
     assert rep.reason == (None if polarized else "no vector polarization")
+
+
+@settings(max_examples=120)
+@given(st.one_of(st.tuples(st.just(1), st.sampled_from(["mixed", "pure"])),
+                 st.tuples(st.integers(1, 40), st.just("oriented"))),
+       st.integers(0, 2**32 - 1))
+def test_isotropic_transverse_covariance_gives_phi_min_zero(case, seed):
+    """Spin-1/2 and oriented states have a transverse covariance that is
+    isotropic up to rounding, so gamma stays 0 and phi_min is 0, however
+    the rounding orders variance_x0 and variance_y0."""
+    ts, kind = case
+    rep = analyze(_state(np.random.default_rng(seed), ts, kind))
+    assert rep.reason is None
+    assert rep.frame.gamma == 0.0
+    assert rep.phi_min == 0.0
+
+
+# the smallest eigenvalue of the trace-1 matrix, around -PSD_TOL = -1e-10
+PSD_BAND = [-1e-9, -1.0001e-10, -1e-10, -0.9999e-10, -0.99e-10, -1e-12, 0.0]
+
+
+@settings(max_examples=250)
+@given(st.integers(1, 40), st.sampled_from(PSD_BAND), st.floats(0.3, 3.0),
+       st.integers(0, 2**32 - 1))
+def test_analyze_rejects_exactly_where_check_positivity_does(ts, lam, trace, seed):
+    """Random unitary times a spectrum with the given smallest eigenvalue:
+    analyze() raises exactly where check_positivity finds the state not
+    PSD, with check_positivity's eigenvalues."""
+    rng = np.random.default_rng(seed)
+    n = ts + 1
+    u = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    spectrum = np.concatenate([[lam], (1.0 - lam) * rng.dirichlet(np.ones(n - 1))])
+    m = (u * spectrum) @ u.conj().T
+    rho = SpinDensity(HalfInt(ts), (m + m.conj().T) / 2.0 * trace)
+    pos = check_positivity(rho)
+    if pos.psd:
+        analyze(rho)
+    else:
+        with pytest.raises(UnphysicalStateError) as err:
+            analyze(rho)
+        assert np.array_equal(err.value.eigenvalues, pos.eigenvalues)
+
+
+@pytest.mark.parametrize("ts", [2, 20])
+def test_physical_state_is_certified_without_eigenvalues(monkeypatch, rng, ts):
+    """analyze() of a physical mixed state calls no eigvalsh; an
+    unphysical one calls it once, for the error's eigenvalues."""
+    calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+    analyze(random_density(rng, ts))
+    assert calls == []
+    n = ts + 1
+    with pytest.raises(UnphysicalStateError):
+        analyze(SpinDensity(HalfInt(ts), np.diag([-0.1] + [1.1 / (n - 1)] * (n - 1))))
+    assert calls == ["eigvalsh"]
 
 
 @st.composite
