@@ -241,19 +241,18 @@ def wigner_9j(j11, j12, j13, j21, j22, j23, j31, j32, j33) -> float:
 
 
 @lru_cache(maxsize=None)
-def _spin_cached(ts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(S_x, S_y, S_z) of spin ts/2, rows and columns m = s..-s, from the
-    ladder-operator matrix elements. Read-only."""
+def _spin_cached(ts: int) -> np.ndarray:
+    """(S_x, S_y, S_z) of spin ts/2 as one (3, ts+1, ts+1) array, rows and
+    columns m = s..-s, from the ladder-operator matrix elements. The one
+    copy of the spin matrices in the package. Read-only."""
     s = ts / 2.0
     ms = np.arange(ts, -ts - 1, -2) / 2.0
     sz = np.diag(ms).astype(complex)
     # <m+1|S_+|m> on the superdiagonal
     sp = np.diag(np.sqrt(s * (s + 1) - ms[1:] * (ms[1:] + 1)), 1).astype(complex)
-    sx = (sp + sp.conj().T) / 2.0
-    sy = (sp - sp.conj().T) / 2j
-    for arr in (sx, sy, sz):
-        arr.flags.writeable = False
-    return sx, sy, sz
+    out = np.array([(sp + sp.conj().T) / 2.0, (sp - sp.conj().T) / 2j, sz])
+    out.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -7,6 +7,10 @@ or as its expansion coefficients in the spherical tensor operator basis
     rho = (Tr rho / (2s+1)) * sum_kq (-1)^q t^k_{-q} T^k_q,
     t^k_q = Tr(rho T^k_q) / Tr(rho).
 
+Each direction is one product with the T^k_q stack of ``tensor_ops``,
+whose rows are the flattened (T^k_q)^T = (-1)^q T^k_{-q}; the spin
+moments are one product with its moment stack.
+
 Unnormalized traces are allowed everywhere; every derived quantity divides
 by the trace. Tensor entries are always stored trace-normalized, with
 t^0_0 = 1 implicit.
@@ -23,11 +27,11 @@ import numpy as np
 
 # clebsch_gordan, racah_w and build_tau are unused here; they stay as
 # attributes of this module because perfbench/spans.py patches them here.
-from .angular import clebsch_gordan, racah_w  # noqa: F401
+from .angular import _spin_cached, clebsch_gordan, racah_w  # noqa: F401
 from .errors import AngularMomentumError, HermiticityError, SchemaError
 from .halfint import HalfInt, check_magnitude
-from .tensor_ops import (MAX_STATE_SPIN, _moment_stack, _spin_stack,  # noqa: F401
-                         _stack_order, _tau_stack, build_tau)
+from .tensor_ops import (MAX_STATE_SPIN, _moment_stack, _stack_order,  # noqa: F401
+                         _tau_stack, build_tau)
 
 __all__ = [
     "TensorParams",
@@ -187,21 +191,11 @@ class SpinDensity:
 
 
 def _unit_trace_matrix(t: TensorParams) -> np.ndarray:
-    """(1/(2s+1)) sum_kq (-1)^q t^k_{-q} T^k_q: the state with trace 1."""
-    ts = t.spin.twice
-    _, partner, sign = _stack_order(ts)
-    stack = _tau_stack(ts)
-    # T^k_q is multiplied by (-1)^q t^k_{-q}: one vector-matrix product
-    # with the flattened stack
-    coeffs = sign * t.vector[partner]
-    return (coeffs @ stack.reshape(len(stack), -1)).reshape(ts + 1, ts + 1) / (ts + 1)
-
-
-def _project(matrix: np.ndarray, ts: int) -> np.ndarray:
-    """Tr(matrix T^k_q) = sum_ij matrix_ij (T^k_q)_ji for every (k, q), in
-    the order of the T^k_q stack: one matrix-vector product."""
-    stack = _tau_stack(ts)
-    return stack.reshape(len(stack), -1) @ matrix.T.ravel()
+    """(1/(2s+1)) sum_kq (-1)^q t^k_{-q} T^k_q, the state with trace 1, as
+    (1/(2s+1)) sum_kq t^k_q (T^k_q)^T: the T^k_q are real with
+    (T^k_q)^T = (-1)^q T^k_{-q}, the rows of the stack."""
+    n = t.spin.twice + 1
+    return (t.vector @ _tau_stack(n - 1)).reshape(n, n) / n
 
 
 def from_tensors(t: TensorParams) -> SpinDensity:
@@ -215,15 +209,14 @@ def to_tensors(rho: SpinDensity) -> TensorParams:
     tr = rho.trace
     if tr < 1e-300:
         raise ValueError("zero-trace density matrix has no tensor parameters")
-    return TensorParams(rho.spin, _project(rho.matrix, rho.spin.twice) / tr,
-                        trace=tr)
+    t = _tau_stack(rho.spin.twice) @ rho.matrix.ravel() / tr
+    return TensorParams(rho.spin, t, trace=tr)
 
 
 def _moments(rho: SpinDensity) -> tuple[np.ndarray, np.ndarray]:
     """<S_a> and <(S_a S_b + S_b S_a)/2> per unit trace, as a 3-vector and
-    a symmetric 3x3 matrix: one matrix-vector product of the moment stack,
-    whose rows are the flattened M^T, with the flattened matrix:
-    Tr(matrix M) = sum_ij matrix_ij M_ji."""
+    a symmetric 3x3 matrix: one matrix-vector product of the moment stack
+    with the flattened matrix."""
     vals = (_moment_stack(rho.spin.twice) @ rho.matrix.ravel()).real / rho.trace
     return vals[:3], vals[3:].reshape(3, 3)
 
@@ -356,7 +349,7 @@ def purity_residual(t: TensorParams) -> float:
     """
     ts = t.spin.twice
     rho = _unit_trace_matrix(t)
-    excess = _project(rho @ rho - rho, ts)
+    excess = _tau_stack(ts) @ (rho @ rho - rho).ravel()
     return math.sqrt(ts + 1) * float(np.abs(excess).max())
 
 
@@ -391,7 +384,7 @@ def classify_orientation(rho: SpinDensity) -> OrientationReport:
     # the first entry is a necessary test that rejects most states at once
     if abs(mat[0, 0] - 1.0 / n) < 1e-12 and np.abs(mat - np.eye(n) / n).max() < 1e-12:
         return OrientationReport(True, np.array([0.0, 0.0, 1.0]), np.full(n, 1.0 / n))
-    stack = _spin_stack(rho.spin.twice)
+    stack = _spin_cached(rho.spin.twice)
     # row a: the real and imaginary parts of [rho, S_a], interleaved; the
     # order of the columns changes neither the singular values nor V
     rows = (mat @ stack - stack @ mat).reshape(3, -1).view(float)
@@ -427,6 +420,12 @@ def classify_orientation(rho: SpinDensity) -> OrientationReport:
 # JSON state schema
 # ---------------------------------------------------------------------------
 
+def _is_integral(value) -> bool:
+    """An int, or a float with an integer value: never a bool or a string."""
+    return (isinstance(value, float) and value.is_integer()
+            or isinstance(value, int) and not isinstance(value, bool))
+
+
 def tensor_params_from_dict(data: Mapping) -> TensorParams:
     """Parse the JSON state schema.
 
@@ -456,10 +455,10 @@ def tensor_params_from_dict(data: Mapping) -> TensorParams:
     for i, item in enumerate(tensors):
         if not isinstance(item, Mapping):
             raise SchemaError(f"tensors[{i}] must be an object")
-        try:
-            k, q = int(item["k"]), int(item["q"])
-        except (KeyError, ValueError, TypeError, OverflowError):
-            raise SchemaError(f"tensors[{i}] needs integer 'k' and 'q'") from None
+        k, q = item.get("k"), item.get("q")
+        if not (_is_integral(k) and _is_integral(q)):
+            raise SchemaError(f"tensors[{i}] needs integer 'k' and 'q'")
+        k, q = int(k), int(q)
         re = item.get("re", 0.0)
         im = item.get("im", 0.0)
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (re, im)):

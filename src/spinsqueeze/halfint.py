@@ -54,7 +54,7 @@ class HalfInt:
     def of(value) -> "HalfInt":
         if isinstance(value, HalfInt):
             return value
-        if isinstance(value, int):
+        if isinstance(value, int) and not isinstance(value, bool):
             return HalfInt(2 * value)
         given = value
         if isinstance(value, str):

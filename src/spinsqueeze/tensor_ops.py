@@ -9,11 +9,12 @@ Matrix elements follow the Madison normalization,
 ``<s m'|T^k_q|s m> = sqrt(2k+1) C(s k s; m q m')`` so that
 ``Tr(T^k_q^dagger T^k'_q') = (2s+1) delta_kk' delta_qq'``.
 
-Construction is lazy and memoized per spin: the first request builds
-every T^k_q of that spin as one stack. (S_x, S_y, S_z) form a second
-stack, and S_a with every (S_a S_b + S_b S_a)/2 a third, both much smaller.
-The returned arrays are frozen (non-writeable) so cached values are safe
-to share between threads.
+Construction is lazy and memoized per spin; (S_x, S_y, S_z) are the one
+(3, n, n) array of ``angular``. Both operator tables here store each
+operator M as one row, M transposed and flattened, so that a table times
+rho.ravel() gives every Tr(rho M) at once: one holds every T^k_q of a
+spin, the other S_a and every (S_a S_b + S_b S_a)/2. Cached arrays are
+frozen (non-writeable), so they are safe to share between threads.
 """
 
 from __future__ import annotations
@@ -42,22 +43,23 @@ def _check_stack_spin(ts: int):
 
 @lru_cache(maxsize=None)
 def _tau_stack(ts: int) -> np.ndarray:
-    """Every T^k_q of spin ts/2, k = 0..2s and q = -k..k, stacked in that
-    order: T^k_q is entry k*k + k + q. Read-only."""
+    """Every T^k_q of spin ts/2, k = 0..2s and q = -k..k, as one
+    ((ts+1)^2, (ts+1)^2) table in that order: row k*k + k + q is
+    (T^k_q)^T flattened. Read-only."""
     _check_stack_spin(ts)
     n = ts + 1
-    out = np.zeros((n * n, n, n), dtype=complex)
+    out = np.zeros((n * n, n * n), dtype=complex)
     for k in range(n):
         root = math.sqrt(2 * k + 1)
         for q in range(-k, k + 1):
-            tau = out[k * k + k + q]
-            for i, tmp in enumerate(range(ts, -ts - 1, -2)):  # row: m'
+            tau_t = out[k * k + k + q].reshape(n, n)     # a view: (T^k_q)^T
+            for i, tmp in enumerate(range(ts, -ts - 1, -2)):  # row of T: m'
                 tm = tmp - 2 * q         # the one column m that couples
                 if abs(tm) > ts:
                     continue
                 sign, square = _cg_exact(ts, 2 * k, ts, tm, 2 * q, tmp)
                 if sign:
-                    tau[i, (ts - tm) // 2] = sign * root * math.sqrt(square)
+                    tau_t[(ts - tm) // 2, i] = sign * root * math.sqrt(square)
     out.flags.writeable = False
     return out
 
@@ -78,7 +80,7 @@ def _stack_order(ts: int) -> tuple[tuple, np.ndarray, np.ndarray]:
 # benchmark in perfbench/ can read its cache_info().
 @lru_cache(maxsize=None)
 def _tau_cached(ts: int, k: int, q: int) -> np.ndarray:
-    return _tau_stack(ts)[k * k + k + q]
+    return _tau_stack(ts)[k * k + k + q].reshape(ts + 1, ts + 1).T
 
 
 def build_tau(s, k, q) -> np.ndarray:
@@ -105,29 +107,21 @@ def spin_matrices(s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(S_x, S_y, S_z) from the ladder-operator matrix elements.
 
     Satisfies S x S = iS; the spherical components equal
-    sqrt(s(s+1)/3) T^1_q. Read-only shared arrays.
+    sqrt(s(s+1)/3) T^1_q. Read-only views of one shared array.
     """
     sh = check_magnitude(HalfInt.of(s), "s")
     if sh.twice == 0:
         raise AngularMomentumError("spin matrices need s >= 1/2")
-    return _spin_cached(sh.twice)
-
-
-@lru_cache(maxsize=None)
-def _spin_stack(ts: int) -> np.ndarray:
-    """(S_x, S_y, S_z) of spin ts/2 as one (3, ts+1, ts+1) array. Read-only."""
-    out = np.array(spin_matrices(HalfInt(ts)))
-    out.flags.writeable = False
-    return out
+    return tuple(_spin_cached(sh.twice))
 
 
 @lru_cache(maxsize=None)
 def _moment_stack(ts: int) -> np.ndarray:
     """The operators of the first and second spin moments of spin ts/2
-    as one (12, (ts+1)^2) stack: S_x, S_y, S_z, then (S_a S_b + S_b S_a)/2
-    for a, b = x, y, z in row-major order, each transposed and flattened,
-    so that Tr(matrix M) = stack row . matrix.ravel(). Read-only."""
-    spins = _spin_stack(ts)
+    as one (12, (ts+1)^2) table: S_x, S_y, S_z, then (S_a S_b + S_b S_a)/2
+    for a, b = x, y, z in row-major order, each transposed and flattened.
+    Read-only."""
+    spins = _spin_cached(ts)
     sym = [(a @ b + b @ a) / 2.0 for a in spins for b in spins]
     out = np.array([m.T.ravel() for m in (*spins, *sym)])
     out.flags.writeable = False

@@ -2,14 +2,15 @@
 
 This is ``classify_orientation`` as it was before the Gram-determinant
 certificate: every state that is not the identity goes through the thin
-SVD. It is kept verbatim so the tests can hold the certified route to
-it, bit for bit.
+SVD. It is kept verbatim, apart from reading the spin matrices from their
+one cached array, so the tests can hold the certified route to it, bit
+for bit.
 """
 
 import numpy as np
 
-from spinsqueeze.density import (OrientationReport, SpinDensity,
-                                 _canonical_sign, _spin_stack)
+from spinsqueeze.angular import _spin_cached
+from spinsqueeze.density import OrientationReport, SpinDensity, _canonical_sign
 
 
 def classify_orientation_svd(rho: SpinDensity) -> OrientationReport:
@@ -18,7 +19,7 @@ def classify_orientation_svd(rho: SpinDensity) -> OrientationReport:
     # the first entry is a necessary test that rejects most states at once
     if abs(mat[0, 0] - 1.0 / n) < 1e-12 and np.abs(mat - np.eye(n) / n).max() < 1e-12:
         return OrientationReport(True, np.array([0.0, 0.0, 1.0]), np.full(n, 1.0 / n))
-    stack = _spin_stack(rho.spin.twice)
+    stack = _spin_cached(rho.spin.twice)
     comm = (mat @ stack - stack @ mat).reshape(3, -1)
     # column a: the real and imaginary parts of [rho, S_a], interleaved;
     # the order of the rows changes neither the singular values nor V

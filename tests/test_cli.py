@@ -535,6 +535,22 @@ def test_state_spin_out_of_range_exits_2(tmp_path, capsys, command, spin):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+@pytest.mark.parametrize("state", [
+    '{"spin": true}',
+    '{"spin": 1, "tensors": [{"k": true, "q": 0, "re": 0.5}]}',
+    '{"spin": 1, "tensors": [{"k": "1", "q": 0, "re": 0.5}]}',
+    '{"spin": 1, "tensors": [{"k": 1.9, "q": 0, "re": 0.5}]}',
+    '{"spin": 1, "tensors": [{"k": 1, "q": 0.5, "re": 0.5}]}'])
+def test_state_non_integer_quantum_number_exits_2(tmp_path, capsys, command, state):
+    """Bools, strings and fractions are never read as spin, k or q."""
+    path = tmp_path / "state.json"
+    path.write_text(state)
+    code, out, err = run(capsys, [command, str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
 def _either(*strategies):
     """Each strategy drawn equally often: st.one_of flattens nested
     one_of, so a branch that is itself a one_of of seven would be drawn

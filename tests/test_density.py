@@ -531,12 +531,30 @@ def test_schema_partner_consistency_enforced():
     ({"tensors": [{"k": 2, "q": 1, "re": 10**400}]}, r"k=2, q=1"),
     ({"trace": math.nan}, "trace"),
     ({"trace": 10**400}, "trace"),
+    # a bool is not a number, and k, q are never strings or rounded
+    ({"spin": True}, "invalid spin"),
+    ({"spin": False}, "invalid spin"),
+    ({"tensors": [{"k": True, "q": 0, "re": 0.1}]}, "integer 'k'"),
+    ({"tensors": [{"k": 2, "q": False, "re": 0.1}]}, "integer 'k'"),
+    ({"tensors": [{"k": "1", "q": 0, "re": 0.1}]}, "integer 'k'"),
+    ({"tensors": [{"k": 2, "q": "-1", "re": 0.1}]}, "integer 'k'"),
+    ({"tensors": [{"k": 1.9, "q": 0, "re": 0.1}]}, "integer 'k'"),
+    ({"tensors": [{"k": 2, "q": 0.5, "re": 0.1}]}, "integer 'k'"),
+    ({"tensors": [{"k": math.nan, "q": 0, "re": 0.1}]}, "integer 'k'"),
 ])
 def test_schema_violations(mutation, message):
     data = dict(GOOD_STATE)
     data.update(mutation)
     with pytest.raises(SchemaError, match=message):
         tensor_params_from_dict(data)
+
+
+def test_schema_reads_integral_floats_as_quantum_numbers():
+    """A JSON writer may print an integer as 2.0; its value is kept."""
+    floats = {"spin": 1.0, "tensors": [dict(entry, k=float(entry["k"]), q=float(entry["q"]))
+                                       for entry in GOOD_STATE["tensors"]]}
+    assert np.array_equal(tensor_params_from_dict(floats).vector,
+                          tensor_params_from_dict(GOOD_STATE).vector)
 
 
 def test_missing_spin_key():

@@ -23,6 +23,13 @@ def test_rejects_non_half_integers():
         HalfInt.of("2/3")
 
 
+def test_rejects_bools():
+    """True is an int to Python, but not a quantum number."""
+    for value in (True, False):
+        with pytest.raises(AngularMomentumError, match="cannot interpret"):
+            HalfInt.of(value)
+
+
 def test_zero_denominator_is_an_input_error():
     for text in ("1/0", "-3/0", " 0/0 ", "1/-0"):
         with pytest.raises(AngularMomentumError, match="zero denominator"):

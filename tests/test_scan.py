@@ -2,6 +2,7 @@
 output."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -436,15 +437,17 @@ def test_write_json_bytes_equal_json_dump(data):
 
 
 class _ByteCount:
-    """A text sink that keeps only the number of characters written (the
-    scan output is ASCII, so characters are bytes) and their sha256."""
+    """A text sink that keeps only the number of characters and lines
+    written (the scan output is ASCII, so characters are bytes) and their
+    sha256."""
 
     def __init__(self):
-        self.chars = 0
+        self.chars = self.lines = 0
         self.sha256 = hashlib.sha256()
 
     def write(self, text):
         self.chars += len(text)
+        self.lines += text.count("\n")
         self.sha256.update(text.encode())
 
 
@@ -534,13 +537,34 @@ def test_stream_scan_bytes_equal_run_scan_writers(axes, block):
         assert ",nan," in texts["csv"] and "null" in texts["json"]
 
 
-def test_cli_scan_memory_does_not_grow_with_rows():
-    """The CLI streams the 153,307-row grid of the benchmark's seed-0
-    scan-csv with a tracemalloc peak under 4 MiB, where the coordinate
-    and result arrays of the whole grid take about 22 MB. Its bytes, and
-    those of write_csv(run_scan()) on the same grid, are the ones pinned
-    in perfbench/scanspec.py."""
+def test_cli_scan_bytes_equal_the_pinned_digest():
+    """The CLI's output on the 153,307-row grid of the benchmark's seed-0
+    scan-csv, and that of write_csv(run_scan()) on the same grid, are the
+    bytes pinned in perfbench/scanspec.py."""
     grid = scanspec.scan_grid("scan-csv", scanspec.DEFAULT_SEED)
+    sink = _ByteCount()
+    with contextlib.redirect_stdout(sink):
+        assert cli.main(grid.argv("-")) == 0
+    assert sink.sha256.hexdigest() == scanspec.CSV_SHA256_DEFAULT_SEED
+    assert sink.chars == 35_926_879     # 153,307 rows
+    config = ScanConfig(
+        p1=cli._parse_axis(grid.p1.spec, 1.0), p2=cli._parse_axis(grid.p2.spec, 1.0),
+        theta=cli._parse_axis(grid.theta.spec, 1.0, scale=np.radians),
+        phi=cli._parse_axis(grid.phi.spec, 1.0, scale=np.radians))
+    library = _ByteCount()
+    write_csv(run_scan(config), library)
+    assert library.sha256.hexdigest() == scanspec.CSV_SHA256_DEFAULT_SEED
+
+
+def test_cli_scan_memory_does_not_grow_with_rows():
+    """The CLI streams the first three p1 rows of the seed-0 scan-csv grid,
+    41,811 rows or more than five kernel blocks, with a tracemalloc peak
+    under 4 MiB, where the coordinate and result arrays of the whole grid
+    take about 6 MB."""
+    full = scanspec.scan_grid("scan-csv", scanspec.DEFAULT_SEED)
+    p1 = full.p1
+    grid = dataclasses.replace(full, p1=scanspec.Axis.of(float(p1.start), float(p1.step), 3))
+    assert grid.rows == 41_811 > 4 * _kernel.BLOCK
     sink = _ByteCount()
     tracemalloc.start()
     try:
@@ -549,13 +573,5 @@ def test_cli_scan_memory_does_not_grow_with_rows():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sink.sha256.hexdigest() == scanspec.CSV_SHA256_DEFAULT_SEED
-    assert sink.chars == 35_926_879     # 153,307 rows
+    assert sink.lines == grid.rows + 1
     assert peak < 4 * 2 ** 20, f"the CLI scan peaked at {peak / 2 ** 20:.1f} MiB"
-    config = ScanConfig(
-        p1=cli._parse_axis(grid.p1.spec, 1.0), p2=cli._parse_axis(grid.p2.spec, 1.0),
-        theta=cli._parse_axis(grid.theta.spec, 1.0, scale=np.radians),
-        phi=cli._parse_axis(grid.phi.spec, 1.0, scale=np.radians))
-    library = _ByteCount()
-    write_csv(run_scan(config), library)
-    assert library.sha256.hexdigest() == scanspec.CSV_SHA256_DEFAULT_SEED

@@ -8,10 +8,10 @@ import pytest
 import coeff_oracle
 from spinsqueeze import (HalfInt, SpinDensity, TensorParams, analyze, build_tau,
                          check_positivity, classify_orientation, clebsch_gordan,
-                         racah_w, spin_matrices, to_tensors)
+                         racah_w, spin_matrices, tensor_ops, to_tensors)
 from spinsqueeze.angular import _cg_exact
 from spinsqueeze.errors import AngularMomentumError
-from spinsqueeze.tensor_ops import MAX_STATE_SPIN, _tau_stack
+from spinsqueeze.tensor_ops import MAX_STATE_SPIN, _stack_order, _tau_stack
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -176,17 +176,46 @@ def _bits(stack):
     return stack.view(np.int64)
 
 
+def _oracle_rows(ts):
+    """The rational oracle's stack of T^k_q matrices in the layout of
+    _tau_stack: row k*k + k + q is (T^k_q)^T flattened."""
+    n = ts + 1
+    return np.ascontiguousarray(coeff_oracle.tau_stack(ts).transpose(0, 2, 1)).reshape(n * n, -1)
+
+
 @pytest.mark.parametrize("ts", range(21))
 def test_tau_stack_bits_equal_rational_oracle(ts):
     """Every spin up to s = 10: the same float bits as the stack built from
     the Fraction sums."""
-    assert np.array_equal(_bits(_tau_stack(ts)), _bits(coeff_oracle.tau_stack(ts)))
+    assert np.array_equal(_bits(_tau_stack(ts)), _bits(_oracle_rows(ts)))
 
 
 def test_tau_stack_bits_equal_rational_oracle_at_state_limit():
     """s = 20, the largest spin a state file may have (about 4 s)."""
     built = _tau_stack.__wrapped__(40)      # not kept in the stack cache
-    assert np.array_equal(_bits(built), _bits(coeff_oracle.tau_stack(40)))
+    assert np.array_equal(_bits(built), _bits(_oracle_rows(40)))
+
+
+@pytest.mark.parametrize("ts", range(2 * MAX_STATE_SPIN + 1))
+def test_tau_stack_partner_rows_are_signed_transposes(ts, monkeypatch):
+    """(T^k_{-q})^T = (-1)^q T^k_q at every spin a state may have, by value
+    (the sign of a zero may differ): from_tensors sums t^k_q (T^k_q)^T
+    for the (-1)^q t^k_{-q} T^k_q of the expansion."""
+    # neither the stack nor its coupling coefficients are kept in a cache
+    monkeypatch.setattr(tensor_ops, "_cg_exact", _cg_exact.__wrapped__)
+    stack = _tau_stack.__wrapped__(ts)
+    _, partner, sign = _stack_order(ts)
+    n = ts + 1
+    transposed = stack.reshape(n * n, n, n).transpose(0, 2, 1).reshape(n * n, -1)
+    assert np.array_equal(stack[partner], sign[:, None] * transposed)
+
+
+def test_operator_arrays_are_read_only():
+    for s in ("1/2", 1, "3/2", 3):
+        for matrix in (*spin_matrices(s), build_tau(s, 1, 1), build_tau(s, 0, 0)):
+            assert not matrix.flags.writeable
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 1.0
 
 
 def test_tensor_stack_refused_above_the_state_spin_limit():
