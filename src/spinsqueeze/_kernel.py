@@ -13,7 +13,8 @@ The scalar API in ``channel.py`` computes the same invariants from the
 polarization vectors and calls :func:`_closed_forms` on floats, so each
 formula exists once. :func:`evaluate_into` fills all 14 columns for
 scans in blocks of about :data:`BLOCK` points, and the threshold search
-reads the q_value column alone from :func:`_margin`; both take q from
+reads the q_value column alone from :func:`_margin`, as one block of
+rows, one magnitude pair per row, over its theta grid; both take q from
 :func:`_margin_terms`. Every column is the same expression, in the same
 operation order, as the per-point loop kept as the reference in
 ``tests/scan_oracle.py``, and the tests require the two to agree bit for
@@ -97,9 +98,12 @@ def _closed_forms(a2, b2, pd, ps2, cross, st, cp, sp):
 def _margin(a, b, theta, phi):
     """The q_value column alone for a batch of points, the same bits as
     :func:`evaluate_into` writes: NaN where |p1 + p2|^2 <= DEGENERATE_TOL2.
-    ``theta`` is an array; a, b and phi are arrays of its length or
+    ``theta`` is an (m,) array; a, b and phi are arrays of its length or
     floats, which give the same bits since a float times an array rounds
-    each element as two arrays do."""
+    each element as two arrays do. a and b may also be (R, 1) columns:
+    the result is then an (R, m) block whose row r has the bits of the
+    call with the floats a[r], b[r], since broadcasting rounds each
+    element as that call does."""
     _, _, _, ps2, cross, _ = _invariants(a, b, theta)
     with np.errstate(divide="ignore", invalid="ignore"):
         q, *_ = _margin_terms(ps2, cross, np.cos(phi))

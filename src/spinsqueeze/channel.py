@@ -496,8 +496,8 @@ def _boundary_magnitudes(u):
     """(a, b), a <= b, on the boundary max q = 0 where the margin peaks at
     |p1 + p2| = u, for u in [1, 9/8]."""
     s = u * u - 1.5 * u + 2.0
-    d = u * np.sqrt(u * u - u)
-    return np.sqrt(0.5 * (s - d)), np.sqrt(0.5 * (s + d))
+    d = u * math.sqrt(u * u - u)
+    return math.sqrt(0.5 * (s - d)), math.sqrt(0.5 * (s + d))
 
 
 def exact_thresholds() -> tuple[float, float]:
@@ -508,7 +508,7 @@ def exact_thresholds() -> tuple[float, float]:
     grows with P along both families, so no smaller P is squeezed."""
     equal, _ = _boundary_magnitudes(1.0)
     vs_pure, _ = _boundary_magnitudes(9.0 / 8.0)
-    return float(equal), float(vs_pure)
+    return equal, vs_pure
 
 
 # ---------------------------------------------------------------------------
@@ -549,26 +549,33 @@ class ThresholdScanResult:
     theta_resolution: float
 
 
-def _first_squeezed(p_values: np.ndarray, theta: np.ndarray, exact: float,
-                    pure_partner: bool) -> float:
-    """Smallest P in ``p_values`` (ascending) with a squeezed point on the
-    theta grid at phi = 0, or inf. The sweep starts at the last P below
-    the exact threshold ``exact`` by a relative 1e-9, where max q is below
-    -5e-10; max q grows with P, so no earlier P is squeezed. Each P is one
-    margin evaluation over the theta grid. A squeezed starting row means
-    the kernel and the closed form disagree, which raises
-    :class:`RuntimeError`."""
-    # a count gives np.searchsorted's index on an ascending grid, and does
-    # not page in the ~64 kB of numpy code a first searchsorted call does
-    start = int(np.count_nonzero(p_values < exact * (1.0 - 1e-9))) - 1
-    for i in range(start, p_values.size):
-        p = float(p_values[i])
-        q = _kernel._margin(p, 1.0 if pure_partner else p, theta, 0.0)
-        if (q > MARGIN_TOL).any():
-            if i == start:
-                raise RuntimeError(
-                    f"the kernel finds P = {p!r} squeezed (q = "
-                    f"{float(np.nanmax(q))!r}) below the exact threshold {exact!r}")
+def _grid_p(i: int, step: float, last: int) -> float:
+    """Entry i of ``np.linspace(0, 1, last + 1)``, whose bits are those of
+    i * step, with step = 1/last, except the endpoint 1.0."""
+    return 1.0 if i == last else i * step
+
+
+def _start_row(exact: float, step: float, last: int) -> int:
+    """The last row whose P lies below ``exact`` by a relative 1e-9, i.e.
+    ``count_nonzero(p_values < exact * (1 - 1e-9)) - 1`` on that grid,
+    found by stepping from a guess: the grid ascends, so the count is the
+    first i with P_i at or above the limit."""
+    limit = exact * (1.0 - 1e-9)
+    i = min(max(int(limit / step), 0), last)
+    while i <= last and _grid_p(i, step, last) < limit:
+        i += 1
+    while i > 0 and _grid_p(i - 1, step, last) >= limit:
+        i -= 1
+    return i - 1
+
+
+def _sweep(first: int, step: float, last: int, theta: np.ndarray,
+           pure_partner: bool) -> float:
+    """The first P from row ``first`` up with a squeezed point on the theta
+    grid at phi = 0, one margin evaluation per P, or inf."""
+    for i in range(first, last + 1):
+        p = _grid_p(i, step, last)
+        if (_kernel._margin(p, 1.0 if pure_partner else p, theta, 0.0) > MARGIN_TOL).any():
             return p
     return math.inf
 
@@ -582,22 +589,43 @@ def threshold_scan(config: ThresholdScanConfig = ThresholdScanConfig()) -> Thres
 
     The exact values are :func:`exact_thresholds`, sqrt(3)/2 and
     sqrt(37)/8; the grid values lie at or above them, by at most one P
-    step plus the theta-grid refinement error. Each search starts at the
-    last grid P below its exact threshold and sweeps upward one P at a
-    time, evaluating the margin q alone over the theta grid, until the
-    first P with a squeezed point; on the default grid that is the
-    second P of each search. It raises
-    :class:`RuntimeError` if that first P is squeezed, i.e. if the kernel
-    contradicts the closed form.
+    step plus the theta-grid refinement error. The grids carry the bits
+    of ``np.linspace(0, 1, p_points)`` and of
+    ``np.linspace(0, pi, theta_points + 2)[1:-1]``, computed as
+    ``np.linspace`` does, index times step.
+
+    Each search starts at the last grid P below its exact threshold by a
+    relative 1e-9, where max q is below -5e-10; max q grows with P, so no
+    earlier P is squeezed. The start row and the row after it of both
+    searches are one margin evaluation of four rows over the theta grid;
+    on the default grid the second row of each search is squeezed and
+    that is the whole scan. A search whose second row is not squeezed
+    goes on upward one P at a time. A squeezed start row means the
+    kernel contradicts the closed form, and raises :class:`RuntimeError`.
     """
-    p_values = np.linspace(0.0, 1.0, config.p_points)
-    theta = np.linspace(0.0, math.pi, config.theta_points + 2)[1:-1]
-    exact_equal, exact_vs_pure = exact_thresholds()
-    equal = _first_squeezed(p_values, theta, exact_equal, pure_partner=False)
-    vs_pure = _first_squeezed(p_values, theta, exact_vs_pure, pure_partner=True)
+    last = int(config.p_points) - 1
+    m = int(config.theta_points)
+    p_step = 1.0 / last
+    theta_step = math.pi / (m + 1)
+    theta = np.arange(1, m + 1) * theta_step
+    exact = exact_thresholds()
+    starts = [_start_row(e, p_step, last) for e in exact]
+    rows = [_grid_p(i, p_step, last) for s in starts for i in (s, s + 1)]
+    # rows r of an (R, 1) x (m,) broadcast carry the bits of R row calls
+    q = _kernel._margin(np.array(rows)[:, None],
+                        np.array(rows[:2] + [1.0, 1.0])[:, None], theta, 0.0)
+    squeezed = (q > MARGIN_TOL).any(axis=1).tolist()
+    found = []
+    for j, (start, bound) in enumerate(zip(starts, exact)):
+        if squeezed[2 * j]:
+            raise RuntimeError(
+                f"the kernel finds P = {rows[2 * j]!r} squeezed (q = "
+                f"{float(np.nanmax(q[2 * j]))!r}) below the exact threshold {bound!r}")
+        found.append(rows[2 * j + 1] if squeezed[2 * j + 1] else
+                     _sweep(start + 2, p_step, last, theta, pure_partner=j == 1))
     return ThresholdScanResult(
-        min_polarization_equal=equal,
-        min_polarization_vs_pure=vs_pure,
-        p_resolution=float(p_values[1] - p_values[0]),
-        theta_resolution=float(theta[1] - theta[0]),
+        min_polarization_equal=found[0],
+        min_polarization_vs_pure=found[1],
+        p_resolution=p_step,
+        theta_resolution=theta_step,
     )

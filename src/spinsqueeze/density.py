@@ -155,8 +155,10 @@ class TensorParams:
 class SpinDensity:
     """A (2s+1) x (2s+1) Hermitian matrix with positive trace.
 
-    ``matrix`` is a read-only, C-ordered copy of the input; ``trace`` is
-    its real trace, computed once when the matrix is validated.
+    ``matrix`` is a read-only, C-ordered copy of the input, exactly
+    Hermitian: an anti-Hermitian part within the tolerance is dropped.
+    ``trace`` is its real trace, computed once when the matrix is
+    validated.
     """
 
     spin: HalfInt
@@ -172,8 +174,13 @@ class SpinDensity:
         if not np.isfinite(mat).all():
             raise ValueError("density matrix has non-finite entries")
         scale = max(1.0, float(np.abs(mat).max()))
-        if np.abs(mat - mat.conj().T).max() > HERMITICITY_TOL * scale:
+        skew = float(np.abs(mat - mat.conj().T).max())
+        if skew > HERMITICITY_TOL * scale:
             raise HermiticityError("density matrix is not Hermitian")
+        if skew:
+            # keep the Hermitian part, which halves before it adds so that
+            # no entry overflows; an exactly Hermitian input keeps its bits
+            mat = 0.5 * mat + 0.5 * mat.conj().T
         tr = np.trace(mat)
         if abs(tr.imag) > HERMITICITY_TOL * scale or tr.real <= 0:
             raise ValueError(f"trace must be real and positive, got {tr}")

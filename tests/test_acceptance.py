@@ -210,9 +210,15 @@ def test_criterion_5_thresholds():
     assert math.sqrt(3) / 2 <= equal <= math.sqrt(3) / 2 + band
     assert math.sqrt(37) / 8 <= vs_pure <= math.sqrt(37) / 8 + band
     assert elapsed < 60.0
+    # and exactly the per-P sweep's values on the same np.linspace grids
+    p_values = np.linspace(0.0, 1.0, 400)
+    theta = np.linspace(0.0, math.pi, 402)[1:-1]
+    assert (equal, vs_pure) == tuple(scan_oracle.first_squeezed(p_values, theta, pure)
+                                     for pure in (False, True))
     report(5, f"equal-magnitude threshold {equal:.4f} in [sqrt(3)/2, "
               f"sqrt(3)/2 + {band:.4f}]; vs-pure threshold {vs_pure:.4f} in "
-              f"[sqrt(37)/8, sqrt(37)/8 + {band:.4f}]", elapsed)
+              f"[sqrt(37)/8, sqrt(37)/8 + {band:.4f}]; both equal to the "
+              f"per-P sweep", elapsed)
 
 
 # ---------------------------------------------------------------------------

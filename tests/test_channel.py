@@ -6,6 +6,8 @@ matrix arithmetic on the projected state.
 """
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -406,6 +408,18 @@ def test_threshold_scan_smoke():
     assert res.min_polarization_vs_pure < res.min_polarization_equal
 
 
+def test_readme_threshold_figures_are_the_default_scan():
+    """The two grid thresholds the README quotes are those of the default
+    threshold_scan(), to the 7 digits quoted."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    quoted = re.search(r"grid reports (\d\.\d{7}) and (\d\.\d{7})",
+                       " ".join(readme.split()))
+    assert quoted is not None
+    res = threshold_scan()
+    assert quoted.groups() == (f"{res.min_polarization_equal:.7f}",
+                               f"{res.min_polarization_vs_pure:.7f}")
+
+
 def test_threshold_config_validated():
     with pytest.raises(ValueError):
         ThresholdScanConfig(p_points=100)
@@ -437,10 +451,15 @@ def test_threshold_config_rejects_grids_above_scan_limit():
     ThresholdScanConfig(p_points=200, theta_points=MAX_SCAN_ROWS // 200)
 
 
+def linspace_grids(config: ThresholdScanConfig) -> tuple:
+    """threshold_scan()'s P and theta grids as np.linspace builds them."""
+    return (np.linspace(0.0, 1.0, config.p_points),
+            np.linspace(0.0, math.pi, config.theta_points + 2)[1:-1])
+
+
 def oracle_thresholds(config: ThresholdScanConfig) -> tuple:
     """(equal, vs pure) from the per-P search on threshold_scan()'s grid."""
-    p_values = np.linspace(0.0, 1.0, config.p_points)
-    theta = np.linspace(0.0, math.pi, config.theta_points + 2)[1:-1]
+    p_values, theta = linspace_grids(config)
     return tuple(scan_oracle.first_squeezed(p_values, theta, pure)
                  for pure in (False, True))
 
@@ -469,29 +488,118 @@ def test_threshold_scan_with_more_theta_points_than_a_kernel_block():
     assert_thresholds_match_oracle(config)
 
 
-def test_threshold_scan_starts_one_row_below_the_exact_threshold(monkeypatch):
-    """On the default grid each search evaluates two rows of 400 theta
-    points: the last P below its exact threshold, then the next P, which
-    is squeezed."""
+def record_margin_calls(monkeypatch) -> list:
+    """Wrap _kernel._margin so that each call appends (a, b, theta)."""
     calls = []
     inner = _kernel._margin
 
     def margin(a, b, theta, phi):
-        calls.append((a, b, np.size(theta)))
+        calls.append((a, b, theta))
         return inner(a, b, theta, phi)
 
     monkeypatch.setattr(_kernel, "_margin", margin)
+    return calls
+
+
+def _bits(x) -> list:
+    return np.asarray(x, dtype=float).reshape(-1).view(np.uint64).tolist()
+
+
+def test_threshold_scan_starts_one_row_below_the_exact_threshold(monkeypatch):
+    """On the default grid the scan is one margin call of four rows of
+    400 theta points: each search's last P below its exact threshold and
+    the next P, which is squeezed. No np.linspace grid is built."""
+    calls = record_margin_calls(monkeypatch)
+
+    def no_linspace(*args, **kwargs):
+        raise AssertionError("np.linspace called")
+
+    monkeypatch.setattr(np, "linspace", no_linspace)
     res = threshold_scan()
-    p_values = np.linspace(0.0, 1.0, 400)
+    monkeypatch.undo()
+    p_values, theta = linspace_grids(ThresholdScanConfig())
     rows = []
     for exact, found in zip(exact_thresholds(), (res.min_polarization_equal,
                                                  res.min_polarization_vs_pure)):
         start = np.count_nonzero(p_values < exact) - 1
         assert p_values[start + 1] == found
         rows += [p_values[start], p_values[start + 1]]
-    assert [a for a, _, _ in calls] == rows
-    assert [b for _, b, _ in calls] == rows[:2] + [1.0, 1.0]
-    assert [n for _, _, n in calls] == [400] * 4
+    [(a, b, grid)] = calls
+    assert np.shape(a) == np.shape(b) == (4, 1)
+    assert _bits(a) == _bits(rows)
+    assert _bits(b) == _bits(rows[:2] + [1.0, 1.0])
+    assert _bits(grid) == _bits(theta)
+
+
+@settings(deadline=None, max_examples=12)
+@given(st.integers(200, 415), st.integers(200, 415))
+@example(2912, 2731)
+@example(200, 2731)
+@example(200, _kernel.BLOCK + 1)
+@example(415, 400)
+@example(207, 415)      # 206 * (1/206) rounds below 1.0
+def test_threshold_scan_reads_the_linspace_grids(p_points, theta_points):
+    """The theta grid, every P the two searches read and both resolutions
+    carry the bits of the np.linspace grids: the searches read the rows
+    from the start row below each exact threshold up to the one found."""
+    config = ThresholdScanConfig(p_points, theta_points)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = record_margin_calls(mp)
+        res = threshold_scan(config)
+    p_values, theta = linspace_grids(config)
+    assert res.p_resolution == p_values[1] - p_values[0]
+    assert res.theta_resolution == theta[1] - theta[0]
+    # every row a search could read, the endpoint included
+    last = p_points - 1
+    assert _bits([channel._grid_p(i, res.p_resolution, last)
+                  for i in range(p_points)]) == _bits(p_values)
+    assert all(_bits(grid) == _bits(theta) for _, _, grid in calls)
+    a = [x for call in calls for x in _bits(call[0])]
+    b = [x for call in calls for x in _bits(call[1])]
+    found = (res.min_polarization_equal, res.min_polarization_vs_pure)
+    starts = [np.count_nonzero(p_values < exact * (1.0 - 1e-9)) - 1
+              for exact in exact_thresholds()]
+    stops = [int(np.flatnonzero(p_values == p)[0]) for p in found]
+    # (row, pure partner): the four start rows, then any rows a search
+    # went on to
+    reads = [(i, pure) for s, pure in zip(starts, (False, True)) for i in (s, s + 1)]
+    reads += [(i, pure) for s, t, pure in zip(starts, stops, (False, True))
+              for i in range(s + 2, t + 1)]
+    assert a == _bits([p_values[i] for i, _ in reads])
+    assert b == _bits([1.0 if pure else p_values[i] for i, pure in reads])
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(200, 10_000), st.floats(0.01, 0.99),
+       st.sampled_from([None, 0.0, 5e-10, 1e-9, 2e-9]))
+@example(400, 0.5, 5e-10)
+def test_start_row_is_the_count_below_the_limit(p_points, exact, nudge):
+    """The float arithmetic of the start row gives the count of grid
+    values below exact (1 - 1e-9), minus one, also where a grid value
+    lies within that relative 1e-9 below the threshold."""
+    p_values = np.linspace(0.0, 1.0, p_points)
+    if nudge is not None:
+        exact = float(p_values[int(exact * (p_points - 1))]) * (1.0 + nudge)
+    want = np.count_nonzero(p_values < exact * (1.0 - 1e-9)) - 1
+    assert channel._start_row(exact, 1.0 / (p_points - 1), p_points - 1) == want
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                min_size=1, max_size=6),
+       st.lists(st.floats(0.0, math.pi), min_size=1, max_size=40),
+       st.floats(-10.0, 10.0))
+@example([(0.0, 0.0), (0.5, 0.5), (0.0, 1.0)], [0.5, math.pi], 0.0)
+@example([(1.0, 1.0), (0.3, 0.3)], [0.0, math.pi], 0.0)  # antiparallel: NaN
+def test_margin_rows_of_a_broadcast_are_the_row_calls(pairs, theta, phi):
+    """Row r of an (R, 1) x (m,) margin block carries the bits of the call
+    with the floats a[r], b[r], NaN rows and points included."""
+    a, b = (np.array(col)[:, None] for col in zip(*pairs))
+    theta = np.array(theta)
+    block = _kernel._margin(a, b, theta, phi)
+    assert block.shape == (len(pairs), theta.size)
+    for row, (ar, br) in zip(block, pairs):
+        assert _bits(row) == _bits(_kernel._margin(ar, br, theta, phi))
 
 
 @settings(deadline=None, max_examples=100)

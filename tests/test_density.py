@@ -23,9 +23,10 @@ from spinsqueeze import (EulerAngles, HalfInt, SpinDensity, TensorParams,
                          spin_scale_rank1, spin_scale_rank2, state_from_dict,
                          state_to_dict, tensor_params_from_dict, to_tensors,
                          variance)
-from spinsqueeze.density import _canonical_sign
+from spinsqueeze.density import HERMITICITY_TOL, _canonical_sign
 from spinsqueeze.errors import (AngularMomentumError, HermiticityError,
                                 SchemaError)
+from spinsqueeze.frames import paaf, special_lakin_frame
 from spinsqueeze.tensor_ops import build_tau, spin_matrices
 
 TABLE1_S1_ROW = {(1, 0): 0.9, (2, 0): 0.5, (2, 2): 0.45, (2, -2): 0.45}
@@ -65,6 +66,40 @@ def test_hermiticity_violation_reports_entry():
     with pytest.raises(HermiticityError) as exc:
         TensorParams(1, {(1, 1): 0.5 + 0.1j, (1, -1): 0.5 + 0.1j})
     assert str(exc.value).endswith("at (k, q) = (1, -1), (1, 1)")
+
+
+@pytest.mark.parametrize("ts", [1, 2, 3, 20, 40])
+def test_states_within_the_hermiticity_tolerance_have_tensors(ts):
+    """A matrix whose anti-Hermitian defect is within HERMITICITY_TOL is a
+    state, and SpinDensity keeps its Hermitian part, exactly Hermitian, so
+    to_tensors and the frames and bounds built on it accept it too. An
+    exactly Hermitian matrix keeps its bits."""
+    rng = np.random.default_rng([ts, 26])
+    n = ts + 1
+    for _ in range(10):
+        m = random_density(rng, ts).matrix
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        skew = g - g.conj().T
+        # the largest entry of m - m^H is 0.98 HERMITICITY_TOL
+        noisy = m + skew * (0.49 * HERMITICITY_TOL / np.abs(skew).max())
+        state = SpinDensity(HalfInt(ts), noisy)
+        assert np.array_equal(state.matrix, state.matrix.conj().T)
+        assert np.abs(state.matrix - m).max() <= HERMITICITY_TOL
+        to_tensors(state)
+        special_lakin_frame(state)
+        if ts >= 2:
+            paaf(state)
+        if ts == 2:
+            assert len(check_positivity(state).spin1_bounds) > 0
+        assert SpinDensity(HalfInt(ts), m).matrix.tobytes() == m.tobytes()
+
+
+def test_hermitian_part_of_a_huge_matrix_does_not_overflow():
+    big = np.finfo(float).max * 0.95
+    m = np.array([[big, big], [big * (1.0 - 1e-13), 1.0]], dtype=complex)
+    state = SpinDensity("1/2", m)
+    assert np.isfinite(state.matrix).all()
+    assert np.array_equal(state.matrix, state.matrix.conj().T)
 
 
 def test_readme_library_example_fills_the_omitted_partner(capsys):

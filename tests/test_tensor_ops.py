@@ -8,7 +8,7 @@ import pytest
 import coeff_oracle
 from spinsqueeze import (HalfInt, SpinDensity, TensorParams, analyze, build_tau,
                          check_positivity, classify_orientation, clebsch_gordan,
-                         racah_w, spin_matrices, tensor_ops, to_tensors)
+                         racah_w, spin_matrices, to_tensors)
 from spinsqueeze.angular import _cg_exact
 from spinsqueeze.errors import AngularMomentumError
 from spinsqueeze.tensor_ops import MAX_STATE_SPIN, _stack_order, _tau_stack
@@ -161,15 +161,14 @@ def test_uncertainty_relation_property(rng):
 
 
 def test_tau_build_caches_only_coupled_cg():
-    """Only m = m' - q couples, so building every T^k_q of a spin caches
-    at most 2s+1 Clebsch-Gordan coefficients per (k, q)."""
+    """Building every T^k_q of a spin reads each coupling coefficient
+    once, so it caches none: the stack calls the uncached function."""
     ts = 13      # s = 13/2: no other test builds operators of this spin
-    before = _cg_exact.cache_info().currsize
+    before = _cg_exact.cache_info()
     for k in range(ts + 1):
         for q in range(-k, k + 1):
             build_tau(HalfInt(ts), k, q)
-    grown = _cg_exact.cache_info().currsize - before
-    assert grown <= (ts + 1) * (ts + 1) ** 2
+    assert _cg_exact.cache_info() == before
 
 
 def _bits(stack):
@@ -197,13 +196,11 @@ def test_tau_stack_bits_equal_rational_oracle_at_state_limit():
 
 
 @pytest.mark.parametrize("ts", range(2 * MAX_STATE_SPIN + 1))
-def test_tau_stack_partner_rows_are_signed_transposes(ts, monkeypatch):
+def test_tau_stack_partner_rows_are_signed_transposes(ts):
     """(T^k_{-q})^T = (-1)^q T^k_q at every spin a state may have, by value
     (the sign of a zero may differ): from_tensors sums t^k_q (T^k_q)^T
     for the (-1)^q t^k_{-q} T^k_q of the expansion."""
-    # neither the stack nor its coupling coefficients are kept in a cache
-    monkeypatch.setattr(tensor_ops, "_cg_exact", _cg_exact.__wrapped__)
-    stack = _tau_stack.__wrapped__(ts)
+    stack = _tau_stack.__wrapped__(ts)      # not kept in the stack cache
     _, partner, sign = _stack_order(ts)
     n = ts + 1
     transposed = stack.reshape(n * n, n, n).transpose(0, 2, 1).reshape(n * n, -1)
