@@ -19,9 +19,10 @@ t^0_0 = 1 implicit.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterator, Mapping, Optional
+from functools import cached_property, lru_cache
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -73,14 +74,22 @@ def spin_scale_rank2(s) -> float:
     return math.sqrt(sv * (sv + 1) * (2 * sv - 1) * (2 * sv + 3) / 30.0)
 
 
+def _is_integral(value) -> bool:
+    """An int (numpy's included), or a float with an integer value: never
+    a bool or a string."""
+    return (isinstance(value, float) and value.is_integer()
+            or isinstance(value, (int, np.integer)) and not isinstance(value, bool))
+
+
 class TensorParams:
     """Trace-normalized spherical tensor parameters t^k_q of a spin-s state.
 
     ``vector`` holds every t^k_q, k = 0..2s and q = -k..k, in the order of
     the T^k_q stack (t^k_q is entry k*k + k + q), with t^0_0 = 1 at entry
     0; it is read-only. ``entries`` is either such a vector (its entry 0
-    is replaced by 1) or a mapping (k, q) -> complex with integer
-    0 <= k <= 2s and |q| <= k, whose omitted entries are zero. The
+    is replaced by 1) or a mapping (k, q) -> complex with integral
+    0 <= k <= 2s and |q| <= k, whose omitted entries are zero; a bool, a
+    string or a non-integral float is no index. The
     conjugation pairing t^k_q* = (-1)^q t^k_{-q} is enforced on
     construction: a mapping's omitted partners are completed from it, and
     given entries that contradict it are rejected.
@@ -95,11 +104,19 @@ class TensorParams:
             raise ValueError(f"trace must be positive and finite, got {trace}")
         ts = sh.twice
         keys, partner, sign = _stack_order(ts)
-        mapping = isinstance(entries, Mapping)
-        if mapping:
+        given = None
+        # the array test first: it is the common case, and much cheaper
+        if isinstance(entries, np.ndarray) or not isinstance(entries, Mapping):
+            vec = np.array(entries, dtype=complex)
+            if vec.shape != (len(keys),):
+                raise ValueError(f"tensor vector shape {vec.shape} != ({len(keys)},)")
+        else:
             vec = np.zeros(len(keys), dtype=complex)
             given = np.zeros(len(keys), dtype=bool)
             for (k, q), val in entries.items():
+                if not (_is_integral(k) and _is_integral(q)):
+                    raise AngularMomentumError(
+                        f"tensor indices must be integers, got k={k!r}, q={q!r}")
                 k, q = int(k), int(q)
                 if k < 0 or k > ts:
                     raise AngularMomentumError(
@@ -108,23 +125,21 @@ class TensorParams:
                     raise AngularMomentumError(f"|q|={abs(q)} exceeds k={k}")
                 vec[k * k + k + q] = complex(val)
                 given[k * k + k + q] = True
-        else:
-            vec = np.array(entries, dtype=complex)
-            if vec.shape != (len(keys),):
-                raise ValueError(f"tensor vector shape {vec.shape} != ({len(keys)},)")
+        # finiteness is tested before any arithmetic on the entries, which
+        # would warn on an infinite one
         finite = np.isfinite(vec)
-        if not finite.all():
+        if np.count_nonzero(finite) < len(keys):
             raise ValueError("non-finite tensor parameter at (k, q) = "
                              + ", ".join(str(keys[i]) for i in np.flatnonzero(~finite)))
-        if mapping and given[0] and abs(vec[0] - 1.0) > 1e-9:
-            raise ValueError(
-                f"t^0_0 must equal 1 after trace normalization, got {vec[0]}")
-        if mapping:
+        if given is not None:
+            if given[0] and abs(vec[0] - 1.0) > 1e-9:
+                raise ValueError(
+                    f"t^0_0 must equal 1 after trace normalization, got {vec[0]}")
             fill = ~given & given[partner]
             vec[fill] = sign[fill] * vec[partner[fill]].conj()
         vec[0] = 1.0
         defect = np.abs(vec.conj() - sign * vec[partner])
-        if defect.max() > HERMITICITY_TOL:
+        if np.maximum.reduce(defect) > HERMITICITY_TOL:
             bad = np.flatnonzero(defect > HERMITICITY_TOL)
             raise HermiticityError("conjugation pairing violated at (k, q) = "
                                    + ", ".join(str(keys[i]) for i in bad))
@@ -316,7 +331,9 @@ def _certainly_psd(rho: SpinDensity) -> bool:
     that is True, from one Cholesky factorization and no eigenvalues.
 
     The factorization is of H = A + (PSD_TOL - delta) I, A = rho / Tr rho,
-    delta = _CHOLESKY_MARGIN. If it runs to completion, its factor R
+    delta = _CHOLESKY_MARGIN, formed by adding a shifted identity (a zero
+    of A may change its sign; no other entry of H depends on how it is
+    formed). If it runs to completion, its factor R
     satisfies R^H R = H + E with |E| <= gamma_{n+1} |R^H| |R| entrywise
     (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3;
     complex arithmetic changes the constant by a small factor),
@@ -331,13 +348,21 @@ def _certainly_psd(rho: SpinDensity) -> bool:
     returns True. Both read the lower triangle of the same A. A False is
     no verdict: the caller asks check_positivity.
     """
-    mat = rho.normalized_matrix()
-    mat.flat[::rho.dim + 1] += PSD_TOL - _CHOLESKY_MARGIN
     try:
-        np.linalg.cholesky(mat)
+        np.linalg.cholesky(rho.matrix / rho.trace + _psd_shift(rho.spin.twice))
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+@lru_cache(maxsize=None)
+def _psd_shift(ts: int) -> np.ndarray:
+    """(PSD_TOL - _CHOLESKY_MARGIN) I of spin ts/2, complex so that the sum
+    in _certainly_psd casts nothing: (2s+1)^2 complex numbers, 27 KB at
+    s = 20. Read-only."""
+    out = np.eye(ts + 1, dtype=complex) * (PSD_TOL - _CHOLESKY_MARGIN)
+    out.flags.writeable = False
+    return out
 
 
 def purity_residual(t: TensorParams) -> float:
@@ -378,13 +403,28 @@ def classify_orientation(rho: SpinDensity) -> OrientationReport:
     """Decide whether the state is diagonal in some |s m> basis.
 
     Solves the linear system [rho, S.n] = 0 for a real axis n (three
-    unknowns, 2n^2 real equations) by a thin SVD; when a non-trivial
+    unknowns, 2n^2 real equations, the matrix A); when a non-trivial
     solution exists the state is written in the eigenbasis of S.n and
-    diagonality is confirmed there. A bound on the determinant of the
-    system's 3x3 Gram matrix rejects most non-oriented states before the
-    SVD; where it decides, the SVD would have decided the same. A state
-    proportional to the identity is reported oriented along z by
-    convention.
+    diagonality is confirmed there. A state proportional to the identity
+    is reported oriented along z by convention.
+
+    The smallest singular value sigma_3 of A decides, against
+    1e-10 max(1, sigma_1). The 3x3 Gram matrix G = A^T A settles most
+    states without the SVD:
+    - a bound on det G rejects most non-oriented states, exactly where
+      the SVD would reject them;
+    - the largest cross product of two rows of G, a column of its
+      adjugate, is a candidate axis n. Its residual r = ||A n|| bounds
+      sigma_3, and sqrt(max_a G_aa) <= sigma_1, so r <= 1e-12 max(1,
+      sqrt(max_a G_aa)) proves that sigma_3 passes the test, with room
+      for the rounding of r and of the SVD's sigma_3 (a few u sigma_1).
+      The off-diagonal entries of rho along n are then at most r, far
+      below the 1e-8 checked, so the SVD's own axis would pass the same
+      checks: the verdict is the SVD's.
+    Every other state takes the thin SVD, whose last right singular vector
+    is the axis. A certified axis is not the SVD's bit for bit: on
+    oriented states the two, and the populations along them, agree to
+    1e-14.
     """
     n = rho.dim
     mat = rho.normalized_matrix()
@@ -403,15 +443,33 @@ def classify_orientation(rho: SpinDensity) -> OrientationReport:
     # (1e-10), with room for the rounding of G and of its determinant
     # (relative 1e-12 at n = 41). Such a state is not oriented.
     (g00, g01, g02), (_, g11, g12), (_, _, g22) = (rows @ rows.T).tolist()
+    a0 = g11 * g22 - g12 * g12
+    a1 = g01 * g22 - g12 * g02
+    a2 = g01 * g12 - g11 * g02
     tr = g00 + g11 + g22
-    det = (g00 * (g11 * g22 - g12 * g12) - g01 * (g01 * g22 - g12 * g02)
-           + g02 * (g01 * g12 - g11 * g02))
+    det = g00 * a0 - g01 * a1 + g02 * a2
     if det > 1e-9 * tr * tr * max(1.0, tr):
         return OrientationReport(False, None, None)
-    _, svals, vt = np.linalg.svd(rows.T, full_matrices=False)
-    if svals[-1] > 1e-10 * max(1.0, svals[0]):
-        return OrientationReport(False, None, None)
-    axis = _canonical_sign(vt[-1] / np.linalg.norm(vt[-1]))
+    # candidate axis: the largest column of G's adjugate, whose columns
+    # are the rows of G crossed pairwise; certified by ||A n||^2 <=
+    # (1e-12)^2 max(1, max_a G_aa), see the docstring
+    cols = ((a0, -a1, a2),
+            (-a1, g00 * g22 - g02 * g02, g01 * g02 - g00 * g12),
+            (a2, g01 * g02 - g00 * g12, g00 * g11 - g01 * g01))
+    col = max(cols, key=lambda c: math.hypot(*c))
+    size = math.hypot(*col)
+    axis = None
+    if size > 0.0:
+        axis = np.array(col) / size
+        res = axis @ rows
+        if res @ res > 1e-24 * max(1.0, g00, g11, g22):
+            axis = None
+    if axis is None:
+        _, svals, vt = np.linalg.svd(rows.T, full_matrices=False)
+        if svals[-1] > 1e-10 * max(1.0, svals[0]):
+            return OrientationReport(False, None, None)
+        axis = vt[-1] / np.linalg.norm(vt[-1])
+    axis = _canonical_sign(axis)
     # eigh orders the eigenvalues m of S.n ascending; reversed, the columns
     # are the |s m> states along the axis, m = s..-s
     u = np.linalg.eigh((axis @ stack.reshape(3, -1)).reshape(n, n))[1][:, ::-1]
@@ -426,12 +484,6 @@ def classify_orientation(rho: SpinDensity) -> OrientationReport:
 # ---------------------------------------------------------------------------
 # JSON state schema
 # ---------------------------------------------------------------------------
-
-def _is_integral(value) -> bool:
-    """An int, or a float with an integer value: never a bool or a string."""
-    return (isinstance(value, float) and value.is_integer()
-            or isinstance(value, int) and not isinstance(value, bool))
-
 
 def tensor_params_from_dict(data: Mapping) -> TensorParams:
     """Parse the JSON state schema.
@@ -490,10 +542,14 @@ def state_from_dict(data: Mapping) -> SpinDensity:
 
 
 def state_to_dict(t: TensorParams) -> dict:
-    """Serialize tensor parameters into the JSON state schema."""
-    tensors = []
-    for (k, q), val in t.items():
-        tensors.append({"k": k, "q": q, "re": val.real, "im": val.imag})
+    """Serialize tensor parameters into the JSON state schema.
+
+    Only the entries with q >= 0 are written. The loader fills each t^k_-q
+    from t^k_q by the pairing rule, so a loaded state is paired exactly,
+    and its matrix is exactly Hermitian.
+    """
+    tensors = [{"k": k, "q": q, "re": val.real, "im": val.imag}
+               for (k, q), val in t.items() if q >= 0]
     return {"spin": str(t.spin), "trace": t.trace, "tensors": tensors}
 
 

@@ -13,7 +13,8 @@ diagonalizes the Cartesian rank-2 alignment tensor, killing t^2_{+-1}
 and the imaginary part of t^2_2.
 
 Both frames are found from the first and second spin moments alone
-(density._moments): the Lakin rotation from the mean spin and the 3x3
+(one product with the moment stack of ``tensor_ops``): the Lakin
+rotation from the mean spin and the 3x3
 spin covariance, whose transverse principal axes are the special
 frame's x and y axes, and the principal axes from the alignment tensor.
 Only :func:`rotate_tensors` uses Wigner-D matrices.
@@ -30,6 +31,7 @@ from .angular import EulerAngles, wigner_d_matrix
 from .density import (SpinDensity, TensorParams, _canonical_sign, _moments,
                       to_tensors)
 from .errors import LakinFrameUndefined, NoAlignment
+from .tensor_ops import _moment_stack
 
 __all__ = ["FrameResult", "rotate_tensors", "special_lakin_frame", "paaf",
            "rotation_matrix", "euler_from_rotation"]
@@ -97,12 +99,13 @@ def euler_from_rotation(r: np.ndarray) -> EulerAngles:
     return EulerAngles(alpha, beta, gamma)
 
 
-def _lakin_frame(spin, mean: np.ndarray,
-                 cov: np.ndarray) -> tuple[EulerAngles, float, float, float, float]:
+def _lakin_frame(spin, mean: tuple,
+                 cov: tuple) -> tuple[EulerAngles, float, float, float, float]:
     """The rotation of :func:`special_lakin_frame` from the mean spin and
     the spin covariance, with |<S>|, the covariance on the rotated x and
     y axes, and the azimuth of the smaller one from the x axis:
-    ``(rotation, norm, vx, vy, phi_min)``.
+    ``(rotation, norm, vx, vy, phi_min)``. ``mean`` and ``cov`` are the
+    floats of :func:`_mean_and_covariance`.
 
     alpha and beta point z along the mean spin; gamma rotates the
     transverse covariance Q = R(alpha, beta, 0)^T cov R(alpha, beta, 0)
@@ -115,7 +118,7 @@ def _lakin_frame(spin, mean: np.ndarray,
     to rounding and phi_min = 0, whichever of vx and vy the rounding
     made smaller.
     """
-    x, y, z = mean.tolist()
+    x, y, z = mean
     norm = math.sqrt(x * x + y * y + z * z)
     if norm <= POLARIZATION_TOL * spin.value:
         raise LakinFrameUndefined(
@@ -127,7 +130,7 @@ def _lakin_frame(spin, mean: np.ndarray,
     ca, sa = math.cos(phi), math.sin(phi)
     cb, sb = math.cos(theta), math.sin(theta)
     ux, uy, uz = ca * cb, sa * cb, -sb
-    (cxx, cxy, cxz), (_, cyy, cyz), (_, _, czz) = cov.tolist()
+    cxx, cxy, cxz, cyy, cyz, czz = cov
     wx = cxx * ux + cxy * uy + cxz * uz      # cov applied to the x axis
     wy = cxy * ux + cyy * uy + cyz * uz
     wz = cxz * ux + cyz * uy + czz * uz
@@ -152,11 +155,22 @@ def _lakin_frame(spin, mean: np.ndarray,
     return EulerAngles(phi, theta, gamma), norm, vx, vy, phi_min
 
 
-def _mean_and_covariance(rho: SpinDensity) -> tuple[np.ndarray, np.ndarray]:
+def _mean_and_covariance(rho: SpinDensity) -> tuple[tuple, tuple]:
     """<S> and the covariance <(S_a S_b + S_b S_a)/2> - <S_a><S_b>, per
-    unit trace."""
-    mean, second = _moments(rho)
-    return mean, second - mean[:, None] * mean
+    unit trace, as Python floats: ``(x, y, z)`` and the upper triangle
+    ``(xx, xy, xz, yy, yz, zz)``.
+
+    One product of the moment stack with the flattened matrix, then the
+    operations of the array form in its order: each moment divided by
+    the trace, then the product of the means subtracted. The floats are
+    those of ``second - mean[:, None] * mean`` bit for bit.
+    """
+    tr = rho.trace
+    x, y, z, xx, xy, xz, _, yy, yz, _, _, zz = (
+        _moment_stack(rho.spin.twice) @ rho.matrix.ravel()).real.tolist()
+    x, y, z = x / tr, y / tr, z / tr
+    return (x, y, z), (xx / tr - x * x, xy / tr - x * y, xz / tr - x * z,
+                       yy / tr - y * y, yz / tr - y * z, zz / tr - z * z)
 
 
 def special_lakin_frame(rho: SpinDensity) -> FrameResult:

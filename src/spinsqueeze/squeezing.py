@@ -133,7 +133,7 @@ def analyze(rho: SpinDensity) -> SqueezingReport:
     try:
         rotation, norm, vx, vy, phi_min = _lakin_frame(rho.spin, mean, cov)
     except LakinFrameUndefined:
-        vx, vy = float(cov[0, 0]), float(cov[1, 1])
+        vx, vy = cov[0], cov[3]
         phi_min = 0.0 if vx <= vy else 0.5 * math.pi
         mv = min(vx, vy)
         return SqueezingReport(
@@ -147,8 +147,9 @@ def analyze(rho: SpinDensity) -> SqueezingReport:
     min_variance = min(vx, vy)
     q_margin = sz_half - min_variance
     xi = math.sqrt(max(0.0, 2.0 * sv * min_variance)) / norm
+    x, y, z = mean
     return SqueezingReport(
-        mean_spin=mean / norm, sz_half=sz_half,
+        mean_spin=np.array((x / norm, y / norm, z / norm)), sz_half=sz_half,
         variance_x0=vx, variance_y0=vy, phi_min=phi_min,
         min_variance=min_variance, q_margin=q_margin, xi=xi,
         squeezed=bool(q_margin > SQUEEZING_MARGIN_TOL),

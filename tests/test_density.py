@@ -23,7 +23,8 @@ from spinsqueeze import (EulerAngles, HalfInt, SpinDensity, TensorParams,
                          spin_scale_rank1, spin_scale_rank2, state_from_dict,
                          state_to_dict, tensor_params_from_dict, to_tensors,
                          variance)
-from spinsqueeze.density import HERMITICITY_TOL, _canonical_sign
+from spinsqueeze.density import (HERMITICITY_TOL, _canonical_sign,
+                                 _unit_trace_matrix)
 from spinsqueeze.errors import (AngularMomentumError, HermiticityError,
                                 SchemaError)
 from spinsqueeze.frames import paaf, special_lakin_frame
@@ -147,6 +148,32 @@ def test_non_finite_tensor_parameter_rejected(value):
     vec[7] = value
     with pytest.raises(ValueError, match=r"\(2, 1\)$"):
         TensorParams(1, vec)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.1, -math.inf)])
+def test_non_finite_and_unpaired_vector_reports_the_non_finite_entry(value):
+    """Finiteness is tested before the pairing: a vector whose t^1_1 and
+    t^1_-1 contradict each other and whose t^2_1 is not finite is
+    reported for its non-finite entry, with no warning on the way."""
+    vec = np.zeros(9, dtype=complex)
+    vec[1], vec[3], vec[7] = 0.5, 0.5, value
+    with pytest.raises(ValueError, match=r"^non-finite .* \(2, 1\)$"):
+        TensorParams(1, vec)
+
+
+@pytest.mark.parametrize("key", [(1.9, 0.2), (True, False), (1, False),
+                                 ("1", "0"), (1, "0"), (2, 0.5), (math.nan, 0)])
+def test_tensor_indices_must_be_integral(key):
+    """A mapping key (k, q) is two integral numbers: a bool, a string or a
+    non-integral float is rejected, never rounded, as in the schema."""
+    with pytest.raises(AngularMomentumError, match="must be integers"):
+        TensorParams(1, {key: 0.1})
+
+
+def test_integral_float_and_numpy_indices_are_ranks():
+    want = TensorParams(1, {(1, 0): 0.1}).vector
+    assert np.array_equal(TensorParams(1, {(1.0, 0.0): 0.1}).vector, want)
+    assert np.array_equal(TensorParams(1, {(np.int64(1), np.int8(0)): 0.1}).vector, want)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -443,22 +470,36 @@ def _report_bytes(rep):
 @settings(deadline=None, max_examples=250)
 @given(_orientation_cases())
 def test_orientation_matches_svd_oracle_bitwise(rho):
-    """The Gram-determinant certificate decides only where the SVD would
-    decide the same: the flag, axis and populations are those of the
-    SVD-only route, byte for byte."""
-    assert _report_bytes(classify_orientation(rho)) == \
-        _report_bytes(classify_orientation_svd(rho))
+    """The Gram certificates decide only where the SVD would decide the
+    same: the flag and every non-oriented report are those of the
+    SVD-only route, byte for byte. An oriented report's axis may come
+    from the Gram matrix instead of the SVD; it and the populations along
+    it agree with the SVD's to 1e-14."""
+    got, want = classify_orientation(rho), classify_orientation_svd(rho)
+    assert got.oriented == want.oriented
+    if not got.oriented:
+        assert _report_bytes(got) == _report_bytes(want)
+        return
+    assert np.abs(got.axis - want.axis).max() <= 1e-14
+    assert np.abs(got.populations - want.populations).max() <= 1e-14
 
 
 @pytest.mark.parametrize("ts", [2, 3, 20, 40])
 def test_generic_state_is_rejected_without_svd(monkeypatch, rng, ts):
-    """A generic rank-2 state is rejected by the Gram certificate; an
-    oriented one still takes the SVD."""
+    """A generic rank-2 state is rejected by the Gram determinant, and an
+    exactly oriented one is certified by the Gram matrix's axis, both
+    without the SVD; a near-oriented one still takes it."""
     svd_calls = count_calls(monkeypatch, np.linalg, "svd")
-    g = rng.normal(size=(ts + 1, 2)) + 1j * rng.normal(size=(ts + 1, 2))
+    n = ts + 1
+    g = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
     assert not classify_orientation(SpinDensity(HalfInt(ts), g @ g.conj().T)).oriented
+    oriented = random_oriented(rng, ts)[0]
+    assert classify_orientation(oriented).oriented
     assert svd_calls == []
-    assert classify_orientation(random_oriented(rng, ts)[0]).oriented
+    h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    h += h.conj().T
+    near = SpinDensity(HalfInt(ts), oriented.matrix + 1e-8 * h / np.abs(h).max())
+    classify_orientation(near)
     assert svd_calls == ["svd"]
 
 
@@ -545,6 +586,28 @@ def test_schema_round_trip():
     again = tensor_params_from_dict(state_to_dict(params))
     for (k, q), v in params.items():
         assert again.get(k, q) == pytest.approx(v, abs=1e-15)
+
+
+@pytest.mark.parametrize("ts", range(1, 41))
+def test_state_file_round_trip_is_exactly_hermitian(ts):
+    """state_to_dict writes the entries with q >= 0, each with the bits
+    to_tensors gave it; the loader fills every t^k_-q from its partner, so
+    the loaded vector is paired exactly and its matrix is exactly
+    Hermitian, and SpinDensity has no anti-Hermitian part to drop."""
+    rng = np.random.default_rng([ts, 27])
+    for rho in (random_density(rng, ts), random_density(rng, ts, pure=True),
+                random_oriented(rng, ts)[0]):
+        t = to_tensors(rho)
+        data = json.loads(json.dumps(state_to_dict(t)))
+        assert [(e["k"], e["q"]) for e in data["tensors"]] == \
+            [kq for kq, _ in t.items() if kq[1] >= 0]
+        loaded = tensor_params_from_dict(data)
+        for (k, q), v in loaded.items():
+            if q >= 0:
+                assert v == t.get(k, q)
+        m = _unit_trace_matrix(loaded)
+        assert np.array_equal(m, m.conj().T)
+        assert np.array_equal(state_from_dict(data).matrix, m * t.trace)
 
 
 def test_schema_partner_consistency_enforced():

@@ -11,8 +11,9 @@ from spinsqueeze import (EulerAngles, SpinDensity, TensorParams, analyze,
                          special_lakin_frame, to_tensors)
 from spinsqueeze.angular import wigner_d_matrix
 from spinsqueeze.errors import LakinFrameUndefined, NoAlignment
-from spinsqueeze.frames import (alignment_tensor, euler_from_rotation,
-                                rotation_matrix)
+from spinsqueeze.density import _moments
+from spinsqueeze.frames import (_mean_and_covariance, alignment_tensor,
+                                euler_from_rotation, rotation_matrix)
 
 
 def random_angles(rng) -> EulerAngles:
@@ -144,6 +145,21 @@ def test_gamma_kept_for_small_t22_at_large_spin():
     assert analyze(rho).frame.gamma == pytest.approx(phase / 2, abs=1e-4)
     assert special_lakin_frame(rho).rotation.gamma == \
         pytest.approx(phase / 2, abs=1e-4)
+
+
+@pytest.mark.parametrize("ts", [1, 2, 3, 6, 12, 20, 33, 40])
+def test_mean_and_covariance_floats_are_the_array_form(ts):
+    """The floats of _mean_and_covariance are the array expression
+    second - mean[:, None] * mean of the moments, bit for bit, at any
+    trace."""
+    rng = np.random.default_rng([ts, 27])
+    for rho in (random_density(rng, ts), random_density(rng, ts, pure=True),
+                random_density(rng, ts, trace=3.7), random_oriented(rng, ts)[0]):
+        mean, cov = _mean_and_covariance(rho)
+        want_mean, second = _moments(rho)
+        want_cov = second - want_mean[:, None] * want_mean
+        assert np.array(mean).tobytes() == want_mean.tobytes()
+        assert np.array(cov).tobytes() == want_cov[np.triu_indices(3)].tobytes()
 
 
 def test_unpolarized_state_has_no_lakin_frame():
