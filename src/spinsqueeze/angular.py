@@ -18,8 +18,9 @@ Conventions, fixed package-wide:
   with ``d^k(beta) = exp(-i beta S_y)`` from one cached eigendecomposition
   of S_y per rank.
 
-Every function is pure; the memoized coefficient caches are only ever
-appended to and are safe for concurrent readers.
+Every function is pure; the memoized caches are bounded
+(``EXACT_CACHE_SIZE`` coefficients, ``SPIN_CACHE_SIZE`` spins) and safe
+for concurrent callers.
 """
 
 from __future__ import annotations
@@ -98,6 +99,13 @@ def _triangle_ok(ta: int, tb: int, tc: int) -> bool:
 # at j <= 40. Builders that read each coefficient once, such as the T^k_q
 # stack, call the uncached function (``__wrapped__``).
 EXACT_CACHE_SIZE = 1024
+
+# Spins kept by each per-spin array cache (the spin matrices and the S_y
+# eigenvectors here, tensor_ops' moment stack, density's Cholesky shift),
+# so that their memory does not grow with the number of distinct spins
+# asked for. Every rank the CLI takes fits, 2k <= 80: the largest costs
+# 420 kB here (four (2k+1)^2 complex arrays), all 80 together 11.5 MB.
+SPIN_CACHE_SIZE = 128
 
 
 @lru_cache(maxsize=EXACT_CACHE_SIZE)
@@ -248,11 +256,11 @@ def wigner_9j(j11, j12, j13, j21, j22, j23, j31, j32, j33) -> float:
     return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SPIN_CACHE_SIZE)
 def _spin_cached(ts: int) -> np.ndarray:
     """(S_x, S_y, S_z) of spin ts/2 as one (3, ts+1, ts+1) array, rows and
-    columns m = s..-s, from the ladder-operator matrix elements. The one
-    copy of the spin matrices in the package. Read-only."""
+    columns m = s..-s, from the ladder-operator matrix elements: the
+    package's one copy of a spin's matrices while it is cached. Read-only."""
     s = ts / 2.0
     ms = np.arange(ts, -ts - 1, -2) / 2.0
     sz = np.diag(ms).astype(complex)
@@ -263,7 +271,7 @@ def _spin_cached(ts: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SPIN_CACHE_SIZE)
 def _sy_eigvecs(tk: int) -> np.ndarray:
     """Eigenvectors of S_y for rank tk/2, as columns in the order of their
     eigenvalues m = -k..k. Read-only."""

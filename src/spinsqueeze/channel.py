@@ -148,22 +148,13 @@ def _qubit_density(p: np.ndarray) -> np.ndarray:
     return 0.5 * _I2 + _spin_along(p)
 
 
-@lru_cache(maxsize=1)
-def _triplet_basis() -> np.ndarray:
-    """Rows are <m1 m2|1 m> coefficient vectors for m = 1, 0, -1;
-    product basis ordered (up up, up dn, dn up, dn dn)."""
-    rows = []
-    for tm in (2, 0, -2):
-        row = np.zeros(4, dtype=complex)
-        for i1, tm1 in enumerate((1, -1)):
-            for i2, tm2 in enumerate((1, -1)):
-                row[2 * i1 + i2] = clebsch_gordan(
-                    HalfInt(1), HalfInt(1), HalfInt(2),
-                    HalfInt(tm1), HalfInt(tm2), HalfInt(tm))
-        rows.append(row)
-    out = np.array(rows)
-    out.flags.writeable = False
-    return out
+# The triplet states |1 m>, m = 1, 0, -1, as rows over the product basis
+# (up up, up dn, dn up, dn dn): |up up>, (|up dn> + |dn up>)/sqrt(2) and
+# |dn dn>, written out so that the oracles use no coupling coefficient.
+_TRIPLET = np.array([[1.0, 0.0, 0.0, 0.0],
+                     [0.0, math.sqrt(0.5), math.sqrt(0.5), 0.0],
+                     [0.0, 0.0, 0.0, 1.0]], dtype=complex)
+_TRIPLET.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -293,9 +284,8 @@ def project_oracle(p1, p2) -> SpinDensity:
     unnormalized; its trace is the triplet probability (3 + p1.p2)/4."""
     v1 = _as_polarization(p1, "p1")
     v2 = _as_polarization(p2, "p2")
-    basis = _triplet_basis()
     rc = np.kron(_qubit_density(v1), _qubit_density(v2))
-    return SpinDensity(HalfInt(2), basis.conj() @ rc @ basis.T)
+    return SpinDensity(HalfInt(2), _TRIPLET.conj() @ rc @ _TRIPLET.T)
 
 
 @dataclass(frozen=True)
@@ -366,9 +356,8 @@ def correlations_oracle(p1, p2, phi: float) -> Correlations:
     ax = math.cos(phi) * frame.x0 + math.sin(phi) * frame.y0
     ay = -math.sin(phi) * frame.x0 + math.cos(phi) * frame.y0
     az = frame.z0
-    basis = _triplet_basis()
     # the normalized projection, lifted back onto the product space
-    rp = basis.T @ project_oracle(v1, v2).normalized_matrix() @ basis.conj()
+    rp = _TRIPLET.T @ project_oracle(v1, v2).normalized_matrix() @ _TRIPLET.conj()
 
     def corr(va, vb):
         a = np.kron(_spin_along(va), _I2)

@@ -54,8 +54,8 @@ DEFAULT_P_STEP = 0.005
 MAX_PHI_POINTS = 100_000
 
 # Largest rank of coeff d. Each rank caches its spin matrices and the
-# eigenvectors of S_y for the life of the process, four (2k+1)^2 complex
-# arrays, about 420 kB at k = 40.
+# eigenvectors of S_y, four (2k+1)^2 complex arrays, about 420 kB at
+# k = 40, among the last angular.SPIN_CACHE_SIZE spins used.
 MAX_D_RANK = 40
 
 # Largest |value| of every argument of coeff cg, 6j and 9j. The exact

@@ -28,7 +28,8 @@ import numpy as np
 
 # clebsch_gordan, racah_w and build_tau are unused here; they stay as
 # attributes of this module because perfbench/spans.py patches them here.
-from .angular import _spin_cached, clebsch_gordan, racah_w  # noqa: F401
+from .angular import (SPIN_CACHE_SIZE, _spin_cached, clebsch_gordan,  # noqa: F401
+                      racah_w)
 from .errors import AngularMomentumError, HermiticityError, SchemaError
 from .halfint import HalfInt, check_magnitude
 from .tensor_ops import (MAX_STATE_SPIN, _moment_stack, _stack_order,  # noqa: F401
@@ -235,17 +236,22 @@ def to_tensors(rho: SpinDensity) -> TensorParams:
     return TensorParams(rho.spin, t, trace=tr)
 
 
-def _moments(rho: SpinDensity) -> tuple[np.ndarray, np.ndarray]:
-    """<S_a> and <(S_a S_b + S_b S_a)/2> per unit trace, as a 3-vector and
-    a symmetric 3x3 matrix: one matrix-vector product of the moment stack
-    with the flattened matrix."""
-    vals = (_moment_stack(rho.spin.twice) @ rho.matrix.ravel()).real / rho.trace
-    return vals[:3], vals[3:].reshape(3, 3)
+def _moments(rho: SpinDensity) -> tuple[tuple, tuple]:
+    """<S_a> and <(S_a S_b + S_b S_a)/2> per unit trace, as Python floats:
+    ``(x, y, z)`` and ``(xx, xy, xz, yy, yz, zz)``. One product of the
+    moment stack with the flattened matrix, then each value divided by
+    the trace. The one reader of the spin moments: the polarization, the
+    variances, the alignment tensor and both frames take theirs from it."""
+    tr = rho.trace
+    x, y, z, xx, xy, xz, yy, yz, zz = (
+        _moment_stack(rho.spin.twice) @ rho.matrix.ravel()).real.tolist()
+    return ((x / tr, y / tr, z / tr),
+            (xx / tr, xy / tr, xz / tr, yy / tr, yz / tr, zz / tr))
 
 
 def polarization(rho: SpinDensity) -> np.ndarray:
     """Vector polarization <S> / Tr(rho) as a Cartesian 3-vector."""
-    return _moments(rho)[0]
+    return np.array(_moments(rho)[0])
 
 
 def variance(rho: SpinDensity, direction) -> float:
@@ -259,7 +265,8 @@ def variance(rho: SpinDensity, direction) -> float:
     if norm < 1e-300:
         raise ValueError("direction must be a non-zero vector")
     d = d / norm
-    mean, second = _moments(rho)
+    mean, (xx, xy, xz, yy, yz, zz) = _moments(rho)
+    second = np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]])
     return float(d @ second @ d - (d @ mean) ** 2)
 
 
@@ -355,7 +362,7 @@ def _certainly_psd(rho: SpinDensity) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SPIN_CACHE_SIZE)
 def _psd_shift(ts: int) -> np.ndarray:
     """(PSD_TOL - _CHOLESKY_MARGIN) I of spin ts/2, complex so that the sum
     in _certainly_psd casts nothing: (2s+1)^2 complex numbers, 27 KB at

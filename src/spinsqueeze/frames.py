@@ -12,11 +12,11 @@ t^2_2 is real and non-negative. The principal-axes-of-alignment frame
 diagonalizes the Cartesian rank-2 alignment tensor, killing t^2_{+-1}
 and the imaginary part of t^2_2.
 
-Both frames are found from the first and second spin moments alone
-(one product with the moment stack of ``tensor_ops``): the Lakin
-rotation from the mean spin and the 3x3
-spin covariance, whose transverse principal axes are the special
-frame's x and y axes, and the principal axes from the alignment tensor.
+Both frames are found from the first and second spin moments alone,
+as read by ``density._moments``: the Lakin rotation from the mean spin
+and the 3x3 spin covariance, whose transverse principal axes are the
+special frame's x and y axes, and the principal axes from the alignment
+tensor.
 Only :func:`rotate_tensors` uses Wigner-D matrices.
 """
 
@@ -31,7 +31,6 @@ from .angular import EulerAngles, wigner_d_matrix
 from .density import (SpinDensity, TensorParams, _canonical_sign, _moments,
                       to_tensors)
 from .errors import LakinFrameUndefined, NoAlignment
-from .tensor_ops import _moment_stack
 
 __all__ = ["FrameResult", "rotate_tensors", "special_lakin_frame", "paaf",
            "rotation_matrix", "euler_from_rotation"]
@@ -69,15 +68,11 @@ def rotate_tensors(t: TensorParams, angles: EulerAngles) -> TensorParams:
 
 
 def rotation_matrix(angles: EulerAngles) -> np.ndarray:
-    """Active z-y-z rotation matrix; its columns are the rotated frame axes."""
-    return _zyz_matrix(angles.alpha, angles.beta, angles.gamma)
-
-
-def _zyz_matrix(alpha: float, beta: float, gamma: float) -> np.ndarray:
-    """R_z(alpha) R_y(beta) R_z(gamma), written out as one array."""
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    cb, sb = math.cos(beta), math.sin(beta)
-    cg, sg = math.cos(gamma), math.sin(gamma)
+    """Active z-y-z rotation matrix R_z(alpha) R_y(beta) R_z(gamma),
+    written out as one array; its columns are the rotated frame axes."""
+    ca, sa = math.cos(angles.alpha), math.sin(angles.alpha)
+    cb, sb = math.cos(angles.beta), math.sin(angles.beta)
+    cg, sg = math.cos(angles.gamma), math.sin(angles.gamma)
     return np.array([ca * cb * cg - sa * sg, -ca * cb * sg - sa * cg, ca * sb,
                      sa * cb * cg + ca * sg, ca * cg - sa * cb * sg, sa * sb,
                      -sb * cg, sb * sg, cb]).reshape(3, 3)
@@ -100,12 +95,14 @@ def euler_from_rotation(r: np.ndarray) -> EulerAngles:
 
 
 def _lakin_frame(spin, mean: tuple,
-                 cov: tuple) -> tuple[EulerAngles, float, float, float, float]:
-    """The rotation of :func:`special_lakin_frame` from the mean spin and
-    the spin covariance, with |<S>|, the covariance on the rotated x and
+                 second: tuple) -> tuple[EulerAngles, float, float, float, float]:
+    """The rotation of :func:`special_lakin_frame` from the first and
+    second spin moments, with |<S>|, the covariance on the rotated x and
     y axes, and the azimuth of the smaller one from the x axis:
-    ``(rotation, norm, vx, vy, phi_min)``. ``mean`` and ``cov`` are the
-    floats of :func:`_mean_and_covariance`.
+    ``(rotation, norm, vx, vy, phi_min)``. ``mean`` and ``second`` are the
+    floats of ``density._moments``; the covariance
+    cov_ab = <(S_a S_b + S_b S_a)/2> - <S_a><S_b> is formed from them
+    once the polarization is known to be large enough.
 
     alpha and beta point z along the mean spin; gamma rotates the
     transverse covariance Q = R(alpha, beta, 0)^T cov R(alpha, beta, 0)
@@ -130,7 +127,13 @@ def _lakin_frame(spin, mean: tuple,
     ca, sa = math.cos(phi), math.sin(phi)
     cb, sb = math.cos(theta), math.sin(theta)
     ux, uy, uz = ca * cb, sa * cb, -sb
-    cxx, cxy, cxz, cyy, cyz, czz = cov
+    xx, xy, xz, yy, yz, zz = second
+    cxx = xx - x * x
+    cxy = xy - x * y
+    cxz = xz - x * z
+    cyy = yy - y * y
+    cyz = yz - y * z
+    czz = zz - z * z
     wx = cxx * ux + cxy * uy + cxz * uz      # cov applied to the x axis
     wy = cxy * ux + cyy * uy + cyz * uz
     wz = cxz * ux + cyz * uy + czz * uz
@@ -155,24 +158,6 @@ def _lakin_frame(spin, mean: tuple,
     return EulerAngles(phi, theta, gamma), norm, vx, vy, phi_min
 
 
-def _mean_and_covariance(rho: SpinDensity) -> tuple[tuple, tuple]:
-    """<S> and the covariance <(S_a S_b + S_b S_a)/2> - <S_a><S_b>, per
-    unit trace, as Python floats: ``(x, y, z)`` and the upper triangle
-    ``(xx, xy, xz, yy, yz, zz)``.
-
-    One product of the moment stack with the flattened matrix, then the
-    operations of the array form in its order: each moment divided by
-    the trace, then the product of the means subtracted. The floats are
-    those of ``second - mean[:, None] * mean`` bit for bit.
-    """
-    tr = rho.trace
-    x, y, z, xx, xy, xz, _, yy, yz, _, _, zz = (
-        _moment_stack(rho.spin.twice) @ rho.matrix.ravel()).real.tolist()
-    x, y, z = x / tr, y / tr, z / tr
-    return (x, y, z), (xx / tr - x * x, xy / tr - x * y, xz / tr - x * z,
-                       yy / tr - y * y, yz / tr - y * z, zz / tr - z * z)
-
-
 def special_lakin_frame(rho: SpinDensity) -> FrameResult:
     """Rotate to the frame with z along the polarization and t^2_2 real.
 
@@ -185,7 +170,7 @@ def special_lakin_frame(rho: SpinDensity) -> FrameResult:
     every frame is then equivalent and the squeezing analysis rejects
     the state separately.
     """
-    rotation = _lakin_frame(rho.spin, *_mean_and_covariance(rho))[0]
+    rotation = _lakin_frame(rho.spin, *_moments(rho))[0]
     return FrameResult(rotation, rotate_tensors(to_tensors(rho), rotation))
 
 
@@ -193,7 +178,9 @@ def alignment_tensor(rho: SpinDensity) -> np.ndarray:
     """Traceless symmetric Cartesian rank-2 moment
     <(S_a S_b + S_b S_a)/2> - delta_ab s(s+1)/3."""
     sv = rho.spin.value
-    return _moments(rho)[1] - np.eye(3) * (sv * (sv + 1) / 3.0)
+    xx, xy, xz, yy, yz, zz = _moments(rho)[1]
+    return (np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]])
+            - np.eye(3) * (sv * (sv + 1) / 3.0))
 
 
 def _unit_projection(target: np.ndarray, normal: np.ndarray):

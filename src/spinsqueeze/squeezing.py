@@ -30,13 +30,12 @@ from typing import Optional
 import numpy as np
 
 from .angular import EulerAngles
-from .density import (SpinDensity, _certainly_psd, check_positivity,
+from .density import (SpinDensity, _certainly_psd, _moments, check_positivity,
                       spin_scale_rank1, spin_scale_rank2)
 from .errors import AngularMomentumError, LakinFrameUndefined, UnphysicalStateError
 # special_lakin_frame is unused here; it stays as an attribute of this
 # module because perfbench/spans.py patches it here.
-from .frames import (_lakin_frame, _mean_and_covariance,  # noqa: F401
-                     special_lakin_frame)
+from .frames import _lakin_frame, special_lakin_frame  # noqa: F401
 from .halfint import HalfInt, check_magnitude
 
 __all__ = ["SqueezingReport", "analyze", "lf_criterion", "lf_variances",
@@ -129,11 +128,12 @@ def analyze(rho: SpinDensity) -> SqueezingReport:
                 f"(eigenvalues {np.array2string(pos.eigenvalues, precision=6)})",
                 eigenvalues=pos.eigenvalues)
     sv = rho.spin.value
-    mean, cov = _mean_and_covariance(rho)
+    mean, second = _moments(rho)
     try:
-        rotation, norm, vx, vy, phi_min = _lakin_frame(rho.spin, mean, cov)
+        rotation, norm, vx, vy, phi_min = _lakin_frame(rho.spin, mean, second)
     except LakinFrameUndefined:
-        vx, vy = cov[0], cov[3]
+        vx = second[0] - mean[0] * mean[0]
+        vy = second[3] - mean[1] * mean[1]
         phi_min = 0.0 if vx <= vy else 0.5 * math.pi
         mv = min(vx, vy)
         return SqueezingReport(

@@ -13,8 +13,10 @@ Construction is lazy and memoized per spin; (S_x, S_y, S_z) are the one
 (3, n, n) array of ``angular``. Both operator tables here store each
 operator M as one row, M transposed and flattened, so that a table times
 rho.ravel() gives every Tr(rho M) at once: one holds every T^k_q of a
-spin, the other S_a and every (S_a S_b + S_b S_a)/2. Cached arrays are
-frozen (non-writeable), so they are safe to share between threads.
+spin, the other the nine distinct spin-moment operators, S_a and
+(S_a S_b + S_b S_a)/2 for a <= b, which ``density._moments`` reads.
+Cached arrays are frozen (non-writeable), so they are safe to share
+between threads.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angular import _cg_exact, _spin_cached
+from .angular import SPIN_CACHE_SIZE, _cg_exact, _spin_cached
 from .errors import AngularMomentumError
 from .halfint import HalfInt, check_magnitude
 
@@ -119,14 +121,15 @@ def spin_matrices(s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(_spin_cached(sh.twice))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SPIN_CACHE_SIZE)
 def _moment_stack(ts: int) -> np.ndarray:
-    """The operators of the first and second spin moments of spin ts/2
-    as one (12, (ts+1)^2) table: S_x, S_y, S_z, then (S_a S_b + S_b S_a)/2
-    for a, b = x, y, z in row-major order, each transposed and flattened.
-    Read-only."""
+    """The nine distinct operators of the first and second spin moments of
+    spin ts/2 as one (9, (ts+1)^2) table, each transposed and flattened:
+    S_x, S_y, S_z, then (S_a S_b + S_b S_a)/2 for ab = xx, xy, xz, yy, yz,
+    zz. Read-only."""
     spins = _spin_cached(ts)
-    sym = [(a @ b + b @ a) / 2.0 for a in spins for b in spins]
+    sym = [(spins[a] @ spins[b] + spins[b] @ spins[a]) / 2.0
+           for a in range(3) for b in range(a, 3)]
     out = np.array([m.T.ravel() for m in (*spins, *sym)])
     out.flags.writeable = False
     return out

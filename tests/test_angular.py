@@ -21,7 +21,9 @@ import coeff_oracle
 from spinsqueeze import (EulerAngles, HalfInt, clebsch_gordan,
                          clebsch_gordan_exact, little_d, racah_w, wigner_6j,
                          wigner_6j_exact, wigner_9j, wigner_d, wigner_d_matrix)
-from spinsqueeze.angular import EXACT_CACHE_SIZE, _cg_exact, _six_j_exact
+from spinsqueeze import angular, density, tensor_ops
+from spinsqueeze.angular import (EXACT_CACHE_SIZE, SPIN_CACHE_SIZE, _cg_exact,
+                                 _six_j_exact)
 from spinsqueeze.cli import MAX_D_RANK
 from spinsqueeze.errors import AngularMomentumError
 from spinsqueeze.frames import euler_from_rotation, rotation_matrix
@@ -292,6 +294,25 @@ def test_exact_coefficient_caches_stay_bounded():
         assert cache.cache_info().currsize == EXACT_CACHE_SIZE
     # unbounded, the 8192 new entries would take about 2.4 MB
     assert grown < 50_000
+
+
+def test_per_spin_caches_stay_bounded():
+    """Each per-spin array cache keeps at most SPIN_CACHE_SIZE spins, however
+    many distinct spins are asked for. The spin matrices are filled past
+    the bound through spin_matrices, about 40 MB on the way; the other
+    three, filled the same way, would hold up to 100 MB and are checked
+    by their bound."""
+    caches = (angular._spin_cached, angular._sy_eigvecs,
+              tensor_ops._moment_stack, density._psd_shift)
+    for cache in caches:
+        assert cache.cache_parameters()["maxsize"] == SPIN_CACHE_SIZE
+    try:
+        for ts in range(1, SPIN_CACHE_SIZE + 9):
+            spin_matrices(HalfInt(ts))
+        assert angular._spin_cached.cache_info().currsize == SPIN_CACHE_SIZE
+    finally:
+        # give back the large entries; each is rebuilt when next needed
+        angular._spin_cached.cache_clear()
 
 
 # ---------------------------------------------------------------------------

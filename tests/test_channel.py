@@ -22,6 +22,7 @@ from spinsqueeze import (ThresholdScanConfig, analyze,
                          project_oracle, threshold_scan, to_tensors,
                          verify_correlations)
 from spinsqueeze import _kernel, channel
+from spinsqueeze.angular import clebsch_gordan
 from spinsqueeze.channel import exact_thresholds, max_margin
 from spinsqueeze.errors import LakinFrameUndefined
 from spinsqueeze.scan import COLUMNS, MAX_SCAN_ROWS, ScanConfig, evaluate_points
@@ -131,6 +132,47 @@ def test_three_routes_agree(rng):
             for q in range(-k, k + 1):
                 assert abs(closed.get(k, q) - ninej.get(k, q)) < 1e-12
                 assert abs(closed.get(k, q) - oracle.get(k, q)) < 1e-12
+
+
+def test_triplet_states_are_the_coupling_coefficients():
+    """The written-out triplet rows are C(1/2 1/2 1; m1 m2 m) bit for bit,
+    over the product basis (up up, up dn, dn up, dn dn), and orthonormal."""
+    basis = channel._TRIPLET
+    assert not basis.flags.writeable
+    for row, m in enumerate((1, 0, -1)):
+        for col, (m1, m2) in enumerate(((0.5, 0.5), (0.5, -0.5),
+                                        (-0.5, 0.5), (-0.5, -0.5))):
+            want = complex(clebsch_gordan(0.5, 0.5, 1, m1, m2, m))
+            assert np.array(basis[row, col]).tobytes() == np.array(want).tobytes()
+    assert np.abs(basis @ basis.conj().T - np.eye(3)).max() < 1e-15
+
+
+def test_pair_oracles_use_no_coupling_coefficient(rng, monkeypatch):
+    """project_oracle and correlations_oracle agree with the closed forms
+    when every Clebsch-Gordan coefficient of the coupling routes raises,
+    so the three-way check shares no coupling code."""
+    pairs = []
+    while len(pairs) < 50:
+        p1 = random_polarization(rng)
+        p2 = random_polarization(rng)
+        if np.linalg.norm(p1 + p2) > 1e-3:
+            phi = rng.uniform(0, 2 * math.pi)
+            pairs.append((p1, p2, phi, couple_spin1(p1, p2).params,
+                          correlations(p1, p2, phi)))
+
+    def no_coefficient(*args):
+        raise AssertionError("the oracle read a coupling coefficient")
+
+    monkeypatch.setattr(channel, "clebsch_gordan", no_coefficient)
+    for p1, p2, phi, closed, closed_corr in pairs:
+        oracle = to_tensors(project_oracle(p1, p2))
+        for k in (1, 2):
+            for q in range(-k, k + 1):
+                assert abs(closed.get(k, q) - oracle.get(k, q)) < 1e-12
+        oracle_corr = correlations_oracle(p1, p2, phi)
+        for comp in ("xx", "yy", "xz", "zy"):
+            assert getattr(closed_corr, comp) == pytest.approx(
+                getattr(oracle_corr, comp), abs=1e-12), comp
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,12 @@ import pytest
 from conftest import random_density, random_oriented
 from spinsqueeze import (EulerAngles, SpinDensity, TensorParams, analyze,
                          from_tensors, paaf, polarization, rotate_tensors,
-                         special_lakin_frame, to_tensors)
+                         special_lakin_frame, spin_matrices, to_tensors)
 from spinsqueeze.angular import wigner_d_matrix
 from spinsqueeze.errors import LakinFrameUndefined, NoAlignment
 from spinsqueeze.density import _moments
-from spinsqueeze.frames import (_mean_and_covariance, alignment_tensor,
-                                euler_from_rotation, rotation_matrix)
+from spinsqueeze.frames import (alignment_tensor, euler_from_rotation,
+                                rotation_matrix)
 
 
 def random_angles(rng) -> EulerAngles:
@@ -149,17 +149,26 @@ def test_gamma_kept_for_small_t22_at_large_spin():
 
 @pytest.mark.parametrize("ts", [1, 2, 3, 6, 12, 20, 33, 40])
 def test_mean_and_covariance_floats_are_the_array_form(ts):
-    """The floats of _mean_and_covariance are the array expression
-    second - mean[:, None] * mean of the moments, bit for bit, at any
-    trace."""
+    """The floats of _moments are Tr(rho S_a)/Tr rho and
+    Tr(rho {S_a, S_b}/2)/Tr rho for ab = xx, xy, xz, yy, yz, zz, from the
+    spin matrices, and the covariance the frames form from them is the
+    same expression of those traces, at any trace."""
     rng = np.random.default_rng([ts, 27])
+    spins = spin_matrices(ts / 2)
+    pairs = [(a, b) for a in range(3) for b in range(a, 3)]
+    ops = [(spins[a] @ spins[b] + spins[b] @ spins[a]) / 2 for a, b in pairs]
+    tol = 1e-15 * (ts / 2) * (ts / 2 + 1)
     for rho in (random_density(rng, ts), random_density(rng, ts, pure=True),
                 random_density(rng, ts, trace=3.7), random_oriented(rng, ts)[0]):
-        mean, cov = _mean_and_covariance(rho)
-        want_mean, second = _moments(rho)
-        want_cov = second - want_mean[:, None] * want_mean
-        assert np.array(mean).tobytes() == want_mean.tobytes()
-        assert np.array(cov).tobytes() == want_cov[np.triu_indices(3)].tobytes()
+        mean, second = _moments(rho)
+        assert all(type(v) is float for v in (*mean, *second))
+        want_mean = [np.trace(rho.matrix @ op).real / rho.trace for op in spins]
+        want_second = [np.trace(rho.matrix @ op).real / rho.trace for op in ops]
+        assert np.abs(np.subtract(mean, want_mean)).max() <= tol
+        assert np.abs(np.subtract(second, want_second)).max() <= tol
+        for (a, b), xy, want_xy in zip(pairs, second, want_second):
+            cov = xy - mean[a] * mean[b]
+            assert abs(cov - (want_xy - want_mean[a] * want_mean[b])) <= tol
 
 
 def test_unpolarized_state_has_no_lakin_frame():
