@@ -196,14 +196,15 @@ def _six_j_exact(tj1: int, tj2: int, tj3: int, tj4: int, tj5: int, tj6: int):
     return (1 if total > 0 else -1), Fraction(num, den)
 
 
+def _twice_magnitudes(names: str, *values) -> list[int]:
+    """Twice each value, each checked non-negative under its name."""
+    return [check_magnitude(HalfInt.of(j), name).twice
+            for name, j in zip(names.split(), values)]
+
+
 def wigner_6j_exact(j1, j2, j3, j4, j5, j6):
     """Exact 6-j symbol {j1 j2 j3; j4 j5 j6} as ``(sign, square: Fraction)``."""
-    tw = []
-    for name, j in zip("j1 j2 j3 j4 j5 j6".split(), (j1, j2, j3, j4, j5, j6)):
-        jh = HalfInt.of(j)
-        check_magnitude(jh, name)
-        tw.append(jh.twice)
-    return _six_j_exact(*tw)
+    return _six_j_exact(*_twice_magnitudes("j1 j2 j3 j4 j5 j6", j1, j2, j3, j4, j5, j6))
 
 
 def wigner_6j(j1, j2, j3, j4, j5, j6) -> float:
@@ -213,14 +214,10 @@ def wigner_6j(j1, j2, j3, j4, j5, j6) -> float:
 
 
 def racah_w(a, b, c, d, e, f) -> float:
-    """Racah coefficient W(abcd; ef) = (-1)^(a+b+c+d) {a b e; d c f}."""
-    ah, bh = HalfInt.of(a), HalfInt.of(b)
-    ch, dh = HalfInt.of(c), HalfInt.of(d)
-    phase_twice = ah.twice + bh.twice + ch.twice + dh.twice
-    if phase_twice % 2 != 0:
-        # a+b+c+d half-integral cannot satisfy any triad anyway
-        return 0.0
-    phase = -1.0 if (phase_twice // 2) % 2 else 1.0
+    """Racah coefficient W(abcd; ef) = (-1)^(a+b+c+d) {a b e; d c f}, checked as
+    the 6-j symbol; a half-integral a+b+c+d fails a triad (phase +1, so 0.0)."""
+    phase_twice = sum(HalfInt.of(j).twice for j in (a, b, c, d))
+    phase = -1.0 if phase_twice % 4 == 2 else 1.0
     return phase * wigner_6j(a, b, e, d, c, f)
 
 
@@ -229,14 +226,8 @@ def wigner_9j(j11, j12, j13, j21, j22, j23, j31, j32, j33) -> float:
 
     Zero when any row or column triad violates the triangle rules.
     """
-    tw = []
-    for name, j in zip(
-            "j11 j12 j13 j21 j22 j23 j31 j32 j33".split(),
-            (j11, j12, j13, j21, j22, j23, j31, j32, j33)):
-        jh = HalfInt.of(j)
-        check_magnitude(jh, name)
-        tw.append(jh.twice)
-    a, b, c, d, e, f, g, h, i = tw
+    a, b, c, d, e, f, g, h, i = _twice_magnitudes(
+        "j11 j12 j13 j21 j22 j23 j31 j32 j33", j11, j12, j13, j21, j22, j23, j31, j32, j33)
     txmin = max(abs(a - i), abs(b - f), abs(d - h))
     txmax = min(a + i, b + f, d + h)
     total = 0.0

@@ -85,8 +85,8 @@ def _parse_axis(spec: str, default_step: float, scale=lambda x: x) -> np.ndarray
         raise SchemaError(f"too many values in {spec!r}")
     count = int(math.floor(count + 1e-9)) + 1
     if count > MAX_SCAN_ROWS:
-        raise SchemaError(f"{count} values in {spec!r} exceed the scan limit "
-                          f"of {MAX_SCAN_ROWS} rows")
+        raise SchemaError(f"more than {MAX_SCAN_ROWS} values in {spec!r}, "
+                          "the scan limit")
     return scale(start + step * np.arange(count))
 
 

@@ -32,8 +32,7 @@ from .angular import (SPIN_CACHE_SIZE, _spin_cached, clebsch_gordan,  # noqa: F4
                       racah_w)
 from .errors import AngularMomentumError, HermiticityError, SchemaError
 from .halfint import HalfInt, check_magnitude
-from .tensor_ops import (MAX_STATE_SPIN, _moment_stack, _stack_order,  # noqa: F401
-                         _tau_stack, build_tau)
+from .tensor_ops import _moment_stack, _stack_order, _tau_stack, build_tau  # noqa: F401
 
 __all__ = [
     "TensorParams",
@@ -61,17 +60,17 @@ PSD_TOL = 1e-10
 
 
 def spin_scale_rank1(s) -> float:
-    """sqrt(s(s+1)/3): converts rank-1 tensors to spin spherical components."""
-    sv = HalfInt.of(s).value
+    """sqrt(s(s+1)/3), s >= 0: converts rank-1 tensors to spin components."""
+    sv = check_magnitude(HalfInt.of(s), "s").value
     return math.sqrt(sv * (sv + 1) / 3.0)
 
 
 def spin_scale_rank2(s) -> float:
     """sqrt(s(s+1)(2s-1)(2s+3)/30): the rank-2 weight in second moments.
 
-    Vanishes at s = 1/2, where no rank-2 tensors exist.
+    Vanishes at s = 1/2, where no rank-2 tensors exist; s < 0 raises.
     """
-    sv = HalfInt.of(s).value
+    sv = check_magnitude(HalfInt.of(s), "s").value
     return math.sqrt(sv * (sv + 1) * (2 * sv - 1) * (2 * sv + 3) / 30.0)
 
 
@@ -173,13 +172,15 @@ class SpinDensity:
 
     ``matrix`` is a read-only, C-ordered copy of the input, exactly
     Hermitian: an anti-Hermitian part within the tolerance is dropped.
-    ``trace`` is its real trace, computed once when the matrix is
-    validated.
+    ``trace`` (real) and ``normalized_matrix()`` (matrix / trace) are computed
+    once, at validation. A normalized matrix that is not finite raises
+    ValueError, as every trace below about 5.6e-309 does (numpy multiplies by 1/trace).
     """
 
     spin: HalfInt
     matrix: np.ndarray = field(repr=False)
     trace: float = field(init=False, repr=False, compare=False)
+    _normalized: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sh = check_magnitude(HalfInt.of(self.spin), "spin")
@@ -200,17 +201,24 @@ class SpinDensity:
         tr = np.trace(mat)
         if abs(tr.imag) > HERMITICITY_TOL * scale or tr.real <= 0:
             raise ValueError(f"trace must be real and positive, got {tr}")
-        mat.flags.writeable = False
+        tr = float(tr.real)
+        with np.errstate(over="ignore", invalid="ignore"):
+            unit = mat / tr
+        if not np.isfinite(unit).all():
+            raise ValueError(f"density matrix divided by its trace {tr:g} is not finite")
+        mat.flags.writeable = unit.flags.writeable = False
         object.__setattr__(self, "spin", sh)
         object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "trace", float(tr.real))
+        object.__setattr__(self, "trace", tr)
+        object.__setattr__(self, "_normalized", unit)
 
     @property
     def dim(self) -> int:
         return self.spin.twice + 1
 
     def normalized_matrix(self) -> np.ndarray:
-        return self.matrix / self.trace
+        """matrix / trace, computed once; read-only and shared."""
+        return self._normalized
 
 
 def _unit_trace_matrix(t: TensorParams) -> np.ndarray:
@@ -230,8 +238,6 @@ def from_tensors(t: TensorParams) -> SpinDensity:
 def to_tensors(rho: SpinDensity) -> TensorParams:
     """Project a density matrix onto the tensor operator basis."""
     tr = rho.trace
-    if tr < 1e-300:
-        raise ValueError("zero-trace density matrix has no tensor parameters")
     t = _tau_stack(rho.spin.twice) @ rho.matrix.ravel() / tr
     return TensorParams(rho.spin, t, trace=tr)
 
@@ -340,7 +346,7 @@ def _certainly_psd(rho: SpinDensity) -> bool:
     The factorization is of H = A + (PSD_TOL - delta) I, A = rho / Tr rho,
     delta = _CHOLESKY_MARGIN, formed by adding a shifted identity (a zero
     of A may change its sign; no other entry of H depends on how it is
-    formed). If it runs to completion, its factor R
+    formed). If it runs to completion with no overflow, its factor R
     satisfies R^H R = H + E with |E| <= gamma_{n+1} |R^H| |R| entrywise
     (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3;
     complex arithmetic changes the constant by a small factor),
@@ -352,14 +358,17 @@ def _certainly_psd(rho: SpinDensity) -> bool:
     off by a few n u ||A||_2 at most, with ||A||_2 <= Tr(H + E) + ||E||
     close to 1. Both errors stay far below delta = 1e-12 for n up to
     thousands, so eigvalsh gives lambda_min >= -PSD_TOL wherever this
-    returns True. Both read the lower triangle of the same A. A False is
-    no verdict: the caller asks check_positivity.
+    returns True. Both read the lower triangle of the same A. An entry of
+    A past about 1e154 overflows when squared and leaves a NaN pivot:
+    LAPACK stops there, OpenBLAS divides the rest of its column by it and
+    goes on, so the NaN reaches the last pivot, which must be > 0. A False
+    is no verdict: the caller asks check_positivity.
     """
     try:
-        np.linalg.cholesky(rho.matrix / rho.trace + _psd_shift(rho.spin.twice))
+        factor = np.linalg.cholesky(rho.normalized_matrix() + _psd_shift(rho.spin.twice))
     except np.linalg.LinAlgError:
         return False
-    return True
+    return bool(factor[-1, -1].real > 0.0)
 
 
 @lru_cache(maxsize=SPIN_CACHE_SIZE)
@@ -509,8 +518,6 @@ def tensor_params_from_dict(data: Mapping) -> TensorParams:
         spin = HalfInt.of(data["spin"])
     except (ValueError, TypeError) as exc:
         raise SchemaError(f"invalid spin value {data['spin']!r}: {exc}") from None
-    if spin.twice > 2 * MAX_STATE_SPIN:
-        raise SchemaError(f"spin {spin} exceeds the limit of {MAX_STATE_SPIN}")
     trace = data.get("trace", 1.0)
     if not isinstance(trace, (int, float)) or isinstance(trace, bool):
         raise SchemaError(f"trace must be a number, got {trace!r}")
@@ -561,14 +568,15 @@ def state_to_dict(t: TensorParams) -> dict:
 
 
 def load_state_file(path) -> tuple[TensorParams, SpinDensity]:
-    """Read a state file; returns both tensor and matrix forms."""
+    """Read a state file; returns both tensor and matrix forms. A file that
+    cannot be read, like one that breaks the schema, is a SchemaError."""
     import json
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except FileNotFoundError:
-        raise SchemaError(f"state file not found: {path}") from None
+    except OSError as exc:
+        raise SchemaError(f"cannot read state file {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON in {path}: {exc}") from None
     params = tensor_params_from_dict(data)

@@ -186,6 +186,17 @@ def test_racah_w_triangle_selection():
     assert racah_w("1/2", 1, 1, 1, "1/2", "1/2") == 0.0
 
 
+@pytest.mark.parametrize("args, name", [
+    (("-1/2", 0, 0, 0, 1, 1), "j1 = -1/2"),
+    (("1/2", 0, 0, 0, -7, 1), "j3 = -7"),
+    ((-1, 0, 0, 0, 1, 1), "j1 = -1"),
+])
+def test_racah_w_rejects_negative_magnitudes(args, name):
+    """Also where a + b + c + d is half-integral and no triad holds."""
+    with pytest.raises(AngularMomentumError, match=f"{name} must be non-negative"):
+        racah_w(*args)
+
+
 def test_6j_known_value():
     # {1 1 1; 1 1 1} = 1/6, a standard closed-form special case
     assert wigner_6j(1, 1, 1, 1, 1, 1) == pytest.approx(1 / 6, abs=1e-15)

@@ -20,7 +20,7 @@ from conftest import readme_example
 import spinsqueeze
 from spinsqueeze import angular, cli, density
 from spinsqueeze.cli import MAX_D_RANK, MAX_J, MAX_PHI_POINTS, main
-from spinsqueeze.density import MAX_STATE_SPIN
+from spinsqueeze.tensor_ops import MAX_STATE_SPIN
 from spinsqueeze.scan import MAX_SCAN_ROWS
 
 # The README's example state file: the spin-1 row of the reference table,
@@ -98,6 +98,24 @@ def test_non_finite_state_file_exits_2(tmp_path, capsys, command, value):
 def test_analyze_missing_file_exits_2(capsys):
     code, _, _ = run(capsys, ["analyze", "/nonexistent/state.json"])
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+def test_unreadable_state_file_exits_2(tmp_path, capsys, command):
+    """A directory given as the state file is an input error, not an
+    output I/O error (exit 4)."""
+    code, out, err = run(capsys, [command, str(tmp_path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read state file")
+
+
+def test_analyze_state_whose_cholesky_factor_overflows_exits_3(tmp_path, capsys):
+    """Eigenvalues +-8.2e199: the squares of the normalized entries
+    overflow in the positivity certificate, which must not pass it."""
+    state = {"spin": "1", "tensors": [{"k": 1, "q": 1, "re": 1e200, "im": 1e200}]}
+    code, out, err = run(capsys, ["analyze", write_state(tmp_path, state)])
+    assert (code, out) == (3, "")
+    assert "eigenvalues" in err
 
 
 @pytest.mark.parametrize("command", ["analyze", "validate"])
@@ -429,6 +447,14 @@ def test_scan_axis_over_row_limit_exits_2(capsys, monkeypatch):
     assert "limit" in err
 
 
+def test_scan_axis_over_row_limit_names_the_limit(capsys):
+    # 1e300 values: the message names the limit, not a 301-digit count
+    code, out, err = run(capsys, ["scan", "--p1", "0:1:1e-300"])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and len(err) < 120
+    assert f"more than {MAX_SCAN_ROWS} values" in err
+
+
 def test_scan_grid_over_row_limit_exits_2(capsys, monkeypatch):
     # four axes of about 1e4 values each: 1e16 rows, each axis within the limit
     monkeypatch.setattr(np, "meshgrid", _must_not_allocate)
@@ -600,7 +626,10 @@ _STATE_TEXT = _either(
     _WELL_FORMED.map(json.dumps), _STATE_DOC.map(json.dumps),
     st.sampled_from(["", "{", "nul", "\x00", '{"spin": 1e400}',
                      '{"spin": "1", "trace": 1e400}',
-                     '{"spin": "1", "tensors": [{"k": 1, "q": 0, "re": 1e400}]}']))
+                     '{"spin": "1", "tensors": [{"k": 1, "q": 0, "re": 1e400}]}',
+                     # a trace too small to normalize by
+                     '{"spin": "1", "trace": 1e-310, '
+                     '"tensors": [{"k": 1, "q": 0, "re": 0.9}]}']))
 
 
 def _reject_constant(name):

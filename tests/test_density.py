@@ -182,6 +182,27 @@ def test_non_finite_density_matrix_rejected(value):
         SpinDensity(1, np.full((3, 3), value))
 
 
+def test_trace_too_small_to_normalize_by_is_rejected():
+    # numpy divides by way of 1/trace, which overflows below about 5.6e-309;
+    # the suite runs with warnings as errors, so a RuntimeWarning fails here
+    with pytest.raises(ValueError, match="divided by its trace"):
+        SpinDensity(1, np.eye(3) * 1e-310)
+
+
+def test_normalized_matrix_is_computed_once_and_read_only(rng):
+    state = random_density(rng, 4, trace=0.37)
+    unit = state.normalized_matrix()
+    assert unit is state.normalized_matrix()
+    assert not unit.flags.writeable
+    assert unit.tobytes() == (state.matrix / state.trace).tobytes()
+
+
+@pytest.mark.parametrize("scale", [spin_scale_rank1, spin_scale_rank2])
+def test_spin_scales_reject_a_negative_spin(scale):
+    with pytest.raises(AngularMomentumError, match="s = -2 must be non-negative"):
+        scale(-2)
+
+
 def test_rank_out_of_range():
     with pytest.raises(AngularMomentumError):
         TensorParams("1/2", {(2, 0): 0.1})

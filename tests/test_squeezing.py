@@ -351,7 +351,20 @@ def test_analyze_rejects_exactly_where_check_positivity_does(ts, lam, trace, see
     u = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
     spectrum = np.concatenate([[lam], (1.0 - lam) * rng.dirichlet(np.ones(n - 1))])
     m = (u * spectrum) @ u.conj().T
-    rho = SpinDensity(HalfInt(ts), (m + m.conj().T) / 2.0 * trace)
+    _assert_analyze_rejects_where_check_positivity_does(
+        SpinDensity(HalfInt(ts), (m + m.conj().T) / 2.0 * trace))
+
+
+@pytest.mark.parametrize("size", [1e150, 1e160, 1e200])
+def test_analyze_rejects_overflowing_states_where_check_positivity_does(size):
+    """t^1_1 = (1 + i) size: the normalized matrix is finite, but from
+    about 1e154 on the squares of its entries overflow in the Cholesky
+    factorization, which then returns NaN pivots instead of raising."""
+    _assert_analyze_rejects_where_check_positivity_does(
+        from_tensors(TensorParams(1, {(1, 1): (1 + 1j) * size})))
+
+
+def _assert_analyze_rejects_where_check_positivity_does(rho):
     pos = check_positivity(rho)
     if pos.psd:
         analyze(rho)
