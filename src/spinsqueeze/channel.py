@@ -23,6 +23,13 @@ the scan kernel's (``_kernel._closed_forms``): :func:`channel_squeezing`
 and :func:`correlations` feed it the invariants of the two vectors,
 where a scan feeds it those of its coordinates.
 
+The scalar routes validate each vector once, on Python floats, and
+read their coupling coefficients from a constant table
+(:func:`_product_terms`, filled through ``clebsch_gordan`` on first
+use). Their per-call arithmetic runs on floats wherever that keeps
+numpy's bits; dot products stay ``np.dot``, whose summation a Python
+sum does not reproduce bit for bit.
+
 The squeezing boundary is also closed: :func:`max_margin` gives the
 margin maximised over theta and phi for any pair of magnitudes, and
 :func:`exact_thresholds` the least magnitudes that admit squeezing,
@@ -64,13 +71,17 @@ _NORM_SLACK = 4.0 * np.finfo(float).eps
 
 
 def _as_polarization(p, name: str) -> np.ndarray:
+    """p as a float 3-vector, checked once: its shape, that it is finite
+    and that |p| <= 1 + _NORM_SLACK. The checks read Python floats;
+    math.hypot neither under- nor overflows, so a vector near 1e308
+    reports its finite norm."""
     v = np.asarray(p, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    x, y, z = v.tolist()
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise ValueError(f"{name} must be finite")
-    with np.errstate(over="ignore"):    # |v| near 1e308 is inf, still > 1
-        norm = np.linalg.norm(v)
+    norm = math.hypot(x, y, z)
     if norm > 1.0 + _NORM_SLACK:
         raise ValueError(f"|{name}| = {norm:.6g} exceeds 1")
     return v
@@ -83,20 +94,34 @@ def _as_angle(phi, name: str) -> float:
     return phi
 
 
-def _pair(p1, p2):
-    """Validated p1 and p2 with |p1 + p2|^2: ``(v1, v2, |p1 + p2|^2)``.
+def _resultant(v1: np.ndarray, v2: np.ndarray) -> tuple[np.ndarray, float]:
+    """p1 + p2 and |p1 + p2|^2 of two validated vectors.
 
     Raises :class:`LakinFrameUndefined` when |p1 + p2|^2 <= DEGENERATE_TOL2,
     the scan kernel's test, so every route agrees on which pairs have a
     distinguished frame.
     """
-    v1 = _as_polarization(p1, "p1")
-    v2 = _as_polarization(p2, "p2")
     total = v1 + v2
     ps2 = float(np.dot(total, total))
     if ps2 <= DEGENERATE_TOL2:
         raise LakinFrameUndefined("p1 + p2 = 0: no distinguished frame")
-    return v1, v2, ps2
+    return total, ps2
+
+
+def _pair(p1, p2):
+    """Validated p1 and p2 with their :func:`_resultant`:
+    ``(v1, v2, v1 + v2, |p1 + p2|^2)``."""
+    v1 = _as_polarization(p1, "p1")
+    v2 = _as_polarization(p2, "p2")
+    return (v1, v2) + _resultant(v1, v2)
+
+
+def _cross(a, b) -> tuple[float, float, float]:
+    """a x b of two float triples, with the bits of ``np.cross``: numpy
+    forms each component as one difference of two products."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
 
 
 def _scalar_closed_forms(p1, p2, phi):
@@ -105,13 +130,15 @@ def _scalar_closed_forms(p1, p2, phi):
     |p1 + p2|^2 is summed from the vectors, so it keeps its accuracy near
     p1 + p2 = 0, and sin theta = |p1 x p2|/(|p1| |p2|), or 0 where a
     polarization vanishes."""
-    v1, v2, ps2 = _pair(p1, p2)
+    v1, v2, _, ps2 = _pair(p1, p2)
     phi = _as_angle(phi, "phi")
+    f1 = v1.tolist()
+    f2 = v2.tolist()
     # hypot neither under- nor overflows, so sin theta keeps its digits
     # however small a polarization is
-    a = math.hypot(*v1)
-    b = math.hypot(*v2)
-    cross = math.hypot(*np.cross(v1, v2))
+    a = math.hypot(*f1)
+    b = math.hypot(*f2)
+    cross = math.hypot(*_cross(f1, f2))
     st = cross / (a * b) if a * b > 0.0 else 0.0
     return _kernel._closed_forms(a * a, b * b, float(np.dot(v1, v2)), ps2, cross,
                                  st, math.cos(phi), math.sin(phi))
@@ -127,14 +154,22 @@ def _spherical(v: np.ndarray) -> dict[int, complex]:
     }
 
 
+@lru_cache(maxsize=None)
+def _product_terms(k1: int, k2: int, k: int, q: int) -> tuple:
+    """The terms ``(q1, q2, C(k1 k2 k; q1 q2 q))`` of a rank-k tensor
+    product, q1 ascending over |q2| = |q - q1| <= k2. Constants, read
+    through :func:`clebsch_gordan` once per (k1, k2, k, q) on first use."""
+    return tuple((q1, q - q1, clebsch_gordan(k1, k2, k, q1, q - q1, q))
+                 for q1 in range(-k1, k1 + 1) if abs(q - q1) <= k2)
+
+
 def _tensor_product(x: dict, k1: int, y: dict, k2: int, k: int, q: int) -> complex:
     """(x^{k1} x y^{k2})^k_q, the rank-k tensor product of the spherical
-    components x[q1] (rank k1) and y[q2] (rank k2)."""
+    components x[q1] (rank k1) and y[q2] (rank k2), with the coupling
+    coefficients of the constant table :func:`_product_terms`."""
     acc = 0j
-    for q1 in range(-k1, k1 + 1):
-        q2 = q - q1
-        if abs(q2) <= k2:
-            acc += clebsch_gordan(k1, k2, k, q1, q2, q) * x[q1] * y[q2]
+    for q1, q2, c in _product_terms(k1, k2, k, q):
+        acc += c * x[q1] * y[q2]
     return acc
 
 
@@ -199,14 +234,22 @@ def channel_geometry(p1, p2) -> ChannelFrame:
 
     Raises :class:`LakinFrameUndefined` when p1 + p2 vanishes.
     """
-    v1, v2, ps2 = _pair(p1, p2)
-    z0 = (v1 + v2) / math.sqrt(ps2)
-    trans = v1 - np.dot(v1, z0) * z0
+    return _geometry(*_pair(p1, p2))
+
+
+def _geometry(v1: np.ndarray, v2: np.ndarray, total: np.ndarray,
+              ps2: float) -> ChannelFrame:
+    """:func:`channel_geometry` of vectors already validated, with
+    ``total`` = v1 + v2 and ``ps2`` = |v1 + v2|^2 as :func:`_resultant`
+    returns them, so no vector is checked twice."""
+    z0 = total / math.sqrt(ps2)
+    d1 = np.dot(v1, z0)
+    trans = v1 - d1 * z0
     # when p1 and p2 are nearly collinear the subtraction cancels most
     # digits and leaves trans tilted towards z0; projecting once more
     # makes x0 orthogonal to z0 to rounding
     trans -= np.dot(trans, z0) * z0
-    tnorm = float(np.linalg.norm(trans))
+    tnorm = math.sqrt(float(np.dot(trans, trans)))    # np.linalg.norm's bits
     if tnorm > 1e-12:
         x0 = trans / tnorm
     else:
@@ -214,8 +257,8 @@ def channel_geometry(p1, p2) -> ChannelFrame:
         seed = np.array([1.0, 0.0, 0.0]) if abs(z0[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
         x0 = seed - np.dot(seed, z0) * z0
         x0 /= np.linalg.norm(x0)
-    y0 = np.cross(z0, x0)
-    comp1 = np.array([np.dot(v1, x0), np.dot(v1, y0), np.dot(v1, z0)])
+    y0 = np.array(_cross(z0.tolist(), x0.tolist()))
+    comp1 = np.array([np.dot(v1, x0), np.dot(v1, y0), d1])
     comp2 = np.array([np.dot(v2, x0), np.dot(v2, y0), np.dot(v2, z0)])
     return ChannelFrame(x0=x0, y0=y0, z0=z0,
                         p1_components=comp1, p2_components=comp2)
@@ -229,14 +272,14 @@ def couple_spin1(p1, p2) -> ChannelState:
     den = 3.0 + pd
     s1 = _spherical(v1)
     s2 = _spherical(v2)
-    entries: dict[tuple[int, int], complex] = {}
-    for q in (-1, 0, 1):
-        entries[(1, q)] = math.sqrt(6.0) / den * (s1[q] + s2[q])
-    for q in range(-2, 3):
-        entries[(2, q)] = 2.0 * math.sqrt(3.0) / den * _tensor_product(s1, 1, s2, 1, 2, q)
-    params = TensorParams(HalfInt(2), entries)
+    r1 = math.sqrt(6.0) / den
+    r2 = 2.0 * math.sqrt(3.0) / den
+    # the T^k_q stack order, t^k_q at entry k*k + k + q
+    vector = ([1.0] + [r1 * (s1[q] + s2[q]) for q in (-1, 0, 1)]
+              + [r2 * _tensor_product(s1, 1, s2, 1, 2, q) for q in range(-2, 3)])
+    params = TensorParams(HalfInt(2), vector)
     try:
-        frame = channel_geometry(v1, v2)
+        frame = _geometry(v1, v2, *_resultant(v1, v2))
     except LakinFrameUndefined:
         frame = None
     return ChannelState(weight=den / 12.0, params=params, frame=frame)
@@ -264,7 +307,7 @@ def couple_spin1_9j(p1, p2) -> TensorParams:
     den = 3.0 + float(np.dot(v1, v2))
     t1 = ({0: 1.0}, _spherical(v1))    # t^{k1}(1) for k1 = 0, 1
     t2 = ({0: 1.0}, _spherical(v2))
-    entries: dict[tuple[int, int], complex] = {}
+    vector = [1.0]    # t^0_0, then t^k_q in stack order
     for k in (1, 2):
         for q in range(-k, k + 1):
             acc = 0j
@@ -274,8 +317,8 @@ def couple_spin1_9j(p1, p2) -> TensorParams:
                     if w == 0.0:
                         continue
                     acc += w * _tensor_product(t1[k1], k1, t2[k2], k2, k, q)
-            entries[(k, q)] = 6.0 * math.sqrt(3.0) / den * acc
-    return TensorParams(HalfInt(2), entries)
+            vector.append(6.0 * math.sqrt(3.0) / den * acc)
+    return TensorParams(HalfInt(2), vector)
 
 
 def project_oracle(p1, p2) -> SpinDensity:

@@ -30,7 +30,8 @@ import numpy as np
 # attributes of this module because perfbench/spans.py patches them here.
 from .angular import (SPIN_CACHE_SIZE, _spin_cached, clebsch_gordan,  # noqa: F401
                       racah_w)
-from .errors import AngularMomentumError, HermiticityError, SchemaError
+from .errors import (AngularMomentumError, HermiticityError, SchemaError,
+                     UnphysicalStateError)
 from .halfint import HalfInt, check_magnitude
 from .tensor_ops import _moment_stack, _stack_order, _tau_stack, build_tau  # noqa: F401
 
@@ -173,7 +174,8 @@ class SpinDensity:
     ``matrix`` is a read-only, C-ordered copy of the input, exactly
     Hermitian: an anti-Hermitian part within the tolerance is dropped.
     ``trace`` (real) and ``normalized_matrix()`` (matrix / trace) are computed
-    once, at validation. A normalized matrix that is not finite raises
+    once, at validation, with the largest |entry| of the normalized matrix
+    to rounding (``_peak``). A normalized matrix that is not finite raises
     ValueError, as every trace below about 5.6e-309 does (numpy multiplies by 1/trace).
     """
 
@@ -181,6 +183,7 @@ class SpinDensity:
     matrix: np.ndarray = field(repr=False)
     trace: float = field(init=False, repr=False, compare=False)
     _normalized: np.ndarray = field(init=False, repr=False, compare=False)
+    _peak: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sh = check_magnitude(HalfInt.of(self.spin), "spin")
@@ -190,7 +193,8 @@ class SpinDensity:
             raise ValueError(f"matrix shape {mat.shape} != ({n}, {n}) for spin {sh}")
         if not np.isfinite(mat).all():
             raise ValueError("density matrix has non-finite entries")
-        scale = max(1.0, float(np.abs(mat).max()))
+        peak = float(np.abs(mat).max())
+        scale = max(1.0, peak)
         skew = float(np.abs(mat - mat.conj().T).max())
         if skew > HERMITICITY_TOL * scale:
             raise HermiticityError("density matrix is not Hermitian")
@@ -211,6 +215,7 @@ class SpinDensity:
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "trace", tr)
         object.__setattr__(self, "_normalized", unit)
+        object.__setattr__(self, "_peak", peak / tr)
 
     @property
     def dim(self) -> int:
@@ -381,6 +386,25 @@ def _psd_shift(ts: int) -> np.ndarray:
     return out
 
 
+# The largest |entry| of a normalized matrix that purity_residual and
+# classify_orientation take. A positive semi-definite matrix of trace 1
+# has no entry above 1 in magnitude, so a state past the limit is
+# unphysical; up to it their products stay finite at 2s <= 40: rho @ rho,
+# and classify_orientation's Gram products, of degree six in the entries
+# with a factor below 1e22.
+_ENTRY_LIMIT = 1e30
+
+
+def _check_entry_scale(peak: float) -> None:
+    """Raise UnphysicalStateError where ``peak``, the largest |entry| of
+    a normalized matrix, exceeds _ENTRY_LIMIT: the products that follow
+    would overflow."""
+    if not peak <= _ENTRY_LIMIT:
+        raise UnphysicalStateError(
+            "state is not positive semi-definite: its normalized matrix has "
+            f"an entry of magnitude {peak:.6g}, above 1")
+
+
 def purity_residual(t: TensorParams) -> float:
     """How far the tensor parameters are from describing a pure state.
 
@@ -393,10 +417,12 @@ def purity_residual(t: TensorParams) -> float:
     for the trace-1 rho, so the violation of each constraint is
     sqrt(2s+1) |Tr((rho^2 - rho) T^k_q)|, which is what is evaluated.
     Returns the largest absolute violation; zero (to rounding) exactly
-    for pure states.
+    for pure states. Raises :class:`UnphysicalStateError` where an entry
+    of the trace-1 matrix exceeds 1e30, before rho^2 can overflow.
     """
     ts = t.spin.twice
     rho = _unit_trace_matrix(t)
+    _check_entry_scale(float(np.abs(rho).max()))
     excess = _tau_stack(ts) @ (rho @ rho - rho).ravel()
     return math.sqrt(ts + 1) * float(np.abs(excess).max())
 
@@ -441,7 +467,12 @@ def classify_orientation(rho: SpinDensity) -> OrientationReport:
     is the axis. A certified axis is not the SVD's bit for bit: on
     oriented states the two, and the populations along them, agree to
     1e-14.
+
+    Raises :class:`UnphysicalStateError` where an entry of the normalized
+    matrix exceeds 1e30, before the Gram products can overflow; the test
+    reads the largest |entry| that :class:`SpinDensity` keeps.
     """
+    _check_entry_scale(rho._peak)
     n = rho.dim
     mat = rho.normalized_matrix()
     # the first entry is a necessary test that rejects most states at once

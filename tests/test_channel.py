@@ -78,6 +78,29 @@ def test_polarization_magnitude_validated():
             ScanConfig(p1=mag, p2=0.5, theta=0.0, phi=0.0)
 
 
+@pytest.mark.parametrize("func", [couple_spin1, channel_geometry,
+                                  channel_squeezing, correlations])
+@pytest.mark.parametrize("bad, message", [
+    # the norm overflows a sum of squares, but not math.hypot
+    ([1e308, 1e308, 0.0], r"\|{name}\| = 1\.41421e\+308 exceeds 1"),
+    ([math.nan, 0.0, 0.0], "{name} must be finite"),
+    ([0.0, math.inf, 0.0], "{name} must be finite"),
+    ([0.3, 0.4], r"{name} must be a 3-vector, got shape \(2,\)"),
+    ([[0.3], [0.4], [0.0]], r"{name} must be a 3-vector, got shape \(3, 1\)"),
+], ids=["huge", "nan", "inf", "shape-2", "shape-3x1"])
+def test_each_polarization_is_validated_by_every_pair_route(func, bad, message):
+    """Each vector is checked once, on floats: the same message for either
+    position, and no RuntimeWarning on the way (warnings are errors here)."""
+    def call(p1, p2):
+        return func(p1, p2, 0.3) if func in (channel_squeezing, correlations) else func(p1, p2)
+
+    good = [0.0, 0.3, 0.1]
+    with pytest.raises(ValueError, match=message.format(name="p1")):
+        call(bad, good)
+    with pytest.raises(ValueError, match=message.format(name="p2")):
+        call(good, bad)
+
+
 unit_component = st.floats(-1.0, 1.0)
 
 
@@ -147,10 +170,32 @@ def test_triplet_states_are_the_coupling_coefficients():
     assert np.abs(basis @ basis.conj().T - np.eye(3)).max() < 1e-15
 
 
+def test_coupling_routes_read_coefficients_from_the_table(monkeypatch):
+    """The coupling coefficients of both coupling routes are constants:
+    once the table is filled, further calls read no clebsch_gordan."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return clebsch_gordan(*args)
+
+    monkeypatch.setattr(channel, "clebsch_gordan", counted)
+    channel._product_terms.cache_clear()
+    p1, p2 = tilted(0.9, 0.0), tilted(0.85, 1.0)
+    for route in (couple_spin1, couple_spin1_9j):
+        route(p1, p2)
+        assert calls, "the table is filled through clebsch_gordan"
+        calls.clear()
+        for _ in range(100):
+            route(p1, p2)
+        assert calls == []
+
+
 def test_pair_oracles_use_no_coupling_coefficient(rng, monkeypatch):
     """project_oracle and correlations_oracle agree with the closed forms
     when every Clebsch-Gordan coefficient of the coupling routes raises,
-    so the three-way check shares no coupling code."""
+    whether read through clebsch_gordan or from the coefficient table, so
+    the three-way check shares no coupling code."""
     pairs = []
     while len(pairs) < 50:
         p1 = random_polarization(rng)
@@ -164,6 +209,7 @@ def test_pair_oracles_use_no_coupling_coefficient(rng, monkeypatch):
         raise AssertionError("the oracle read a coupling coefficient")
 
     monkeypatch.setattr(channel, "clebsch_gordan", no_coefficient)
+    monkeypatch.setattr(channel, "_product_terms", no_coefficient)
     for p1, p2, phi, closed, closed_corr in pairs:
         oracle = to_tensors(project_oracle(p1, p2))
         for k in (1, 2):

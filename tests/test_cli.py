@@ -118,6 +118,16 @@ def test_analyze_state_whose_cholesky_factor_overflows_exits_3(tmp_path, capsys)
     assert "eigenvalues" in err
 
 
+def test_validate_state_whose_gram_product_overflows_exits_3(tmp_path, capsys):
+    """The same state through validate: the orientation test's Gram
+    product and rho^2 would overflow, so it is unphysical, as analyze
+    finds, with no RuntimeWarning (warnings are errors here)."""
+    state = {"spin": "1", "tensors": [{"k": 1, "q": 1, "re": 1e200, "im": 1e200}]}
+    code, out, err = run(capsys, ["validate", write_state(tmp_path, state)])
+    assert (code, out) == (3, "")
+    assert "not positive semi-definite" in err
+
+
 @pytest.mark.parametrize("command", ["analyze", "validate"])
 def test_state_spin_over_limit_exits_2(tmp_path, capsys, monkeypatch, command):
     # spin 100 would need a 26 GB operator stack

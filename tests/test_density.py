@@ -26,7 +26,7 @@ from spinsqueeze import (EulerAngles, HalfInt, SpinDensity, TensorParams,
 from spinsqueeze.density import (HERMITICITY_TOL, _canonical_sign,
                                  _unit_trace_matrix)
 from spinsqueeze.errors import (AngularMomentumError, HermiticityError,
-                                SchemaError)
+                                SchemaError, UnphysicalStateError)
 from spinsqueeze.frames import paaf, special_lakin_frame
 from spinsqueeze.tensor_ops import build_tau, spin_matrices
 
@@ -413,6 +413,35 @@ def test_purity_residual_equals_tensor_form_oracle(ts, kind, trace, seed):
     t = to_tensors(rho)
     assert purity_residual(t) == pytest.approx(
         purity_residual_tensor_form(t), abs=1e-12)
+
+
+def _spin1_state_with_t11(magnitude: float) -> TensorParams:
+    return tensor_params_from_dict({"spin": "1", "tensors": [
+        {"k": 1, "q": 1, "re": magnitude, "im": magnitude}]})
+
+
+@pytest.mark.parametrize("magnitude", [1e160, 1e200])
+def test_states_whose_products_overflow_are_unphysical(magnitude):
+    """t^1_1 = (1 + i) magnitude at spin 1: rho^2 and the Gram product of
+    the orientation test would overflow. No normalized entry of a
+    physical state exceeds 1, so both raise UnphysicalStateError, and no
+    RuntimeWarning is emitted (warnings are errors here)."""
+    t = _spin1_state_with_t11(magnitude)
+    with pytest.raises(UnphysicalStateError, match="not positive semi-definite"):
+        purity_residual(t)
+    with pytest.raises(UnphysicalStateError, match="not positive semi-definite"):
+        classify_orientation(from_tensors(t))
+
+
+@pytest.mark.parametrize("magnitude", [10.0, 1e20])
+def test_unphysical_states_below_the_entry_limit_keep_their_reports(magnitude):
+    """The entry limit rejects only states whose products could overflow:
+    a state that is unphysical at a smaller scale still gets both reports."""
+    t = _spin1_state_with_t11(magnitude)
+    rho = from_tensors(t)
+    assert not check_positivity(rho).psd
+    assert math.isfinite(purity_residual(t))
+    classify_orientation(rho)    # raises nothing
 
 
 # ---------------------------------------------------------------------------
