@@ -18,9 +18,9 @@ Conventions, fixed package-wide:
   with ``d^k(beta) = exp(-i beta S_y)`` from one cached eigendecomposition
   of S_y per rank.
 
-Every function is pure; the memoized caches are bounded
-(``EXACT_CACHE_SIZE`` coefficients, ``SPIN_CACHE_SIZE`` spins) and safe
-for concurrent callers.
+Every function is pure. Coefficients are computed on each call, not
+memoized; only per-spin arrays are (``SPIN_CACHE_SIZE`` spins), in
+caches that are safe for concurrent callers.
 """
 
 from __future__ import annotations
@@ -93,13 +93,6 @@ def _triangle_ok(ta: int, tb: int, tc: int) -> bool:
     return (abs(ta - tb) <= tc <= ta + tb) and (ta + tb + tc) % 2 == 0
 
 
-# Entries kept by each exact-coefficient cache. The caches are keyed by
-# the arguments of the public functions, so a bound keeps their memory
-# from growing with the number of distinct calls; about 0.3 kB an entry
-# at j <= 40. Builders that read each coefficient once, such as the T^k_q
-# stack, call the uncached function (``__wrapped__``).
-EXACT_CACHE_SIZE = 1024
-
 # Spins kept by each per-spin array cache (the spin matrices and the S_y
 # eigenvectors here, tensor_ops' moment stack, density's Cholesky shift),
 # so that their memory does not grow with the number of distinct spins
@@ -108,7 +101,6 @@ EXACT_CACHE_SIZE = 1024
 SPIN_CACHE_SIZE = 128
 
 
-@lru_cache(maxsize=EXACT_CACHE_SIZE)
 def _cg_exact(tj1: int, tj2: int, tj: int, tm1: int, tm2: int, tm: int):
     """(sign, square) of C(j1 j2 j; m1 m2 m), exact. Assumes valid parities.
 
@@ -163,7 +155,6 @@ def clebsch_gordan(j1, j2, j, m1, m2, m) -> float:
     return sign * math.sqrt(square)
 
 
-@lru_cache(maxsize=EXACT_CACHE_SIZE)
 def _six_j_exact(tj1: int, tj2: int, tj3: int, tj4: int, tj5: int, tj6: int):
     """(sign, square) of the 6-j symbol {j1 j2 j3; j4 j5 j6}, exact.
 

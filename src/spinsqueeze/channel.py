@@ -71,11 +71,15 @@ _NORM_SLACK = 4.0 * np.finfo(float).eps
 
 
 def _as_polarization(p, name: str) -> np.ndarray:
-    """p as a float 3-vector, checked once: its shape, that it is finite
-    and that |p| <= 1 + _NORM_SLACK. The checks read Python floats;
-    math.hypot neither under- nor overflows, so a vector near 1e308
-    reports its finite norm."""
-    v = np.asarray(p, dtype=float)
+    """p as a float 3-vector, checked once: its dtype before the float
+    conversion (which drops an imaginary part and parses strings), its
+    shape, that it is finite and that |p| <= 1 + _NORM_SLACK. The checks
+    read Python floats; math.hypot neither under- nor overflows, so a
+    vector near 1e308 reports its finite norm."""
+    v = np.asarray(p)
+    if v.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must have real number entries, got {v.dtype}")
+    v = v.astype(float, copy=False)
     if v.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
     x, y, z = v.tolist()

@@ -93,7 +93,8 @@ class TensorParams:
     string or a non-integral float is no index. The
     conjugation pairing t^k_q* = (-1)^q t^k_{-q} is enforced on
     construction: a mapping's omitted partners are completed from it, and
-    given entries that contradict it are rejected.
+    given entries that contradict it by more than HERMITICITY_TOL *
+    max(1, max|t^k_q|) are rejected.
     """
 
     __slots__ = ("spin", "trace", "vector")
@@ -141,9 +142,11 @@ class TensorParams:
         vec[0] = 1.0
         defect = np.abs(vec.conj() - sign * vec[partner])
         if np.maximum.reduce(defect) > HERMITICITY_TOL:
-            bad = np.flatnonzero(defect > HERMITICITY_TOL)
-            raise HermiticityError("conjugation pairing violated at (k, q) = "
-                                   + ", ".join(str(keys[i]) for i in bad))
+            # relative to the largest entry, the scale SpinDensity tests at
+            bad = np.flatnonzero(defect > HERMITICITY_TOL * max(1.0, np.abs(vec).max()))
+            if len(bad):
+                raise HermiticityError("conjugation pairing violated at (k, q) = "
+                                       + ", ".join(str(keys[i]) for i in bad))
         vec.flags.writeable = False
         self.spin = sh
         self.trace = trace

@@ -50,8 +50,6 @@ def _tau_stack(ts: int) -> np.ndarray:
     (T^k_q)^T flattened. Read-only."""
     _check_stack_spin(ts)
     n = ts + 1
-    # each coupling coefficient is read once, so none is cached
-    cg = _cg_exact.__wrapped__
     out = np.zeros((n * n, n * n), dtype=complex)
     for k in range(n):
         root = math.sqrt(2 * k + 1)
@@ -61,7 +59,7 @@ def _tau_stack(ts: int) -> np.ndarray:
                 tm = tmp - 2 * q         # the one column m that couples
                 if abs(tm) > ts:
                     continue
-                sign, square = cg(ts, 2 * k, ts, tm, 2 * q, tmp)
+                sign, square = _cg_exact(ts, 2 * k, ts, tm, 2 * q, tmp)
                 if sign:
                     tau_t[(ts - tm) // 2, i] = sign * root * math.sqrt(square)
     out.flags.writeable = False

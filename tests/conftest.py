@@ -2,11 +2,13 @@
 README's code examples, a call counter, and a fixture that makes small
 scans span many kernel blocks."""
 
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from spinsqueeze import (EulerAngles, HalfInt, SpinDensity, _kernel,
                          from_tensors, to_tensors)
@@ -17,6 +19,11 @@ from spinsqueeze.angular import wigner_d_matrix
 settings.register_profile("tier1", derandomize=True, deadline=None,
                           database=None)
 settings.load_profile("tier1")
+# Hypothesis writes its constants and its charmap under its home
+# directory even without an example database; a fixed directory outside
+# the checkout keeps a test run from writing into the repository and lets
+# later runs reuse the charmap.
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "spinsqueeze-hypothesis")
 
 
 def readme_example(heading: str, language: str) -> str:

@@ -22,8 +22,7 @@ from spinsqueeze import (EulerAngles, HalfInt, clebsch_gordan,
                          clebsch_gordan_exact, little_d, racah_w, wigner_6j,
                          wigner_6j_exact, wigner_9j, wigner_d, wigner_d_matrix)
 from spinsqueeze import angular, density, tensor_ops
-from spinsqueeze.angular import (EXACT_CACHE_SIZE, SPIN_CACHE_SIZE, _cg_exact,
-                                 _six_j_exact)
+from spinsqueeze.angular import SPIN_CACHE_SIZE, _cg_exact, _six_j_exact
 from spinsqueeze.cli import MAX_D_RANK
 from spinsqueeze.errors import AngularMomentumError
 from spinsqueeze.frames import euler_from_rotation, rotation_matrix
@@ -283,28 +282,22 @@ def test_exact_coefficients_at_the_cli_bound():
         assert _six_j_exact(*args) == coeff_oracle.six_j_exact(*args)
 
 
-def test_exact_coefficient_caches_stay_bounded():
-    """Distinct public calls past EXACT_CACHE_SIZE replace cache entries
-    instead of adding them, so the caches' traced memory does not grow
-    with the number of calls. Selection-rule zeros are quick to compute
-    and cached like any coefficient."""
-    def distinct_calls(first: int, count: int):
-        for j in range(first, first + count):
-            clebsch_gordan(j, 1, j, 0, 1, 0)        # m1 + m2 != m
-            wigner_6j(j, 0, 0, 0, 0, 0)             # {j 0 0} fails for j > 0
-
+def test_exact_coefficients_keep_no_memory():
+    """The coefficients are not memoized, so distinct public calls leave
+    nothing behind: 8192 of them add no traced memory that grows with
+    their number or their j. A memo of these results takes about 0.36 kB
+    an entry, so even one bounded at 1024 entries would exceed the bound."""
+    clebsch_gordan(1, 1, 1, 0, 1, 0)
+    wigner_6j(1, 0, 0, 0, 0, 0)
     tracemalloc.start()
     try:
-        distinct_calls(1, 2 * EXACT_CACHE_SIZE)
-        before = tracemalloc.get_traced_memory()[0]
-        distinct_calls(2 * EXACT_CACHE_SIZE + 1, 4 * EXACT_CACHE_SIZE)
-        grown = tracemalloc.get_traced_memory()[0] - before
+        for j in range(1, 4097):
+            clebsch_gordan(j, 1, j, 0, 1, 0)        # m1 + m2 != m
+            wigner_6j(j, 0, 0, 0, 0, 0)             # {j 0 0} fails for j > 0
+        kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    for cache in (_cg_exact, _six_j_exact):
-        assert cache.cache_info().currsize == EXACT_CACHE_SIZE
-    # unbounded, the 8192 new entries would take about 2.4 MB
-    assert grown < 50_000
+    assert kept < 50_000
 
 
 def test_per_spin_caches_stay_bounded():

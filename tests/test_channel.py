@@ -87,10 +87,19 @@ def test_polarization_magnitude_validated():
     ([0.0, math.inf, 0.0], "{name} must be finite"),
     ([0.3, 0.4], r"{name} must be a 3-vector, got shape \(2,\)"),
     ([[0.3], [0.4], [0.0]], r"{name} must be a 3-vector, got shape \(3, 1\)"),
-], ids=["huge", "nan", "inf", "shape-2", "shape-3x1"])
+    # numpy's float conversion would drop the imaginary part, with only a
+    # ComplexWarning, or parse the strings
+    (np.array([0.5 + 0.5j, 0.0, 0.0]), "{name} must have real number entries, got complex128"),
+    ([0.5 + 0.5j, 0.0, 0.0], "{name} must have real number entries, got complex128"),
+    (["0.5", "0", "0"], "{name} must have real number entries, got <U3"),
+    ([True, False, False], "{name} must have real number entries, got bool"),
+    (np.array([False, True, False]), "{name} must have real number entries, got bool"),
+], ids=["huge", "nan", "inf", "shape-2", "shape-3x1", "complex-array",
+        "complex-list", "strings", "bool-list", "bool-array"])
 def test_each_polarization_is_validated_by_every_pair_route(func, bad, message):
     """Each vector is checked once, on floats: the same message for either
-    position, and no RuntimeWarning on the way (warnings are errors here)."""
+    position, and no RuntimeWarning or ComplexWarning on the way (warnings
+    are errors here). Complex, string and bool entries are no polarization."""
     def call(p1, p2):
         return func(p1, p2, 0.3) if func in (channel_squeezing, correlations) else func(p1, p2)
 

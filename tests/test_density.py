@@ -95,6 +95,25 @@ def test_states_within_the_hermiticity_tolerance_have_tensors(ts):
         assert SpinDensity(HalfInt(ts), m).matrix.tobytes() == m.tobytes()
 
 
+def test_pairing_tolerance_scales_with_the_largest_tensor():
+    """At 2s = 40, an exactly Hermitian matrix whose trace-1 entries reach
+    about 1e3 has tensors: their pairing defect is rounding, about 4e-16
+    of the largest t^k_q but above 1e-12 in absolute terms. A real
+    contradiction of 1e-9 at |t| of about 1 is still rejected."""
+    rng = np.random.default_rng(40)
+    n = 41
+    for _ in range(10):
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        h = (g + g.conj().T) / 2
+        h -= np.eye(n) * (np.trace(h).real / n)
+        state = SpinDensity(HalfInt(40), h * 1e3 + np.eye(n) / n)
+        assert np.abs(state.normalized_matrix()).max() > 1e3
+        back = from_tensors(to_tensors(state)).matrix
+        assert np.abs(back - state.matrix).max() < 1e-9
+    with pytest.raises(HermiticityError):
+        TensorParams(1, {(1, 1): 0.5, (1, -1): -0.5 + 1e-9})
+
+
 def test_hermitian_part_of_a_huge_matrix_does_not_overflow():
     big = np.finfo(float).max * 0.95
     m = np.array([[big, big], [big * (1.0 - 1e-13), 1.0]], dtype=complex)

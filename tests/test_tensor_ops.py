@@ -9,7 +9,6 @@ import coeff_oracle
 from spinsqueeze import (HalfInt, SpinDensity, TensorParams, analyze, build_tau,
                          check_positivity, classify_orientation, clebsch_gordan,
                          racah_w, spin_matrices, to_tensors)
-from spinsqueeze.angular import _cg_exact
 from spinsqueeze.errors import AngularMomentumError
 from spinsqueeze.tensor_ops import MAX_STATE_SPIN, _stack_order, _tau_stack
 
@@ -158,17 +157,6 @@ def test_uncertainty_relation_property(rng):
                          for sm, m in zip(spins, means)]
             for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
                 assert variances[a] * variances[b] >= 0.25 * means[c] ** 2 - 1e-10
-
-
-def test_tau_build_caches_only_coupled_cg():
-    """Building every T^k_q of a spin reads each coupling coefficient
-    once, so it caches none: the stack calls the uncached function."""
-    ts = 13      # s = 13/2: no other test builds operators of this spin
-    before = _cg_exact.cache_info()
-    for k in range(ts + 1):
-        for q in range(-k, k + 1):
-            build_tau(HalfInt(ts), k, q)
-    assert _cg_exact.cache_info() == before
 
 
 def _bits(stack):

@@ -1,11 +1,15 @@
-"""The test runner's own settings: a failing test is reported, and the
-run goes on to report the others."""
+"""The test runner's own settings: a failing test is reported, the run
+goes on to report the others, and hypothesis keeps its files outside the
+checkout."""
 
 import subprocess
 import sys
 from pathlib import Path
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+from hypothesis.configuration import storage_directory
+
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 PROPERTIES = '''
 from hypothesis import given, settings, strategies as st
@@ -37,3 +41,10 @@ def test_failing_property_does_not_abort_the_run(tmp_path):
     assert proc.returncode == 1, out
     assert "INTERNALERROR" not in out
     assert "1 failed, 1 passed" in out
+
+
+def test_hypothesis_writes_outside_the_repository():
+    """The test settings (conftest.py) give hypothesis a home directory
+    outside the checkout, so a test run leaves .hypothesis/ as it was."""
+    home = storage_directory(intent_to_write=False).path.resolve()
+    assert not home.is_relative_to(ROOT), home
