@@ -12,11 +12,14 @@ Two layers:
 The scalar API in ``channel.py`` computes the same invariants from the
 polarization vectors and calls :func:`_closed_forms` on floats, so each
 formula exists once. :func:`evaluate_into` fills all 14 columns for
-scans in blocks of about :data:`BLOCK` points, and the threshold search
-reads the q_value column alone from :func:`_margin`, as one block of
-rows, one magnitude pair per row, over its theta grid; both take q from
-:func:`_margin_terms`. Every column is the same expression, in the same
-operation order, as the per-point loop kept as the reference in
+scans in blocks of about :data:`BLOCK` points, and :func:`_margin` the
+q_value column alone over a theta row; both take q from
+:func:`_margin_terms`. The threshold search evaluates q at a few theta
+points on Python floats, through :func:`_invariants` and
+:func:`_margin_terms` with math's ``sin``, ``cos`` and ``sqrt``, and
+reads a whole row from :func:`_margin` only where those points cannot
+decide it. Every column is the same expression, in the same operation
+order, as the per-point loop kept as the reference in
 ``tests/scan_oracle.py``, and the tests require the two to agree bit for
 bit: elementwise float64 ufuncs round each operation exactly as scalar
 arithmetic does.
@@ -48,22 +51,24 @@ MARGIN_TOL = 1e-12
 BLOCK = 8192
 
 
-def _invariants(a, b, theta):
+def _invariants(a, b, theta, sin=np.sin, cos=np.cos):
     """Pair invariants from scan coordinates a = |p1|, b = |p2| and the
     opening angle theta in [0, pi]: ``(a^2, b^2, p1.p2, |p1 + p2|^2,
-    |p1 x p2|, sin theta)``."""
-    st = np.sin(theta)
+    |p1 x p2|, sin theta)``. The threshold search passes math's ``sin``
+    and ``cos`` to evaluate one point on floats."""
+    st = sin(theta)
     a2 = a * a
     b2 = b * b
-    pd = a * b * np.cos(theta)
+    pd = a * b * cos(theta)
     return a2, b2, pd, a2 + b2 + 2.0 * pd, a * b * st, st
 
 
-def _margin_terms(ps2, cross, cp):
+def _margin_terms(ps2, cross, cp, sqrt=np.sqrt):
     """The squeezing margin q with the terms it shares with the other
-    columns: ``(q, |p1 + p2|, |p1 x p2|^2, cos^2 phi)``."""
+    columns: ``(q, |p1 + p2|, |p1 x p2|^2, cos^2 phi)``; ``sqrt`` is
+    numpy's, or math's for floats."""
     cross2 = cross * cross
-    ps = np.sqrt(ps2)
+    ps = sqrt(ps2)
     cp2 = cp * cp
     return 0.5 * ps + cross2 / ps2 * cp2 - 1.0, ps, cross2, cp2
 
@@ -100,10 +105,7 @@ def _margin(a, b, theta, phi):
     :func:`evaluate_into` writes: NaN where |p1 + p2|^2 <= DEGENERATE_TOL2.
     ``theta`` is an (m,) array; a, b and phi are arrays of its length or
     floats, which give the same bits since a float times an array rounds
-    each element as two arrays do. a and b may also be (R, 1) columns:
-    the result is then an (R, m) block whose row r has the bits of the
-    call with the floats a[r], b[r], since broadcasting rounds each
-    element as that call does."""
+    each element as two arrays do."""
     _, _, _, ps2, cross, _ = _invariants(a, b, theta)
     with np.errstate(divide="ignore", invalid="ignore"):
         q, *_ = _margin_terms(ps2, cross, np.cos(phi))

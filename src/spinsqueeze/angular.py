@@ -215,13 +215,19 @@ def racah_w(a, b, c, d, e, f) -> float:
 def wigner_9j(j11, j12, j13, j21, j22, j23, j31, j32, j33) -> float:
     """The 9-j symbol, via the single sum over three 6-j symbols.
 
-    Zero when any row or column triad violates the triangle rules.
+    Zero when any row or column triad violates the triangle rules. Each
+    term is +-(2x+1) sqrt(Q) with Q = q1 q2 q3, the three 6-j squares, and
+    the sum is exact: terms whose Q share a square-free part (whose ratio
+    is the square of a rational) add their rational multiples of one
+    sqrt(Q), so surds that cancel give exactly 0, and each group becomes a
+    float only at the end. (The triads that hold x enter Q squared, so all
+    terms form one group.)
     """
     a, b, c, d, e, f, g, h, i = _twice_magnitudes(
         "j11 j12 j13 j21 j22 j23 j31 j32 j33", j11, j12, j13, j21, j22, j23, j31, j32, j33)
     txmin = max(abs(a - i), abs(b - f), abs(d - h))
     txmax = min(a + i, b + f, d + h)
-    total = 0.0
+    groups = []    # [Q, coefficient of sqrt(Q)]
     for tx in range(txmin, txmax + 2, 2):
         s1, q1 = _six_j_exact(a, b, c, f, i, tx)
         if s1 == 0:
@@ -232,10 +238,27 @@ def wigner_9j(j11, j12, j13, j21, j22, j23, j31, j32, j33) -> float:
         s3, q3 = _six_j_exact(g, h, i, tx, a, d)
         if s3 == 0:
             continue
-        phase = -1.0 if tx % 2 else 1.0
-        total += (phase * (tx + 1) * s1 * s2 * s3
-                  * math.sqrt(q1 * q2 * q3))
-    return total
+        weight = (-1 if tx % 2 else 1) * (tx + 1) * s1 * s2 * s3
+        square = q1 * q2 * q3
+        for group in groups:
+            root = _rational_sqrt(square / group[0])
+            if root is not None:
+                group[1] += weight * root
+                break
+        else:
+            groups.append([square, Fraction(weight)])
+    total = sum(math.copysign(math.sqrt(coef * coef * square), coef)
+                for square, coef in groups if coef)
+    return total or 0.0
+
+
+def _rational_sqrt(x: Fraction):
+    """sqrt(x) as a Fraction where x is the square of one, else None."""
+    num = math.isqrt(x.numerator)
+    den = math.isqrt(x.denominator)
+    if num * num == x.numerator and den * den == x.denominator:
+        return Fraction(num, den)
+    return None
 
 
 @lru_cache(maxsize=SPIN_CACHE_SIZE)

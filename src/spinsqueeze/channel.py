@@ -33,7 +33,10 @@ sum does not reproduce bit for bit.
 The squeezing boundary is also closed: :func:`max_margin` gives the
 margin maximised over theta and phi for any pair of magnitudes, and
 :func:`exact_thresholds` the least magnitudes that admit squeezing,
-from which :func:`threshold_scan` starts its grid search.
+from which :func:`threshold_scan` starts its grid search. The search
+decides each magnitude row from the few theta points around the row's
+closed-form peak, on floats (:func:`_row_squeezed`), and reads the whole
+row from the kernel only where those points cannot decide it.
 """
 
 from __future__ import annotations
@@ -72,10 +75,13 @@ _NORM_SLACK = 4.0 * np.finfo(float).eps
 
 def _as_polarization(p, name: str) -> np.ndarray:
     """p as a float 3-vector, checked once: its dtype before the float
-    conversion (which drops an imaginary part and parses strings), its
-    shape, that it is finite and that |p| <= 1 + _NORM_SLACK. The checks
-    read Python floats; math.hypot neither under- nor overflows, so a
-    vector near 1e308 reports its finite norm."""
+    conversion (which drops an imaginary part and parses strings), and
+    for a list or tuple each entry before numpy promotes a bool among
+    numbers; its shape, that it is finite and that |p| <= 1 + _NORM_SLACK.
+    The checks read Python floats; math.hypot neither under- nor
+    overflows, so a vector near 1e308 reports its finite norm."""
+    if isinstance(p, (list, tuple)) and any(isinstance(x, (bool, np.bool_)) for x in p):
+        raise ValueError(f"{name} must have real number entries, got bool")
     v = np.asarray(p)
     if v.dtype.kind not in "iuf":
         raise ValueError(f"{name} must have real number entries, got {v.dtype}")
@@ -492,21 +498,21 @@ def compare_correlations(closed: Correlations, oracle: Correlations, p1, p2,
 # criterion q > 0).
 
 
-def _quartic_root(c):
-    """The root u >= 1 of u^4 - u^3 = c for c >= 0, elementwise.
+def _quartic_root(c, sqrt=np.sqrt, sinh=np.sinh, asinh=np.arcsinh):
+    """The root u > 1 of u^4 - u^3 = c for 0 < c <= 1, elementwise; the
+    root at c = 0, u = 1, is the caller's, since the form below divides
+    by zero there. ``sqrt``, ``sinh`` and ``asinh`` are numpy's, or
+    math's for a float.
 
     Ferrari: u^4 - u^3 - c = (u^2 - u/2 + m)^2 - (k u - m/(2k))^2 with
     k^2 = 1/4 + 2m, where w = 2m solves the resolvent w^3 + 4c w + c = 0,
-    whose one real root has the hyperbolic form below (w = 0 at c = 0).
+    whose one real root has the hyperbolic form below.
     u is the larger root of u^2 - (1/2 + k) u + m (1 + 1/(2k)) = 0.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = -4.0 * np.sqrt(c / 3.0) * np.sinh(
-            np.arcsinh(3.0 * math.sqrt(3.0) / (16.0 * np.sqrt(c))) / 3.0)
-    w = np.where(c == 0.0, 0.0, w)
-    k = np.sqrt(0.25 + w)
+    w = -4.0 * sqrt(c / 3.0) * sinh(asinh(3.0 * math.sqrt(3.0) / (16.0 * sqrt(c))) / 3.0)
+    k = sqrt(0.25 + w)
     h = 0.5 + k
-    return 0.5 * (h + np.sqrt(h * h - 2.0 * w * (1.0 + 0.5 / k)))
+    return 0.5 * (h + sqrt(h * h - 2.0 * w * (1.0 + 0.5 / k)))
 
 
 def max_margin(p1_mag, p2_mag):
@@ -522,8 +528,10 @@ def max_margin(p1_mag, p2_mag):
     a2 = a * a
     b2 = b * b
     d = a2 - b2
-    u = np.minimum(_quartic_root(d * d), a + b)
-    with np.errstate(invalid="ignore"):    # 0/0 only where a = b = 0
+    c = d * d
+    # c = 0 divides by zero in the root, and 0/0 where a = b = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = np.minimum(np.where(c == 0.0, 1.0, _quartic_root(c)), a + b)
         half = d / (2.0 * u)
     return (0.5 * u - 0.25 * u * u + 0.5 * (a2 + b2) - half * half - 1.0)[()]
 
@@ -605,15 +613,64 @@ def _start_row(exact: float, step: float, last: int) -> int:
     return i - 1
 
 
-def _sweep(first: int, step: float, last: int, theta: np.ndarray,
-           pure_partner: bool) -> float:
-    """The first P from row ``first`` up with a squeezed point on the theta
-    grid at phi = 0, one margin evaluation per P, or inf."""
-    for i in range(first, last + 1):
-        p = _grid_p(i, step, last)
-        if (_kernel._margin(p, 1.0 if pure_partner else p, theta, 0.0) > MARGIN_TOL).any():
-            return p
-    return math.inf
+# The peak window decides a theta row only where no window point has
+# |p1 + p2|^2 at or below _WINDOW_PS2_FLOOR, whose cancellation an ulp of
+# cos theta could move, and where its edges and MARGIN_TOL lie at least
+# _WINDOW_GAP from the window maximum, far beyond the rounding of q.
+_WINDOW_PS2_FLOOR = 1e-6
+_WINDOW_GAP = 1e-13
+
+
+def _theta_grid(theta_step: float, m: int) -> np.ndarray:
+    """theta_i = i * theta_step for i = 1..m, the bits of
+    ``np.linspace(0, pi, m + 2)[1:-1]`` with theta_step = pi/(m + 1)."""
+    return np.arange(1, m + 1) * theta_step
+
+
+def _row_squeezed(a: float, b: float, theta_step: float, m: int) -> bool:
+    """Whether the row |p1| = a, |p2| = b has a squeezed point at phi = 0
+    on the grid theta_i = i * theta_step, i = 1..m: the verdict of
+    ``(_kernel._margin(a, b, theta, 0.0) > MARGIN_TOL).any()``.
+
+    At phi = 0, q depends on theta only through u = |p1 + p2|, which falls
+    as theta grows, and q(u) is concave (see :func:`max_margin`), so the
+    row rises to one peak, at theta* with u(theta*) = u*, and then falls.
+    q is evaluated on floats at the grid points k - 1 .. k + 2 around
+    theta*, k = floor(theta*/theta_step), clipped to 1..m. Where each window
+    edge that is not a grid end lies below the window maximum, the grid
+    peak is inside the window, so that maximum is the row's; it decides
+    the row when it is not within _WINDOW_GAP of MARGIN_TOL, where an ulp
+    of math's sin or cos against numpy's could not flip it. Any other row,
+    and a row with a near-degenerate window point or a vanishing
+    magnitude, is read whole from :func:`_kernel._margin`.
+    """
+    if a * b > 0.0:
+        a2 = a * a
+        b2 = b * b
+        d = a2 - b2
+        c = d * d
+        root = _quartic_root(c, sqrt=math.sqrt, sinh=math.sinh,
+                             asinh=math.asinh) if c > 0.0 else 1.0
+        u = min(root, a + b)
+        cos_peak = max(-1.0, min(1.0, (u * u - a2 - b2) / (2.0 * a * b)))
+        k = int(math.acos(cos_peak) / theta_step)    # theta_k <= theta* < theta_k+1
+        lo = max(k - 1, 1)
+        hi = min(k + 2, m)
+        window = []
+        for i in range(lo, hi + 1):
+            _, _, _, ps2, cross, _ = _kernel._invariants(
+                a, b, i * theta_step, sin=math.sin, cos=math.cos)
+            if ps2 <= _WINDOW_PS2_FLOOR:
+                break
+            window.append(_kernel._margin_terms(ps2, cross, 1.0, sqrt=math.sqrt)[0])
+        else:
+            top = max(window)
+            if ((lo == 1 or window[0] <= top - _WINDOW_GAP)
+                    and (hi == m or window[-1] <= top - _WINDOW_GAP)
+                    and abs(top - MARGIN_TOL) >= _WINDOW_GAP):
+                return top > MARGIN_TOL
+    q = _kernel._margin(a, b, _theta_grid(theta_step, m), 0.0)
+    return bool((q > MARGIN_TOL).any())
 
 
 def threshold_scan(config: ThresholdScanConfig = ThresholdScanConfig()) -> ThresholdScanResult:
@@ -632,33 +689,35 @@ def threshold_scan(config: ThresholdScanConfig = ThresholdScanConfig()) -> Thres
 
     Each search starts at the last grid P below its exact threshold by a
     relative 1e-9, where max q is below -5e-10; max q grows with P, so no
-    earlier P is squeezed. The start row and the row after it of both
-    searches are one margin evaluation of four rows over the theta grid;
-    on the default grid the second row of each search is squeezed and
-    that is the whole scan. A search whose second row is not squeezed
-    goes on upward one P at a time. A squeezed start row means the
-    kernel contradicts the closed form, and raises :class:`RuntimeError`.
+    earlier P is squeezed. It goes up one P at a time, and
+    :func:`_row_squeezed` decides each row from the few theta points
+    around the row's closed-form peak, or from the whole kernel row where
+    those cannot decide it. On the default grid the row after each start
+    row is squeezed, and four rows of four points are the whole scan. A
+    squeezed start row means the kernel contradicts the closed form, and
+    raises :class:`RuntimeError`.
     """
     last = int(config.p_points) - 1
     m = int(config.theta_points)
     p_step = 1.0 / last
     theta_step = math.pi / (m + 1)
-    theta = np.arange(1, m + 1) * theta_step
-    exact = exact_thresholds()
-    starts = [_start_row(e, p_step, last) for e in exact]
-    rows = [_grid_p(i, p_step, last) for s in starts for i in (s, s + 1)]
-    # rows r of an (R, 1) x (m,) broadcast carry the bits of R row calls
-    q = _kernel._margin(np.array(rows)[:, None],
-                        np.array(rows[:2] + [1.0, 1.0])[:, None], theta, 0.0)
-    squeezed = (q > MARGIN_TOL).any(axis=1).tolist()
     found = []
-    for j, (start, bound) in enumerate(zip(starts, exact)):
-        if squeezed[2 * j]:
-            raise RuntimeError(
-                f"the kernel finds P = {rows[2 * j]!r} squeezed (q = "
-                f"{float(np.nanmax(q[2 * j]))!r}) below the exact threshold {bound!r}")
-        found.append(rows[2 * j + 1] if squeezed[2 * j + 1] else
-                     _sweep(start + 2, p_step, last, theta, pure_partner=j == 1))
+    for bound, pure_partner in zip(exact_thresholds(), (False, True)):
+        start = _start_row(bound, p_step, last)
+        threshold = math.inf
+        for i in range(start, last + 1):
+            p = _grid_p(i, p_step, last)
+            partner = 1.0 if pure_partner else p
+            if not _row_squeezed(p, partner, theta_step, m):
+                continue
+            if i == start:
+                q = _kernel._margin(p, partner, _theta_grid(theta_step, m), 0.0)
+                raise RuntimeError(
+                    f"the kernel finds P = {p!r} squeezed (q = "
+                    f"{float(np.nanmax(q))!r}) below the exact threshold {bound!r}")
+            threshold = p
+            break
+        found.append(threshold)
     return ThresholdScanResult(
         min_polarization_equal=found[0],
         min_polarization_vs_pure=found[1],

@@ -399,6 +399,23 @@ def test_9j_random_arguments_up_to_two_against_oracle(rng):
         checked += 1
 
 
+def test_9j_with_equal_outer_rows_and_odd_sum_is_exactly_zero():
+    """Swapping two rows multiplies a 9-j by (-1)^S, S the sum of its nine
+    arguments, so equal first and third rows with S odd give 0: exactly
+    +0.0, since the surds of the 6-j products are summed exactly."""
+    checked = 0
+    for combo in np.ndindex(*(5,) * 6):    # twice the arguments, up to j = 2
+        row, middle = combo[:3], combo[3:]
+        js = row + middle + row
+        if not _valid_triads(js) or sum(js) % 4 != 2:
+            continue
+        value = wigner_9j(*(HalfInt(int(t)) for t in js))
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0, js
+        checked += 1
+    assert checked > 50
+    assert wigner_9j(2, 2, 2, 1, 1, 1, 2, 2, 2) == 0.0
+
+
 def test_9j_one_zero_reduces_to_6j():
     # {a b c; d e c; g g 0} = (-1)^(b+c+d+g) / sqrt((2c+1)(2g+1)) {a b c; e d g}
     cases = [(1, 1, 2, 1, 1, 1), ("1/2", "1/2", 1, "1/2", "1/2", 1),

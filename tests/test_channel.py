@@ -7,6 +7,7 @@ matrix arithmetic on the projected state.
 
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from spinsqueeze import (ThresholdScanConfig, analyze,
                          project_oracle, threshold_scan, to_tensors,
                          verify_correlations)
 from spinsqueeze import _kernel, channel
+from spinsqueeze._kernel import MARGIN_TOL
 from spinsqueeze.angular import clebsch_gordan
 from spinsqueeze.channel import exact_thresholds, max_margin
 from spinsqueeze.errors import LakinFrameUndefined
@@ -94,8 +96,13 @@ def test_polarization_magnitude_validated():
     (["0.5", "0", "0"], "{name} must have real number entries, got <U3"),
     ([True, False, False], "{name} must have real number entries, got bool"),
     (np.array([False, True, False]), "{name} must have real number entries, got bool"),
+    # numpy would promote a bool among numbers to 1.0 or 0.0
+    ([True, 0.0, 0.0], "{name} must have real number entries, got bool"),
+    ((0.0, 0.1, False), "{name} must have real number entries, got bool"),
+    ([0.0, np.bool_(True), 0.0], "{name} must have real number entries, got bool"),
 ], ids=["huge", "nan", "inf", "shape-2", "shape-3x1", "complex-array",
-        "complex-list", "strings", "bool-list", "bool-array"])
+        "complex-list", "strings", "bool-list", "bool-array", "mixed-bool-list",
+        "mixed-bool-tuple", "mixed-numpy-bool-list"])
 def test_each_polarization_is_validated_by_every_pair_route(func, bad, message):
     """Each vector is checked once, on floats: the same message for either
     position, and no RuntimeWarning or ComplexWarning on the way (warnings
@@ -586,7 +593,8 @@ def test_threshold_scan_with_more_theta_points_than_a_kernel_block():
 
 
 def record_margin_calls(monkeypatch) -> list:
-    """Wrap _kernel._margin so that each call appends (a, b, theta)."""
+    """Wrap _kernel._margin so that each call appends (a, b, theta): the
+    theta rows read whole, where a peak window cannot decide its row."""
     calls = []
     inner = _kernel._margin
 
@@ -598,15 +606,31 @@ def record_margin_calls(monkeypatch) -> list:
     return calls
 
 
+def record_rows(monkeypatch) -> list:
+    """Wrap channel._row_squeezed so that each call appends
+    (a, b, theta_step, m): the rows the threshold searches decide."""
+    rows = []
+    inner = channel._row_squeezed
+
+    def row_squeezed(a, b, theta_step, m):
+        rows.append((a, b, theta_step, m))
+        return inner(a, b, theta_step, m)
+
+    monkeypatch.setattr(channel, "_row_squeezed", row_squeezed)
+    return rows
+
+
 def _bits(x) -> list:
     return np.asarray(x, dtype=float).reshape(-1).view(np.uint64).tolist()
 
 
 def test_threshold_scan_starts_one_row_below_the_exact_threshold(monkeypatch):
-    """On the default grid the scan is one margin call of four rows of
-    400 theta points: each search's last P below its exact threshold and
-    the next P, which is squeezed. No np.linspace grid is built."""
-    calls = record_margin_calls(monkeypatch)
+    """On the default grid each search decides two rows of 400 theta
+    points, each from its peak window: its last P below the exact
+    threshold and the next P, which is squeezed. No row is read whole
+    from the kernel, and no np.linspace grid is built."""
+    rows = record_rows(monkeypatch)
+    kernel_rows = record_margin_calls(monkeypatch)
 
     def no_linspace(*args, **kwargs):
         raise AssertionError("np.linspace called")
@@ -615,17 +639,17 @@ def test_threshold_scan_starts_one_row_below_the_exact_threshold(monkeypatch):
     res = threshold_scan()
     monkeypatch.undo()
     p_values, theta = linspace_grids(ThresholdScanConfig())
-    rows = []
-    for exact, found in zip(exact_thresholds(), (res.min_polarization_equal,
-                                                 res.min_polarization_vs_pure)):
+    want = []
+    for exact, found, pure in zip(exact_thresholds(), (res.min_polarization_equal,
+                                                       res.min_polarization_vs_pure),
+                                  (False, True)):
         start = np.count_nonzero(p_values < exact) - 1
         assert p_values[start + 1] == found
-        rows += [p_values[start], p_values[start + 1]]
-    [(a, b, grid)] = calls
-    assert np.shape(a) == np.shape(b) == (4, 1)
-    assert _bits(a) == _bits(rows)
-    assert _bits(b) == _bits(rows[:2] + [1.0, 1.0])
-    assert _bits(grid) == _bits(theta)
+        want += [(p_values[i], 1.0 if pure else p_values[i]) for i in (start, start + 1)]
+    assert _bits([(a, b) for a, b, _, _ in rows]) == _bits(want)
+    assert all(m == theta.size for _, _, _, m in rows)
+    assert all(_bits(channel._theta_grid(step, m)) == _bits(theta) for _, _, step, m in rows)
+    assert kernel_rows == []
 
 
 @settings(deadline=None, max_examples=12)
@@ -637,11 +661,13 @@ def test_threshold_scan_starts_one_row_below_the_exact_threshold(monkeypatch):
 @example(207, 415)      # 206 * (1/206) rounds below 1.0
 def test_threshold_scan_reads_the_linspace_grids(p_points, theta_points):
     """The theta grid, every P the two searches read and both resolutions
-    carry the bits of the np.linspace grids: the searches read the rows
-    from the start row below each exact threshold up to the one found."""
+    carry the bits of the np.linspace grids: the searches decide the rows
+    from the start row below each exact threshold up to the one found,
+    and a row read whole from the kernel is one on that theta grid."""
     config = ThresholdScanConfig(p_points, theta_points)
     with pytest.MonkeyPatch.context() as mp:
-        calls = record_margin_calls(mp)
+        rows = record_rows(mp)
+        kernel_rows = record_margin_calls(mp)
         res = threshold_scan(config)
     p_values, theta = linspace_grids(config)
     assert res.p_resolution == p_values[1] - p_values[0]
@@ -650,20 +676,45 @@ def test_threshold_scan_reads_the_linspace_grids(p_points, theta_points):
     last = p_points - 1
     assert _bits([channel._grid_p(i, res.p_resolution, last)
                   for i in range(p_points)]) == _bits(p_values)
-    assert all(_bits(grid) == _bits(theta) for _, _, grid in calls)
-    a = [x for call in calls for x in _bits(call[0])]
-    b = [x for call in calls for x in _bits(call[1])]
+    assert all(_bits(channel._theta_grid(step, m)) == _bits(theta) for _, _, step, m in rows)
+    assert all(_bits(grid) == _bits(theta) for _, _, grid in kernel_rows)
     found = (res.min_polarization_equal, res.min_polarization_vs_pure)
     starts = [np.count_nonzero(p_values < exact * (1.0 - 1e-9)) - 1
               for exact in exact_thresholds()]
     stops = [int(np.flatnonzero(p_values == p)[0]) for p in found]
-    # (row, pure partner): the four start rows, then any rows a search
-    # went on to
-    reads = [(i, pure) for s, pure in zip(starts, (False, True)) for i in (s, s + 1)]
-    reads += [(i, pure) for s, t, pure in zip(starts, stops, (False, True))
-              for i in range(s + 2, t + 1)]
-    assert a == _bits([p_values[i] for i, _ in reads])
-    assert b == _bits([1.0 if pure else p_values[i] for i, pure in reads])
+    reads = [(p_values[i], 1.0 if pure else p_values[i])
+             for s, t, pure in zip(starts, stops, (False, True)) for i in range(s, t + 1)]
+    assert _bits([(a, b) for a, b, _, _ in rows]) == _bits(reads)
+
+
+def test_no_row_is_read_whole_on_grids_of_400_to_415_points():
+    """Every row of the default scan and of the scans over
+    [400, 416) x [400, 416) points is decided from its peak window."""
+    with pytest.MonkeyPatch.context() as mp:
+        kernel_rows = record_margin_calls(mp)
+        threshold_scan()
+        for p_points in range(400, 416):
+            for theta_points in range(400, 416):
+                threshold_scan(ThresholdScanConfig(p_points, theta_points))
+    assert kernel_rows == []
+
+
+def test_threshold_scan_at_the_largest_theta_grid_holds_no_theta_row():
+    """The peak windows allocate no theta array: the 200 x 83,886 scan
+    traces under 100 kB, where one theta row is 671 kB (17.5 MB when the
+    four rows were one kernel call)."""
+    config = ThresholdScanConfig(200, MAX_SCAN_ROWS // 200)
+    threshold_scan(config)
+    tracemalloc.start()
+    try:
+        res = threshold_scan(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    band = 2 * res.p_resolution
+    assert math.sqrt(3) / 2 <= res.min_polarization_equal <= math.sqrt(3) / 2 + band
+    assert math.sqrt(37) / 8 <= res.min_polarization_vs_pure <= math.sqrt(37) / 8 + band
 
 
 @settings(deadline=None, max_examples=200)
@@ -681,22 +732,41 @@ def test_start_row_is_the_count_below_the_limit(p_points, exact, nudge):
     assert channel._start_row(exact, 1.0 / (p_points - 1), p_points - 1) == want
 
 
-@settings(deadline=None, max_examples=60)
-@given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
-                min_size=1, max_size=6),
-       st.lists(st.floats(0.0, math.pi), min_size=1, max_size=40),
-       st.floats(-10.0, 10.0))
-@example([(0.0, 0.0), (0.5, 0.5), (0.0, 1.0)], [0.5, math.pi], 0.0)
-@example([(1.0, 1.0), (0.3, 0.3)], [0.0, math.pi], 0.0)  # antiparallel: NaN
-def test_margin_rows_of_a_broadcast_are_the_row_calls(pairs, theta, phi):
-    """Row r of an (R, 1) x (m,) margin block carries the bits of the call
-    with the floats a[r], b[r], NaN rows and points included."""
-    a, b = (np.array(col)[:, None] for col in zip(*pairs))
-    theta = np.array(theta)
-    block = _kernel._margin(a, b, theta, phi)
-    assert block.shape == (len(pairs), theta.size)
-    for row, (ar, br) in zip(block, pairs):
-        assert _bits(row) == _bits(_kernel._margin(ar, br, theta, phi))
+def kernel_row_squeezed(a, b, m) -> bool:
+    """The kernel's verdict on the row (a, b) of the m-point theta grid."""
+    theta = channel._theta_grid(math.pi / (m + 1), m)
+    return bool((_kernel._margin(a, b, theta, 0.0) > MARGIN_TOL).any())
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(200, MAX_SCAN_ROWS // 200))
+@example(0.0, 0.7, 400)       # a vanishing magnitude: the row is flat in theta
+@example(0.9, 0.9, 400)       # a = b: p1 + p2 -> 0 as theta -> pi
+@example(1.0, 1.0, MAX_SCAN_ROWS // 200)
+@example(0.77, 1.0, 400)      # a pure partner
+@example(1.0, 0.2, 400)
+@example(1e-4, 2e-4, 400)     # |p1 + p2|^2 < 1e-6 on the window
+def test_row_verdict_is_the_kernel_rows(a, b, m):
+    """Whether the peak window decides the row or reads it whole, its
+    verdict is the kernel row's."""
+    assert channel._row_squeezed(a, b, math.pi / (m + 1), m) is kernel_row_squeezed(a, b, m)
+
+
+def test_row_at_the_margin_tolerance_is_read_whole(monkeypatch):
+    """Rows bisected on |p1| against a pure partner until the kernel's
+    grid maximum of q straddles MARGIN_TOL: the window maximum lies within
+    _WINDOW_GAP of it, so both rows are read whole from the kernel, and
+    each gets the kernel's verdict."""
+    m = 400
+    step = math.pi / (m + 1)
+    lo, hi = 0.5, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if kernel_row_squeezed(mid, 1.0, m) else (mid, hi)
+    kernel_rows = record_margin_calls(monkeypatch)
+    assert not channel._row_squeezed(lo, 1.0, step, m)
+    assert channel._row_squeezed(hi, 1.0, step, m)
+    assert len(kernel_rows) == 2
 
 
 @settings(deadline=None, max_examples=100)
@@ -708,7 +778,7 @@ def test_margin_rows_of_a_broadcast_are_the_row_calls(pairs, theta, phi):
 @example(1.0, False, [0.0, math.pi], 0.0)    # pure and antiparallel
 @example(1.0, True, [1.0, 2.0], 0.0)
 def test_margin_of_float_magnitudes_is_bitwise_the_array_margin(p, pure, theta, phi):
-    """The threshold search passes P, the partner's magnitude and phi as
+    """A row read whole passes P, the partner's magnitude and phi as
     floats; they give the bits of the full-array call and of the q_value
     column, NaN included."""
     theta = np.array(theta)
@@ -722,10 +792,18 @@ def test_margin_of_float_magnitudes_is_bitwise_the_array_margin(p, pure, theta, 
 
 
 def test_threshold_scan_raises_when_the_kernel_contradicts_the_closed_form(monkeypatch):
-    # a claimed threshold above sqrt(3)/2 starts the sweep on a squeezed P
+    """A claimed threshold above sqrt(3)/2 starts the equal-magnitude search
+    on a squeezed P; the message gives that P and the kernel row's largest
+    q."""
     monkeypatch.setattr(channel, "exact_thresholds",
                         lambda: (0.9, math.sqrt(37) / 8))
-    with pytest.raises(RuntimeError, match="below the exact threshold"):
+    p_values, theta = linspace_grids(ThresholdScanConfig())
+    p = float(p_values[np.count_nonzero(p_values < 0.9 * (1.0 - 1e-9)) - 1])
+    q = float(np.nanmax(_kernel._margin(p, p, theta, 0.0)))
+    assert q > MARGIN_TOL
+    message = (f"the kernel finds P = {p!r} squeezed (q = {q!r}) below the "
+               f"exact threshold 0.9")
+    with pytest.raises(RuntimeError, match=re.escape(message)):
         threshold_scan()
 
 

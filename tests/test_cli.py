@@ -204,6 +204,15 @@ def test_coeff_9j_triangle_violation_prints_zero(capsys):
     assert out.strip() == "0"
 
 
+def test_coeff_9j_of_cancelling_surds_prints_zero(capsys):
+    """{2 2 2; 1 1 1; 2 2 2} is exactly 0: its terms cancel as surds, and
+    the sum is taken exactly, so no rounding residue or -0 is printed."""
+    code, out, _ = run(capsys, ["coeff", "9j",
+                                "2", "2", "2", "1", "1", "1", "2", "2", "2"])
+    assert code == 0
+    assert out.strip() == "0"
+
+
 def test_coeff_wrong_arg_count(capsys):
     code, _, _ = run(capsys, ["coeff", "cg", "1", "1", "2"])
     assert code == 2
