@@ -287,7 +287,15 @@ def _sy_eigvecs(tk: int) -> np.ndarray:
 
 def _little_d(tk: int, beta: float) -> np.ndarray:
     """d^k(beta) = exp(-i beta S_y), which is real: V exp(-i beta m) V^dagger
-    with the eigenvectors V of S_y and their exact eigenvalues m."""
+    with the eigenvectors V of S_y and their exact eigenvalues m. At
+    beta = 0 and pi, where it is a signed permutation, it is written
+    exactly: the identity, and d^k_{q'q}(pi) = (-1)^(k-q) delta_{q',-q}."""
+    if beta == 0.0:
+        return np.eye(tk + 1)
+    if beta == math.pi:
+        # column q = k - c holds (-1)^c in row q' = -q; np.diag leaves +0
+        # everywhere else
+        return np.diag((-1.0) ** np.arange(tk + 1))[::-1]
     vecs = _sy_eigvecs(tk)
     phase = np.exp(-0.5j * beta * np.arange(-tk, tk + 1, 2))
     return ((vecs * phase) @ vecs.conj().T).real

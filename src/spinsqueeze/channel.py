@@ -284,10 +284,12 @@ def couple_spin1(p1, p2) -> ChannelState:
     s2 = _spherical(v2)
     r1 = math.sqrt(6.0) / den
     r2 = 2.0 * math.sqrt(3.0) / den
-    # the T^k_q stack order, t^k_q at entry k*k + k + q
-    vector = ([1.0] + [r1 * (s1[q] + s2[q]) for q in (-1, 0, 1)]
-              + [r2 * _tensor_product(s1, 1, s2, 1, 2, q) for q in range(-2, 3)])
-    params = TensorParams(HalfInt(2), vector)
+    # the T^k_q stack order, t^k_q at entry k*k + k + q; the entries with
+    # q < 0 are filled from their partners
+    vector = np.zeros(9, dtype=complex)
+    vector[2:4] = [r1 * (s1[q] + s2[q]) for q in (0, 1)]
+    vector[6:] = [r2 * _tensor_product(s1, 1, s2, 1, 2, q) for q in range(3)]
+    params = TensorParams._paired(HalfInt(2), vector)
     try:
         frame = _geometry(v1, v2, *_resultant(v1, v2))
     except LakinFrameUndefined:

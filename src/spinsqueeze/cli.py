@@ -16,8 +16,8 @@ import sys
 
 import numpy as np
 
-from .angular import (EulerAngles, clebsch_gordan_exact, wigner_6j_exact,
-                      wigner_9j, wigner_d)
+from .angular import (EulerAngles, _rational_sqrt, clebsch_gordan_exact,
+                      wigner_6j_exact, wigner_9j, wigner_d)
 from .channel import (channel_squeezing, compare_correlations, correlations,
                       correlations_oracle, couple_spin1)
 from .density import (check_positivity, classify_orientation, load_state_file,
@@ -102,11 +102,14 @@ def cmd_analyze(args) -> int:
 
 
 def _format_exact(sign: int, square) -> str:
+    """sign * sqrt(square) for a Fraction square: an integer or a fraction
+    where the square is the square of a rational, else sqrt(n/d)."""
     if sign == 0:
         return "0"
     prefix = "-" if sign < 0 else ""
-    if square.denominator == 1 and math.isqrt(square.numerator) ** 2 == square.numerator:
-        return f"{prefix}{math.isqrt(square.numerator)}"
+    root = _rational_sqrt(square)
+    if root is not None:
+        return f"{prefix}{root}"
     return f"{prefix}sqrt({square.numerator}/{square.denominator})"
 
 
@@ -134,7 +137,8 @@ def cmd_coeff(args) -> int:
             raise SchemaError(f"rank {k} exceeds the limit of {MAX_D_RANK}")
         a, b, g = (_angle(float(v), args.degrees) for v in vals[3:])
         val = wigner_d(k, qp, q, EulerAngles(a, b, g))
-        print(f"{val.real:.15g}{val.imag:+.15g}j")
+        # adding zero prints a signed zero as 0
+        print(f"{val.real + 0.0:.15g}{val.imag + 0.0:+.15g}j")
     return EXIT_OK
 
 

@@ -94,7 +94,9 @@ class TensorParams:
     conjugation pairing t^k_q* = (-1)^q t^k_{-q} is enforced on
     construction: a mapping's omitted partners are completed from it, and
     given entries that contradict it by more than HERMITICITY_TOL *
-    max(1, max|t^k_q|) are rejected.
+    max(1, max|t^k_q|) are rejected. Parameters the library computes
+    itself (:func:`to_tensors`, ``channel.couple_spin1``) are paired by
+    construction instead, see :meth:`_paired`.
     """
 
     __slots__ = ("spin", "trace", "vector")
@@ -105,7 +107,7 @@ class TensorParams:
         if not math.isfinite(trace) or trace <= 0:
             raise ValueError(f"trace must be positive and finite, got {trace}")
         ts = sh.twice
-        keys, partner, sign = _stack_order(ts)
+        keys, partner, sign, _ = _stack_order(ts)
         given = None
         # the array test first: it is the common case, and much cheaper
         if isinstance(entries, np.ndarray) or not isinstance(entries, Mapping):
@@ -127,18 +129,13 @@ class TensorParams:
                     raise AngularMomentumError(f"|q|={abs(q)} exceeds k={k}")
                 vec[k * k + k + q] = complex(val)
                 given[k * k + k + q] = True
-        # finiteness is tested before any arithmetic on the entries, which
-        # would warn on an infinite one
-        finite = np.isfinite(vec)
-        if np.count_nonzero(finite) < len(keys):
-            raise ValueError("non-finite tensor parameter at (k, q) = "
-                             + ", ".join(str(keys[i]) for i in np.flatnonzero(~finite)))
+        _check_finite(vec, keys)
         if given is not None:
             if given[0] and abs(vec[0] - 1.0) > 1e-9:
                 raise ValueError(
                     f"t^0_0 must equal 1 after trace normalization, got {vec[0]}")
             fill = ~given & given[partner]
-            vec[fill] = sign[fill] * vec[partner[fill]].conj()
+            vec[fill] = _partners(vec, fill, partner, sign)
         vec[0] = 1.0
         defect = np.abs(vec.conj() - sign * vec[partner])
         if np.maximum.reduce(defect) > HERMITICITY_TOL:
@@ -151,6 +148,30 @@ class TensorParams:
         self.spin = sh
         self.trace = trace
         self.vector = vec
+
+    @classmethod
+    def _paired(cls, spin: HalfInt, vec: np.ndarray, trace: float = 1.0) -> "TensorParams":
+        """Parameters the library computed itself, paired by construction.
+
+        ``vec`` is a writable complex vector in stack order, which the
+        result takes over. Each t^k_{-q}, q > 0, is set to (-1)^q
+        conj(t^k_q) and t^0_0 to 1, so the pairing holds exactly and is
+        not tested again; a non-finite entry raises ValueError as in the
+        constructor. ``spin`` is a HalfInt within the stack limit and
+        ``trace`` a positive finite float: neither is checked.
+        """
+        keys, partner, sign, negative = _stack_order(spin.twice)
+        _check_finite(vec, keys)
+        # adding zero turns a -0 part of the signed product into +0, the
+        # sign that the closed forms of channel.couple_spin1 give it
+        vec[negative] = _partners(vec, negative, partner, sign) + 0.0
+        vec[0] = 1.0
+        vec.flags.writeable = False
+        out = cls.__new__(cls)
+        out.spin = spin
+        out.trace = trace
+        out.vector = vec
+        return out
 
     def get(self, k: int, q: int) -> complex:
         if 0 <= k <= self.spin.twice and abs(q) <= k:
@@ -168,6 +189,23 @@ class TensorParams:
     def __repr__(self):
         body = ", ".join(f"t({k},{q})={v:.6g}" for (k, q), v in self.items() if v)
         return f"TensorParams(spin={self.spin}, trace={self.trace:.6g}, {body or 'unpolarized'})"
+
+
+def _check_finite(vec: np.ndarray, keys: tuple) -> None:
+    """Raise ValueError naming each (k, q) whose entry of ``vec`` is not
+    finite. Tested before any arithmetic on the entries, which would warn
+    on an infinite one."""
+    finite = np.isfinite(vec)
+    if np.count_nonzero(finite) < len(keys):
+        raise ValueError("non-finite tensor parameter at (k, q) = "
+                         + ", ".join(str(keys[i]) for i in np.flatnonzero(~finite)))
+
+
+def _partners(vec: np.ndarray, targets, partner: np.ndarray,
+              sign: np.ndarray) -> np.ndarray:
+    """The entries ``targets`` (indices or a mask) of ``vec`` as the
+    pairing t^k_{-q} = (-1)^q conj(t^k_q) gives them from their partners."""
+    return sign[targets] * vec[partner[targets]].conj()
 
 
 @dataclass(frozen=True)
@@ -244,10 +282,12 @@ def from_tensors(t: TensorParams) -> SpinDensity:
 
 
 def to_tensors(rho: SpinDensity) -> TensorParams:
-    """Project a density matrix onto the tensor operator basis."""
+    """Project a density matrix onto the tensor operator basis: the
+    t^k_q, q >= 0, are Tr(rho T^k_q) / Tr(rho), and each t^k_{-q} their
+    conjugation partner, which rounding would leave off by an ulp."""
     tr = rho.trace
     t = _tau_stack(rho.spin.twice) @ rho.matrix.ravel() / tr
-    return TensorParams(rho.spin, t, trace=tr)
+    return TensorParams._paired(rho.spin, t, trace=tr)
 
 
 def _moments(rho: SpinDensity) -> tuple[tuple, tuple]:
@@ -437,6 +477,20 @@ def _canonical_sign(v: np.ndarray) -> np.ndarray:
     return -v if v[lead] < 0 else v
 
 
+def _commutator_rows(mat: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """The (3, 2 n^2) real matrix whose row a holds the real and imaginary
+    parts of [rho, S_a], interleaved, for the Hermitian n x n ``mat`` and
+    the (3, n, n) spin array ``stack``; the order of the columns changes
+    neither the singular values nor V. From one (3n, n) product X = S rho:
+    both factors are Hermitian, so rho S_a = X_a^H and [rho, S_a] =
+    X_a^H - X_a. That is rho S_a - S_a rho taken as two products, bit for
+    bit but for the sign of a zero entry; the tests hold the reports of
+    classify_orientation from the two forms to the same bytes."""
+    n = len(mat)
+    prod = (stack.reshape(3 * n, n) @ mat).reshape(3, n, n)
+    return (prod.conj().transpose(0, 2, 1) - prod).reshape(3, -1).view(float)
+
+
 @dataclass(frozen=True)
 class OrientationReport:
     oriented: bool
@@ -482,9 +536,7 @@ def classify_orientation(rho: SpinDensity) -> OrientationReport:
     if abs(mat[0, 0] - 1.0 / n) < 1e-12 and np.abs(mat - np.eye(n) / n).max() < 1e-12:
         return OrientationReport(True, np.array([0.0, 0.0, 1.0]), np.full(n, 1.0 / n))
     stack = _spin_cached(rho.spin.twice)
-    # row a: the real and imaginary parts of [rho, S_a], interleaved; the
-    # order of the columns changes neither the singular values nor V
-    rows = (mat @ stack - stack @ mat).reshape(3, -1).view(float)
+    rows = _commutator_rows(mat, stack)
     # Gram certificate. With G = rows rows^T = A^T A for A = rows^T and
     # sigma_1 >= sigma_2 >= sigma_3 the singular values of A,
     # det G = (sigma_1 sigma_2 sigma_3)^2 and sigma_1^2 sigma_2^2 <=
@@ -510,7 +562,11 @@ def classify_orientation(rho: SpinDensity) -> OrientationReport:
     size = math.hypot(*col)
     axis = None
     if size > 0.0:
-        axis = np.array(col) / size
+        unit = [c / size for c in col]
+        # _canonical_sign's rule on the floats: the first largest |entry|
+        if max(unit, key=abs) < 0.0:
+            unit = [-c for c in unit]
+        axis = np.array(unit)
         res = axis @ rows
         if res @ res > 1e-24 * max(1.0, g00, g11, g22):
             axis = None
@@ -518,8 +574,7 @@ def classify_orientation(rho: SpinDensity) -> OrientationReport:
         _, svals, vt = np.linalg.svd(rows.T, full_matrices=False)
         if svals[-1] > 1e-10 * max(1.0, svals[0]):
             return OrientationReport(False, None, None)
-        axis = vt[-1] / np.linalg.norm(vt[-1])
-    axis = _canonical_sign(axis)
+        axis = _canonical_sign(vt[-1] / np.linalg.norm(vt[-1]))
     # eigh orders the eigenvalues m of S.n ascending; reversed, the columns
     # are the |s m> states along the axis, m = s..-s
     u = np.linalg.eigh((axis @ stack.reshape(3, -1)).reshape(n, n))[1][:, ::-1]

@@ -67,17 +67,18 @@ def _tau_stack(ts: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _stack_order(ts: int) -> tuple[tuple, np.ndarray, np.ndarray]:
+def _stack_order(ts: int) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray]:
     """The order of the T^k_q stack of spin ts/2: the (k, q) of each entry,
-    and for each entry the entry of (k, -q) and the sign (-1)^q. The sign
-    is complex, the type of the tensor vectors it multiplies, so that no
-    product casts it."""
+    for each entry the entry of (k, -q) and the sign (-1)^q, and the
+    entries with q < 0, ascending. The sign is complex, the type of the
+    tensor vectors it multiplies, so that no product casts it."""
     _check_stack_spin(ts)
     keys = tuple((k, q) for k in range(ts + 1) for q in range(-k, k + 1))
     partner = np.array([k * k + k - q for k, q in keys])
     sign = np.array([(-1.0) ** q for _, q in keys], dtype=complex)
-    partner.flags.writeable = sign.flags.writeable = False
-    return keys, partner, sign
+    negative = np.array([i for i, (_, q) in enumerate(keys) if q < 0], dtype=np.intp)
+    partner.flags.writeable = sign.flags.writeable = negative.flags.writeable = False
+    return keys, partner, sign, negative
 
 
 # A read-only view into _tau_stack, not a copy. Memoized so that the

@@ -448,6 +448,38 @@ def test_little_d_closed_forms():
         assert little_d(1, 0, 0, beta) == pytest.approx(math.cos(beta), abs=1e-15)
 
 
+@pytest.mark.parametrize("tk", range(2 * MAX_D_RANK + 1))
+def test_little_d_is_an_exact_signed_permutation_at_0_and_pi(tk):
+    """d^k(0) is the identity and d^k_{q'q}(pi) = (-1)^(k-q) delta_{q',-q},
+    entry for entry with no rounding residue and no -0, for every rank
+    coeff d accepts; Wigner's sum agrees to 1e-13 where it holds."""
+    n = tk + 1
+    assert angular._little_d(tk, 0.0).tobytes() == np.eye(n).tobytes()
+    flip = np.zeros((n, n))
+    for col in range(n):            # q = k - col, row q' = -q
+        flip[n - 1 - col, col] = (-1.0) ** col
+    assert angular._little_d(tk, math.pi).tobytes() == flip.tobytes()
+    if tk <= 20:
+        for beta, want in ((0.0, np.eye(n)), (math.pi, flip)):
+            assert np.abs(coeff_oracle.little_d_sum(tk, beta) - want).max() < 1e-13
+
+
+def _little_d_spectral(tk: int, beta: float) -> np.ndarray:
+    """V exp(-i beta m) V^dagger from the cached eigenvectors of S_y: the
+    route _little_d takes at every beta other than 0 and pi."""
+    vecs = angular._sy_eigvecs(tk)
+    phase = np.exp(-0.5j * beta * np.arange(-tk, tk + 1, 2))
+    return ((vecs * phase) @ vecs.conj().T).real
+
+
+@pytest.mark.parametrize("tk", [1, 2, 3, 7, 20, 80])
+def test_little_d_keeps_the_spectral_bits_away_from_0_and_pi(tk):
+    for beta in (5e-324, 1e-300, 1e-3, 1.0, math.pi / 2,
+                 math.pi - 1e-3, math.nextafter(math.pi, 0.0)):
+        assert (angular._little_d(tk, beta).tobytes()
+                == _little_d_spectral(tk, beta).tobytes()), beta
+
+
 def test_wigner_d_bounds_checked():
     with pytest.raises(AngularMomentumError):
         wigner_d(1, 2, 0, EulerAngles.identity())

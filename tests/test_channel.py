@@ -28,6 +28,7 @@ from spinsqueeze.angular import clebsch_gordan
 from spinsqueeze.channel import exact_thresholds, max_margin
 from spinsqueeze.errors import LakinFrameUndefined
 from spinsqueeze.scan import COLUMNS, MAX_SCAN_ROWS, ScanConfig, evaluate_points
+from spinsqueeze.tensor_ops import _stack_order
 
 EZ = np.array([0.0, 0.0, 1.0])
 
@@ -171,6 +172,31 @@ def test_three_routes_agree(rng):
             for q in range(-k, k + 1):
                 assert abs(closed.get(k, q) - ninej.get(k, q)) < 1e-12
                 assert abs(closed.get(k, q) - oracle.get(k, q)) < 1e-12
+
+
+# components up to 0.57 keep |p| below 1; the sampled ones give the zero
+# parts, of either sign, that axis-aligned polarizations have
+_COMPONENT = st.sampled_from([-0.5, -0.0, 0.0, 0.5]) | st.floats(-0.57, 0.57)
+_VECTOR = st.tuples(_COMPONENT, _COMPONENT, _COMPONENT)
+
+
+@settings(max_examples=300)
+@given(_VECTOR, _VECTOR)
+def test_couple_spin1_is_paired_with_the_closed_form_bits(p1, p2):
+    """couple_spin1 evaluates t^k_q for q >= 0 and fills each t^k_{-q}
+    from the pairing: conj(t^k_q) = (-1)^q t^k_{-q} holds exactly, and
+    every filled entry has the bits of its own closed form, signed zeros
+    included."""
+    v1, v2 = np.array(p1), np.array(p2)
+    vec = couple_spin1(v1, v2).params.vector
+    _, partner, sign, negative = _stack_order(2)
+    assert np.array_equal(vec.conj(), sign * vec[partner])
+    den = 3.0 + float(np.dot(v1, v2))
+    s1, s2 = channel._spherical(v1), channel._spherical(v2)
+    closed = ([math.sqrt(6.0) / den * (s1[-1] + s2[-1])]
+              + [2.0 * math.sqrt(3.0) / den * channel._tensor_product(s1, 1, s2, 1, 2, q)
+                 for q in (-2, -1)])
+    assert vec[negative].tobytes() == np.array(closed).tobytes()
 
 
 def test_triplet_states_are_the_coupling_coefficients():

@@ -184,6 +184,18 @@ def test_coeff_cg_closed_form(capsys):
     assert lines[1] == "exact: sqrt(2/3)"
 
 
+def test_coeff_rational_value_prints_as_a_fraction(capsys):
+    """{1 1 1; 1 1 1} = 1/6 and {1 1 1; 1 1 0} = -1/3: a square that is
+    the square of a rational prints as that rational, with its sign."""
+    assert run(capsys, ["coeff", "6j", "1", "1", "1", "1", "1", "1"]) == \
+        (0, "0.166666666666667\nexact: 1/6\n", "")
+    assert run(capsys, ["coeff", "6j", "1", "1", "1", "1", "1", "0"]) == \
+        (0, "-0.333333333333333\nexact: -1/3\n", "")
+    # <1/2 1/2 1/2 -1/2|1 0> = sqrt(1/2) stays a surd
+    code, out, _ = run(capsys, ["coeff", "cg", "1/2", "1/2", "1", "1/2", "-1/2", "0"])
+    assert (code, out.splitlines()[1]) == (0, "exact: sqrt(1/2)")
+
+
 def test_coeff_half_integer_forms(capsys):
     code1, out1, _ = run(capsys, ["coeff", "cg", "1/2", "1/2", "1", "1/2", "1/2", "1"])
     code2, out2, _ = run(capsys, ["coeff", "cg", "0.5", "0.5", "1", "0.5", "0.5", "1"])
@@ -222,6 +234,26 @@ def test_coeff_d_identity(capsys):
     code, out, _ = run(capsys, ["coeff", "d", "1", "0", "0", "0", "0", "0"])
     assert code == 0
     assert out.strip().startswith("1")
+
+
+@pytest.mark.parametrize("argv", [["2", "1", "-1", "0", "0", "0"],
+                                  ["1", "1", "0", "0", "0", "0"],
+                                  ["1", "1", "1", "0", "180", "0", "--degrees"],
+                                  ["1/2", "1/2", "1/2", "0", "180", "270", "--degrees"],
+                                  ["3", "1", "-2", "90", "180", "45", "--degrees"]])
+def test_coeff_d_of_a_vanishing_element_prints_zero(capsys, argv):
+    """At beta = 0 and 180 degrees D^k is a signed permutation times
+    phases: its vanishing elements print as 0+0j, with no rounding
+    residue and no -0."""
+    assert run(capsys, ["coeff", "d", *argv]) == (0, "0+0j\n", "")
+
+
+def test_coeff_d_at_180_degrees_is_the_signed_flip(capsys):
+    # d^1_{1,-1}(pi) = (-1)^(1+1) = 1, d^{1/2}_{1/2,-1/2}(pi) = -1
+    assert run(capsys, ["coeff", "d", "1", "1", "-1", "0", "180", "0",
+                        "--degrees"]) == (0, "1+0j\n", "")
+    assert run(capsys, ["coeff", "d", "1/2", "1/2", "-1/2", "0", "180", "0",
+                        "--degrees"]) == (0, "-1+0j\n", "")
 
 
 def test_coeff_d_rank_limit(capsys, monkeypatch):

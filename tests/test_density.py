@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from conftest import (count_calls, random_density, random_hermitian_state,
 from orientation_oracle import classify_orientation_svd
 from purity_oracle import purity_residual_tensor_form
 import spinsqueeze
+from spinsqueeze import angular, density, tensor_ops
 from spinsqueeze import (EulerAngles, HalfInt, SpinDensity, TensorParams,
                          check_positivity, classify_orientation, from_tensors,
                          polarization, purity_residual, rotate_tensors,
@@ -250,6 +252,56 @@ def test_round_trip_equals_tensor_sum_oracle(ts, kind, trace, seed):
     scale = max(1.0, float(np.abs(rho.matrix).max()))
     assert np.abs(got - _tensor_sum_oracle(t)).max() < 1e-12 * scale
     assert np.abs(got - rho.matrix).max() < 1e-12 * scale
+
+
+# One T^k_q stack at a time: the cache of tensor_ops would keep all 40,
+# about 370 MB
+_ONE_STACK = lru_cache(maxsize=1)(tensor_ops._tau_stack.__wrapped__)
+
+
+@pytest.mark.parametrize("ts", range(1, 41))
+def test_to_tensors_is_paired_by_construction(monkeypatch, ts):
+    """At every 2s <= 40, on mixed, pure and oriented states of any trace:
+    t^0_0 = 1 and the other t^k_q with q >= 0 are Tr(rho T^k_q) / Tr(rho)
+    from the stack product, bit for bit; conj(t^k_q) = (-1)^q t^k_{-q}
+    exactly (a zero's sign aside); and the public constructor takes the
+    vector back with the same bits."""
+    monkeypatch.setattr(density, "_tau_stack", _ONE_STACK)
+    _, partner, sign, negative = tensor_ops._stack_order(ts)
+    # t^0_0 is set to 1, not projected
+    computed = np.setdiff1d(np.arange(1, (ts + 1) ** 2), negative)
+
+    @settings(max_examples=6)
+    @given(st.sampled_from(["mixed", "pure", "oriented"]),
+           st.integers(0, 2**32 - 1), st.sampled_from([1.0, 1e-3, 7.5]))
+    def check(kind, seed, trace):
+        rng = np.random.default_rng(seed)
+        if kind == "oriented":
+            rho = random_oriented(rng, ts)[0]
+            rho = SpinDensity(HalfInt(ts), rho.matrix * trace)
+        else:
+            rho = random_density(rng, ts, pure=kind == "pure", trace=trace)
+        t = to_tensors(rho)
+        vec = t.vector
+        projected = _ONE_STACK(ts) @ rho.matrix.ravel() / rho.trace
+        assert vec[0] == 1.0
+        assert vec[computed].tobytes() == projected[computed].tobytes()
+        assert np.array_equal(vec.conj(), sign * vec[partner])
+        again = TensorParams(HalfInt(ts), vec, trace=t.trace)
+        assert again.vector.tobytes() == vec.tobytes()
+
+    check()
+
+
+def test_to_tensors_names_the_entries_a_projection_overflows():
+    """Entries of about 1.6e308 are a valid matrix, but t^1_{+-1} =
+    -+sqrt(2) rho_{+-}: the projection overflows there, and the error
+    names those (k, q)."""
+    big = np.finfo(float).max * 0.9
+    rho = SpinDensity("1/2", np.array([[0.5, big], [big, 0.5]], dtype=complex))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match=r"^non-finite tensor parameter at \(k, q\) = \(1, -1\), \(1, 1\)$"):
+        to_tensors(rho)
 
 
 def test_to_tensors_of_maximally_mixed_vanishes():
@@ -551,6 +603,50 @@ def test_orientation_matches_svd_oracle_bitwise(rho):
         return
     assert np.abs(got.axis - want.axis).max() <= 1e-14
     assert np.abs(got.populations - want.populations).max() <= 1e-14
+
+
+def _two_product_rows(mat, stack):
+    """The real and imaginary parts of [rho, S_a] = rho S_a - S_a rho as
+    two batched products, interleaved in row a."""
+    return (mat @ stack - stack @ mat).reshape(3, -1).view(float)
+
+
+def _two_product_report(rho):
+    """classify_orientation with its commutators from _two_product_rows."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(density, "_commutator_rows", _two_product_rows)
+        return classify_orientation(rho)
+
+
+@settings(deadline=None, max_examples=250)
+@given(_orientation_cases())
+def test_orientation_equals_the_two_product_commutator_bitwise(rho):
+    """classify_orientation takes its commutators from one product; its
+    verdict, axis and populations are those it reaches from the two
+    products, byte for byte. An axis has the sign _canonical_sign gives."""
+    got = classify_orientation(rho)
+    assert _report_bytes(got) == _report_bytes(_two_product_report(rho))
+    if got.axis is not None:
+        assert _canonical_sign(got.axis).tobytes() == got.axis.tobytes()
+
+
+@pytest.mark.parametrize("ts", [1, 2, 3, 6, 20, 40])
+def test_orientation_of_states_with_exact_zeros_equals_the_two_product_commutator(ts):
+    """States whose commutators have exactly zero entries, where the two
+    forms may differ in the sign of a zero: diagonal states, with distinct
+    and with repeated populations, |s s>, a real mixed state and a real
+    state oriented along x. The reports are the same bytes."""
+    n = ts + 1
+    rng = np.random.default_rng([ts, 33])
+    g = rng.normal(size=(n, n))
+    turn = angular._little_d(ts, math.pi / 2)     # real: turns z onto x
+    pops = np.diag(rng.dirichlet(np.ones(n)))
+    states = [np.diag(np.linspace(1.0, 2.0, n)), np.diag([1.0] * (n - 1) + [3.0]),
+              np.diag([1.0] + [0.0] * ts), g @ g.T, turn @ pops @ turn.T]
+    for mat in states:
+        rho = SpinDensity(HalfInt(ts), 0.5 * mat + 0.5 * mat.T)
+        assert (_report_bytes(classify_orientation(rho))
+                == _report_bytes(_two_product_report(rho)))
 
 
 @pytest.mark.parametrize("ts", [2, 3, 20, 40])

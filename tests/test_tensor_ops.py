@@ -189,7 +189,7 @@ def test_tau_stack_partner_rows_are_signed_transposes(ts):
     (the sign of a zero may differ): from_tensors sums t^k_q (T^k_q)^T
     for the (-1)^q t^k_{-q} T^k_q of the expansion."""
     stack = _tau_stack.__wrapped__(ts)      # not kept in the stack cache
-    _, partner, sign = _stack_order(ts)
+    _, partner, sign, _ = _stack_order(ts)
     n = ts + 1
     transposed = stack.reshape(n * n, n, n).transpose(0, 2, 1).reshape(n * n, -1)
     assert np.array_equal(stack[partner], sign[:, None] * transposed)
