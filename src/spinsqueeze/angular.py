@@ -3,11 +3,12 @@
 Each coupling coefficient is one single sum of products of binomial
 coefficients, evaluated in integer arithmetic (Johansson & Forssen,
 SIAM J. Sci. Comput. 38, A376 (2016)); its square is then one ratio of
-integers, the only ``Fraction`` the coefficient builds. Values are
-converted to floating point only at the API boundary. Coefficients
-squared are rational, so the exact value is carried as ``(sign, square)``
-pairs; :func:`clebsch_gordan_exact` and :func:`wigner_6j_exact` expose
-this form.
+integers. Coefficients squared are rational, so the exact value is
+carried as ``(sign, square: Fraction)`` pairs;
+:func:`clebsch_gordan_exact` and :func:`wigner_6j_exact` expose this
+form. Values are converted to floating point only at the API boundary;
+the float Clebsch-Gordan routes divide the two integers instead of
+building a ``Fraction``.
 
 Conventions, fixed package-wide:
 
@@ -51,6 +52,37 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 
+def _record(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` whose ``__dict__`` is
+    ``fields``, one keyword per field.
+
+    It skips the generated ``__init__``, which stores each field through
+    ``object.__setattr__``, and any ``__post_init__``. That is safe for a
+    record without a ``__post_init__``, or one whose rule the caller has
+    applied, built from values the library has just computed: the
+    instance holds what ``cls(**fields)`` would, so ``==``, ``repr``,
+    ``dataclasses.replace`` and a ``cached_property`` behave the same.
+    """
+    out = object.__new__(cls)
+    object.__setattr__(out, "__dict__", fields)
+    return out
+
+
+def _euler_normalized(a: float, b: float, g: float) -> tuple[float, float, float]:
+    """The rule of :class:`EulerAngles` on three floats: each must be
+    finite; beta is taken mod 2*pi and, above pi, folded to 2*pi - beta
+    with alpha + pi and gamma - pi (the same rotation); then alpha and
+    gamma are taken mod 2*pi."""
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(g)):
+        raise ValueError("Euler angles must be finite")
+    b = b % _TWO_PI
+    if b > math.pi:
+        a += math.pi
+        g -= math.pi
+        b = _TWO_PI - b
+    return a % _TWO_PI, b, g % _TWO_PI
+
+
 @dataclass(frozen=True)
 class EulerAngles:
     """z-y-z Euler angles of an active rotation, in radians.
@@ -65,17 +97,17 @@ class EulerAngles:
     gamma: float
 
     def __post_init__(self):
-        a, b, g = float(self.alpha), float(self.beta), float(self.gamma)
-        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(g)):
-            raise ValueError("Euler angles must be finite")
-        b = b % _TWO_PI
-        if b > math.pi:
-            a += math.pi
-            g -= math.pi
-            b = _TWO_PI - b
-        object.__setattr__(self, "alpha", a % _TWO_PI)
+        a, b, g = _euler_normalized(float(self.alpha), float(self.beta), float(self.gamma))
+        object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "beta", b)
-        object.__setattr__(self, "gamma", g % _TWO_PI)
+        object.__setattr__(self, "gamma", g)
+
+    @classmethod
+    def _of_floats(cls, alpha: float, beta: float, gamma: float) -> "EulerAngles":
+        """The angles from three Python floats by the same rule, without
+        the dataclass ``__init__``."""
+        a, b, g = _euler_normalized(alpha, beta, gamma)
+        return _record(cls, alpha=a, beta=b, gamma=g)
 
     @staticmethod
     def identity() -> "EulerAngles":
@@ -101,16 +133,19 @@ def _triangle_ok(ta: int, tb: int, tc: int) -> bool:
 SPIN_CACHE_SIZE = 128
 
 
-def _cg_exact(tj1: int, tj2: int, tj: int, tm1: int, tm2: int, tm: int):
-    """(sign, square) of C(j1 j2 j; m1 m2 m), exact. Assumes valid parities.
+def _cg_ratio(tj1: int, tj2: int, tj: int, tm1: int, tm2: int, tm: int):
+    """(sign, num, den) with C(j1 j2 j; m1 m2 m)^2 = num / den, exact, and
+    (0, 0, 1) where it vanishes. Assumes valid parities.
 
     With a = j1+j2-j, x = j1-j2+j, y = -j1+j2+j, b = j1-m1 and c = j2+m2,
     Racah's sum is B / (a! x! y!) for the integer
     B = sum_k (-1)^k C(a, k) C(x, b-k) C(y, c-k), so that
-    C^2 = (2j+1) prod (j+-m)! B^2 / ((j1+j2+j+1)! a! x! y!).
+    C^2 = (2j+1) prod (j+-m)! B^2 / ((j1+j2+j+1)! a! x! y!). The float
+    routes take sqrt(num / den): Python's int division is correctly
+    rounded, as float(Fraction(num, den)) is, so no Fraction is needed.
     """
     if tm1 + tm2 != tm or not _triangle_ok(tj1, tj2, tj):
-        return 0, Fraction(0)
+        return 0, 0, 1
     a, x, y = (tj1 + tj2 - tj) // 2, (tj1 - tj2 + tj) // 2, (tj2 - tj1 + tj) // 2
     b, c = (tj1 - tm1) // 2, (tj2 + tm2) // 2
     total = 0
@@ -118,12 +153,18 @@ def _cg_exact(tj1: int, tj2: int, tj: int, tm1: int, tm2: int, tm: int):
         term = math.comb(a, k) * math.comb(x, b - k) * math.comb(y, c - k)
         total += -term if k & 1 else term
     if total == 0:
-        return 0, Fraction(0)
+        return 0, 0, 1
     num = ((tj + 1) * _fact2(tj1 + tm1) * _fact2(tj1 - tm1) * _fact2(tj2 + tm2)
            * _fact2(tj2 - tm2) * _fact2(tj + tm) * _fact2(tj - tm) * total * total)
     den = (math.factorial(a + x + y + 1) * math.factorial(a)
            * math.factorial(x) * math.factorial(y))
-    return (1 if total > 0 else -1), Fraction(num, den)
+    return (1 if total > 0 else -1), num, den
+
+
+def _cg_exact(tj1: int, tj2: int, tj: int, tm1: int, tm2: int, tm: int):
+    """(sign, square) of C(j1 j2 j; m1 m2 m), exact. Assumes valid parities."""
+    sign, num, den = _cg_ratio(tj1, tj2, tj, tm1, tm2, tm)
+    return sign, Fraction(num, den)
 
 
 def _coerce_pair(j, m, names: str) -> tuple[HalfInt, HalfInt]:
@@ -133,6 +174,15 @@ def _coerce_pair(j, m, names: str) -> tuple[HalfInt, HalfInt]:
     return jh, mh
 
 
+def _cg_twice(j1, j2, j, m1, m2, m) -> tuple[int, int, int, int, int, int]:
+    """Twice each argument of a Clebsch-Gordan coefficient, each (j, m)
+    pair checked."""
+    j1h, m1h = _coerce_pair(j1, m1, "(j1, m1)")
+    j2h, m2h = _coerce_pair(j2, m2, "(j2, m2)")
+    jh, mh = _coerce_pair(j, m, "(j, m)")
+    return j1h.twice, j2h.twice, jh.twice, m1h.twice, m2h.twice, mh.twice
+
+
 def clebsch_gordan_exact(j1, j2, j, m1, m2, m):
     """Exact Clebsch-Gordan coefficient as ``(sign, square: Fraction)``.
 
@@ -140,10 +190,7 @@ def clebsch_gordan_exact(j1, j2, j, m1, m2, m):
     failures give ``(0, Fraction(0))``; invalid (j, m) parities raise
     :class:`AngularMomentumError`.
     """
-    j1h, m1h = _coerce_pair(j1, m1, "(j1, m1)")
-    j2h, m2h = _coerce_pair(j2, m2, "(j2, m2)")
-    jh, mh = _coerce_pair(j, m, "(j, m)")
-    return _cg_exact(j1h.twice, j2h.twice, jh.twice, m1h.twice, m2h.twice, mh.twice)
+    return _cg_exact(*_cg_twice(j1, j2, j, m1, m2, m))
 
 
 def clebsch_gordan(j1, j2, j, m1, m2, m) -> float:
@@ -151,8 +198,8 @@ def clebsch_gordan(j1, j2, j, m1, m2, m) -> float:
 
     Zero when m1 + m2 != m or the triangle rule fails.
     """
-    sign, square = clebsch_gordan_exact(j1, j2, j, m1, m2, m)
-    return sign * math.sqrt(square)
+    sign, num, den = _cg_ratio(*_cg_twice(j1, j2, j, m1, m2, m))
+    return sign * math.sqrt(num / den)
 
 
 def _six_j_exact(tj1: int, tj2: int, tj3: int, tj4: int, tj5: int, tj6: int):

@@ -28,8 +28,8 @@ import numpy as np
 
 # clebsch_gordan, racah_w and build_tau are unused here; they stay as
 # attributes of this module because perfbench/spans.py patches them here.
-from .angular import (SPIN_CACHE_SIZE, _spin_cached, clebsch_gordan,  # noqa: F401
-                      racah_w)
+from .angular import (SPIN_CACHE_SIZE, _record, _spin_cached,  # noqa: F401
+                      clebsch_gordan, racah_w)
 from .errors import (AngularMomentumError, HermiticityError, SchemaError,
                      UnphysicalStateError)
 from .halfint import HalfInt, check_magnitude
@@ -379,8 +379,8 @@ def check_positivity(rho: SpinDensity) -> PositivityReport:
     its ``spin1_bounds`` is first read.
     """
     eigs = np.linalg.eigvalsh(rho.normalized_matrix())
-    return PositivityReport(psd=bool(eigs[0] >= -PSD_TOL), eigenvalues=eigs,
-                            state=rho)
+    return _record(PositivityReport, psd=bool(eigs[0] >= -PSD_TOL), eigenvalues=eigs,
+                   state=rho)
 
 
 # check_positivity's PSD_TOL is narrowed by this much in _certainly_psd
@@ -498,6 +498,9 @@ class OrientationReport:
     populations: Optional[np.ndarray]   # along the axis, ordered m = s..-s
 
 
+_NOT_ORIENTED = OrientationReport(False, None, None)
+
+
 def classify_orientation(rho: SpinDensity) -> OrientationReport:
     """Decide whether the state is diagonal in some |s m> basis.
 
@@ -534,7 +537,8 @@ def classify_orientation(rho: SpinDensity) -> OrientationReport:
     mat = rho.normalized_matrix()
     # the first entry is a necessary test that rejects most states at once
     if abs(mat[0, 0] - 1.0 / n) < 1e-12 and np.abs(mat - np.eye(n) / n).max() < 1e-12:
-        return OrientationReport(True, np.array([0.0, 0.0, 1.0]), np.full(n, 1.0 / n))
+        return _record(OrientationReport, oriented=True, axis=np.array([0.0, 0.0, 1.0]),
+                       populations=np.full(n, 1.0 / n))
     stack = _spin_cached(rho.spin.twice)
     rows = _commutator_rows(mat, stack)
     # Gram certificate. With G = rows rows^T = A^T A for A = rows^T and
@@ -551,7 +555,7 @@ def classify_orientation(rho: SpinDensity) -> OrientationReport:
     tr = g00 + g11 + g22
     det = g00 * a0 - g01 * a1 + g02 * a2
     if det > 1e-9 * tr * tr * max(1.0, tr):
-        return OrientationReport(False, None, None)
+        return _NOT_ORIENTED
     # candidate axis: the largest column of G's adjugate, whose columns
     # are the rows of G crossed pairwise; certified by ||A n||^2 <=
     # (1e-12)^2 max(1, max_a G_aa), see the docstring
@@ -573,7 +577,7 @@ def classify_orientation(rho: SpinDensity) -> OrientationReport:
     if axis is None:
         _, svals, vt = np.linalg.svd(rows.T, full_matrices=False)
         if svals[-1] > 1e-10 * max(1.0, svals[0]):
-            return OrientationReport(False, None, None)
+            return _NOT_ORIENTED
         axis = _canonical_sign(vt[-1] / np.linalg.norm(vt[-1]))
     # eigh orders the eigenvalues m of S.n ascending; reversed, the columns
     # are the |s m> states along the axis, m = s..-s
@@ -582,8 +586,9 @@ def classify_orientation(rho: SpinDensity) -> OrientationReport:
     off = np.abs(rotated)
     off.flat[::n + 1] = 0.0
     if off.max() > 1e-8:
-        return OrientationReport(False, None, None)
-    return OrientationReport(True, axis, rotated.diagonal().real)
+        return _NOT_ORIENTED
+    return _record(OrientationReport, oriented=True, axis=axis,
+                   populations=rotated.diagonal().real)
 
 
 # ---------------------------------------------------------------------------

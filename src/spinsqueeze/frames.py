@@ -155,7 +155,7 @@ def _lakin_frame(spin, mean: tuple,
         mid = 0.5 * (qxx + qyy)
         # split/2 exceeds 5e-13 mid, far above mid's rounding: vx > vy
         vx, vy, phi_min = mid + 0.5 * split, mid - 0.5 * split, 0.5 * math.pi
-    return EulerAngles(phi, theta, gamma), norm, vx, vy, phi_min
+    return EulerAngles._of_floats(phi, theta, gamma), norm, vx, vy, phi_min
 
 
 def special_lakin_frame(rho: SpinDensity) -> FrameResult:

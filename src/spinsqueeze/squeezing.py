@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .angular import EulerAngles
+from .angular import EulerAngles, _record
 from .density import (SpinDensity, _certainly_psd, _moments, check_positivity,
                       spin_scale_rank1, spin_scale_rank2)
 from .errors import AngularMomentumError, LakinFrameUndefined, UnphysicalStateError
@@ -136,7 +136,8 @@ def analyze(rho: SpinDensity) -> SqueezingReport:
         vy = second[3] - mean[1] * mean[1]
         phi_min = 0.0 if vx <= vy else 0.5 * math.pi
         mv = min(vx, vy)
-        return SqueezingReport(
+        return _record(
+            SqueezingReport,
             mean_spin=np.zeros(3), sz_half=0.0,
             variance_x0=vx, variance_y0=vy, phi_min=phi_min,
             min_variance=mv, q_margin=-mv, xi=math.inf, squeezed=False,
@@ -148,7 +149,8 @@ def analyze(rho: SpinDensity) -> SqueezingReport:
     q_margin = sz_half - min_variance
     xi = math.sqrt(max(0.0, 2.0 * sv * min_variance)) / norm
     x, y, z = mean
-    return SqueezingReport(
+    return _record(
+        SqueezingReport,
         mean_spin=np.array((x / norm, y / norm, z / norm)), sz_half=sz_half,
         variance_x0=vx, variance_y0=vy, phi_min=phi_min,
         min_variance=min_variance, q_margin=q_margin, xi=xi,

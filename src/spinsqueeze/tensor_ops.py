@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angular import SPIN_CACHE_SIZE, _cg_exact, _spin_cached
+from .angular import SPIN_CACHE_SIZE, _cg_ratio, _spin_cached
 from .errors import AngularMomentumError
 from .halfint import HalfInt, check_magnitude
 
@@ -59,9 +59,9 @@ def _tau_stack(ts: int) -> np.ndarray:
                 tm = tmp - 2 * q         # the one column m that couples
                 if abs(tm) > ts:
                     continue
-                sign, square = _cg_exact(ts, 2 * k, ts, tm, 2 * q, tmp)
+                sign, num, den = _cg_ratio(ts, 2 * k, ts, tm, 2 * q, tmp)
                 if sign:
-                    tau_t[(ts - tm) // 2, i] = sign * root * math.sqrt(square)
+                    tau_t[(ts - tm) // 2, i] = sign * root * math.sqrt(num / den)
     out.flags.writeable = False
     return out
 

@@ -11,13 +11,15 @@ Two rotations act exactly in floating point on a density matrix in the
   (-1)^(s-m) on both sides; <S> becomes (-x, y, -z).
 
 Neither route is an SVD or a frame search, so the results of the
-rotated state can be predicted from those of the state itself. Frame
-angles are not compared: they are fixed only up to the choices the
-frame makes.
+rotated state can be predicted from those of the state itself. Of the
+frame angles only alpha and beta, the direction of <S>, are compared:
+gamma is fixed only up to the choices the frame makes.
 """
 
+import math
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density, random_oriented
@@ -91,3 +93,26 @@ def test_analysis_follows_exact_rotations(rho, about):
     if about == "z":
         assert rot.sz_half == rep.sz_half
         assert np.array_equal(rot.mean_spin, _AXIS_MAPS["z"](rep.mean_spin))
+
+
+def _wrapped(angle: float) -> float:
+    """angle mod 2 pi, in [-pi, pi)."""
+    return (angle + math.pi) % (2.0 * math.pi) - math.pi
+
+
+@settings(deadline=None, max_examples=150)
+@given(_states(), st.sampled_from(["z", "y"]))
+def test_frame_angles_follow_exact_rotations(rho, about):
+    """The frame's alpha and beta point z along <S>. The z rotation adds
+    pi/2 to alpha and keeps the bits of beta; the y rotation takes alpha
+    to pi - alpha and beta to pi - beta. A mean spin within 1e-6 rad of
+    the z axis leaves alpha ill-conditioned and is skipped."""
+    frame = analyze(rho).frame
+    assume(1e-6 < frame.beta < math.pi - 1e-6)
+    rot = analyze(_rotated(rho, about)).frame
+    if about == "z":
+        assert rot.beta == frame.beta
+        assert abs(_wrapped(rot.alpha - frame.alpha - 0.5 * math.pi)) < 1e-12
+    else:
+        assert abs(rot.beta - (math.pi - frame.beta)) < 1e-12
+        assert abs(_wrapped(rot.alpha - (math.pi - frame.alpha))) < 1e-12
