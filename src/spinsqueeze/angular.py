@@ -27,12 +27,13 @@ caches that are safe for concurrent callers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
+from . import _lapack
 from .errors import AngularMomentumError
 from .halfint import HalfInt, check_magnitude, check_projection
 
@@ -68,11 +69,33 @@ def _record(cls, **fields):
     return out
 
 
+def _record_eq(self, other) -> bool:
+    """``==`` for a dataclass record with array fields: the compared
+    fields in turn, arrays by value (``np.array_equal``), every other
+    field as the generated ``__eq__`` compares it. The generated one puts
+    the arrays in a tuple, whose comparison raises unless both records
+    hold the same array object. Assigned as ``__eq__`` in the class body,
+    which the dataclass then keeps."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    for f in fields(self):
+        if f.compare:
+            a, b = getattr(self, f.name), getattr(other, f.name)
+            if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+                if not np.array_equal(a, b):
+                    return False
+            elif not (a is b or a == b):
+                return False
+    return True
+
+
 def _euler_normalized(a: float, b: float, g: float) -> tuple[float, float, float]:
     """The rule of :class:`EulerAngles` on three floats: each must be
     finite; beta is taken mod 2*pi and, above pi, folded to 2*pi - beta
     with alpha + pi and gamma - pi (the same rotation); then alpha and
-    gamma are taken mod 2*pi."""
+    gamma are taken mod 2*pi. A tiny negative angle mod 2*pi rounds to
+    2*pi itself, which is read as 0.0, so every result lies in [0, 2*pi)
+    and the rule gives back the angles it returns."""
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(g)):
         raise ValueError("Euler angles must be finite")
     b = b % _TWO_PI
@@ -80,7 +103,9 @@ def _euler_normalized(a: float, b: float, g: float) -> tuple[float, float, float
         a += math.pi
         g -= math.pi
         b = _TWO_PI - b
-    return a % _TWO_PI, b, g % _TWO_PI
+    a %= _TWO_PI
+    g %= _TWO_PI
+    return (0.0 if a == _TWO_PI else a), b, (0.0 if g == _TWO_PI else g)
 
 
 @dataclass(frozen=True)
@@ -327,7 +352,7 @@ def _spin_cached(ts: int) -> np.ndarray:
 def _sy_eigvecs(tk: int) -> np.ndarray:
     """Eigenvectors of S_y for rank tk/2, as columns in the order of their
     eigenvalues m = -k..k. Read-only."""
-    vecs = np.linalg.eigh(_spin_cached(tk)[1])[1]
+    vecs = _lapack.eigh(_spin_cached(tk)[1])[1]
     vecs.flags.writeable = False
     return vecs
 

@@ -26,9 +26,10 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from . import _lapack
 # clebsch_gordan, racah_w and build_tau are unused here; they stay as
 # attributes of this module because perfbench/spans.py patches them here.
-from .angular import (SPIN_CACHE_SIZE, _record, _spin_cached,  # noqa: F401
+from .angular import (SPIN_CACHE_SIZE, _record, _record_eq, _spin_cached,  # noqa: F401
                       clebsch_gordan, racah_w)
 from .errors import (AngularMomentumError, HermiticityError, SchemaError,
                      UnphysicalStateError)
@@ -342,6 +343,8 @@ class PositivityReport:
     eigenvalues: np.ndarray          # ascending, trace-normalized
     state: SpinDensity = field(repr=False, compare=False)
 
+    __eq__ = _record_eq
+
     @property
     def min_eigenvalue(self) -> float:
         return float(self.eigenvalues[0])
@@ -378,7 +381,7 @@ def check_positivity(rho: SpinDensity) -> PositivityReport:
     below 2, and 0 <= det(rho) <= 1/27. The report evaluates them when
     its ``spin1_bounds`` is first read.
     """
-    eigs = np.linalg.eigvalsh(rho.normalized_matrix())
+    eigs = _lapack.eigvalsh(rho.normalized_matrix())
     return _record(PositivityReport, psd=bool(eigs[0] >= -PSD_TOL), eigenvalues=eigs,
                    state=rho)
 
@@ -413,7 +416,7 @@ def _certainly_psd(rho: SpinDensity) -> bool:
     is no verdict: the caller asks check_positivity.
     """
     try:
-        factor = np.linalg.cholesky(rho.normalized_matrix() + _psd_shift(rho.spin.twice))
+        factor = _lapack.cholesky(rho.normalized_matrix() + _psd_shift(rho.spin.twice))
     except np.linalg.LinAlgError:
         return False
     return bool(factor[-1, -1].real > 0.0)
@@ -496,6 +499,8 @@ class OrientationReport:
     oriented: bool
     axis: Optional[np.ndarray]
     populations: Optional[np.ndarray]   # along the axis, ordered m = s..-s
+
+    __eq__ = _record_eq
 
 
 _NOT_ORIENTED = OrientationReport(False, None, None)
@@ -581,7 +586,7 @@ def classify_orientation(rho: SpinDensity) -> OrientationReport:
         axis = _canonical_sign(vt[-1] / np.linalg.norm(vt[-1]))
     # eigh orders the eigenvalues m of S.n ascending; reversed, the columns
     # are the |s m> states along the axis, m = s..-s
-    u = np.linalg.eigh((axis @ stack.reshape(3, -1)).reshape(n, n))[1][:, ::-1]
+    u = _lapack.eigh((axis @ stack.reshape(3, -1)).reshape(n, n))[1][:, ::-1]
     rotated = u.conj().T @ mat @ u
     off = np.abs(rotated)
     off.flat[::n + 1] = 0.0

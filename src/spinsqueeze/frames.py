@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _lapack
 from .angular import EulerAngles, wigner_d_matrix
 from .density import (SpinDensity, TensorParams, _canonical_sign, _moments,
                       to_tensors)
@@ -205,7 +206,7 @@ def paaf(rho: SpinDensity) -> FrameResult:
     a = alignment_tensor(rho)
     if np.abs(a).max() < 1e-12:
         raise NoAlignment("all rank-2 tensor parameters vanish")
-    evals, evecs = np.linalg.eigh(a)            # ascending
+    evals, evecs = _lapack.eigh(a)              # ascending
     vals = evals[::-1]                          # slots z, x, y
     vecs = evecs[:, ::-1]
     tol = 1e-9 * max(1.0, float(np.abs(vals).max()))

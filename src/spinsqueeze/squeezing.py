@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .angular import EulerAngles, _record
+from .angular import EulerAngles, _record, _record_eq
 from .density import (SpinDensity, _certainly_psd, _moments, check_positivity,
                       spin_scale_rank1, spin_scale_rank2)
 from .errors import AngularMomentumError, LakinFrameUndefined, UnphysicalStateError
@@ -78,6 +78,8 @@ class SqueezingReport:
     squeezed: bool
     frame: EulerAngles
     reason: Optional[str] = None
+
+    __eq__ = _record_eq
 
     def variance_at(self, phi: float) -> float:
         """Transverse variance at azimuth phi from the x0 axis."""

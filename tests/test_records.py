@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 
 from conftest import count_calls, random_density, random_oriented
 from spinsqueeze import (EulerAngles, HalfInt, PositivityReport, SpinDensity,
-                         SqueezingReport, analyze, check_positivity,
-                         classify_orientation, squeezing)
+                         SqueezingReport, TensorParams, analyze,
+                         check_positivity, classify_orientation, from_tensors,
+                         squeezing)
 from spinsqueeze.density import _certainly_psd
 
 SPINS = [1, 2, 3, 6, 20, 40]
@@ -61,6 +62,12 @@ def _assert_public_twin(rec):
         assert rec.spin1_bounds is rec.spin1_bounds
 
 
+def _seeded_state(rng, ts, kind):
+    if kind == "oriented":
+        return random_oriented(rng, ts)[0]
+    return random_density(rng, ts, pure=kind == "pure")
+
+
 def _assert_all_records(rho):
     _assert_public_twin(analyze(rho))
     _assert_public_twin(check_positivity(rho))
@@ -72,11 +79,24 @@ def _assert_all_records(rho):
 def test_records_of_seeded_states(ts, kind):
     rng = np.random.default_rng([ts, 34])
     for _ in range(3):
-        if kind == "oriented":
-            rho = random_oriented(rng, ts)[0]
-        else:
-            rho = random_density(rng, ts, pure=kind == "pure")
-        _assert_all_records(rho)
+        _assert_all_records(_seeded_state(rng, ts, kind))
+
+
+@pytest.mark.parametrize("ts", SPINS)
+@pytest.mark.parametrize("kind", ["mixed", "pure", "oriented"])
+def test_reports_compare_their_arrays_by_value(ts, kind):
+    """Two reports of one state, computed apart, are equal; reports of two
+    states are not, but for two orientation reports that both say "not
+    oriented", which hold no arrays. A report never equals another kind."""
+    rng = np.random.default_rng([ts, 37])
+    rho, other = _seeded_state(rng, ts, kind), _seeded_state(rng, ts, kind)
+    for report in (analyze, check_positivity, classify_orientation):
+        first, again, different = report(rho), report(rho), report(other)
+        assert first == again and not first != again
+        both_unoriented = report is classify_orientation and not (
+            first.oriented or different.oriented)
+        assert (first == different) == both_unoriented
+    assert analyze(rho) != check_positivity(rho)
 
 
 @pytest.mark.parametrize("ts", SPINS)
@@ -174,3 +194,37 @@ def test_private_euler_angles_reject_non_finite_like_the_constructor(at, bad, x,
     with pytest.raises(ValueError) as public:
         EulerAngles(*angles)
     assert str(fast.value) == str(public.value) == "Euler angles must be finite"
+
+
+def _angle_bits(rec):
+    return [x.hex() for x in (rec.alpha, rec.beta, rec.gamma)]
+
+
+def _assert_in_range_and_rebuilt_bit_for_bit(rec):
+    assert 0.0 <= rec.alpha < 2 * math.pi and 0.0 <= rec.gamma < 2 * math.pi
+    assert 0.0 <= rec.beta <= math.pi
+    assert _angle_bits(dataclasses.replace(rec)) == _angle_bits(rec)
+
+
+@settings(max_examples=400)
+@given(_angles, _angles, _angles)
+def test_euler_angles_lie_in_their_ranges_and_rebuild_to_themselves(a, b, g):
+    _assert_in_range_and_rebuilt_bit_for_bit(EulerAngles(a, b, g))
+
+
+@pytest.mark.parametrize("build", [EulerAngles, EulerAngles._of_floats])
+def test_alpha_and_gamma_that_round_to_two_pi_are_zero(build):
+    """-1e-300 mod 2 pi rounds to 2 pi itself, outside [0, 2 pi)."""
+    for angles in [(-1e-300, 0.0, 0.0), (0.0, 1.0, -1e-300), (-5e-324, 2.0, -5e-324)]:
+        rec = build(*angles)
+        assert rec.alpha == 0.0 and rec.gamma == 0.0
+        _assert_in_range_and_rebuilt_bit_for_bit(rec)
+
+
+def test_analyze_reports_a_frame_alpha_of_zero_not_two_pi():
+    """The mean spin of this spin-1 state has y = -3e-20, so its azimuth
+    alpha is a tiny negative angle, which the frame takes to 0.0."""
+    rep = analyze(from_tensors(TensorParams(1, {(1, 0): 0.2, (1, 1): -0.3 + 1e-20j})))
+    assert rep.frame.alpha == 0.0 and rep.as_dict()["frame"]["alpha"] == 0.0
+    _assert_in_range_and_rebuilt_bit_for_bit(rep.frame)
+    _assert_public_twin(rep)
