@@ -89,6 +89,16 @@ def _record_eq(self, other) -> bool:
     return True
 
 
+def _record_hash(self) -> int:
+    """``hash`` to go with :func:`_record_eq`: the hash of the compared
+    fields that are not arrays. Equal records have equal such fields, so
+    they hash equal. Assigned as ``__hash__`` in the class body, which the
+    frozen dataclass then keeps in place of its generated one, which
+    hashes the arrays and raises."""
+    values = (getattr(self, f.name) for f in fields(self) if f.compare)
+    return hash(tuple(v for v in values if not isinstance(v, np.ndarray)))
+
+
 def _euler_normalized(a: float, b: float, g: float) -> tuple[float, float, float]:
     """The rule of :class:`EulerAngles` on three floats: each must be
     finite; beta is taken mod 2*pi and, above pi, folded to 2*pi - beta

@@ -8,7 +8,6 @@ A reader that closes the pipe early is not an I/O error: exit 0, silently.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import re
@@ -16,20 +15,15 @@ import sys
 
 import numpy as np
 
-from .angular import (EulerAngles, _rational_sqrt, clebsch_gordan_exact,
-                      wigner_6j_exact, wigner_9j, wigner_d)
-from .channel import (channel_squeezing, compare_correlations, correlations,
-                      correlations_oracle, couple_spin1)
-from .density import (check_positivity, classify_orientation, load_state_file,
-                      purity_residual)
 from .errors import SchemaError, UnphysicalStateError
-from .halfint import HalfInt
 # rows_as_dicts, run_scan and write_csv are unused here; they stay as
 # attributes of this module because perfbench/spans.py patches them here.
 from .scan import (MAX_SCAN_ROWS, ScanConfig, rows_as_dicts,  # noqa: F401
                    run_scan, stream_scan, write_csv)
-from .squeezing import analyze
-from .table1 import evaluate_table
+
+# Every other module, and json, is imported by the commands that use it,
+# so that a process loads only what its command runs: a scan, for one,
+# loads errors, scan and _kernel and no analyzer module.
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -91,6 +85,10 @@ def _parse_axis(spec: str, default_step: float, scale=lambda x: x) -> np.ndarray
 
 
 def cmd_analyze(args) -> int:
+    import json
+
+    from .density import load_state_file
+    from .squeezing import analyze
     if not 0 <= args.phi_points <= MAX_PHI_POINTS:
         raise SchemaError(f"--phi-points {args.phi_points} is outside the limits "
                           f"0..{MAX_PHI_POINTS}")
@@ -104,6 +102,7 @@ def cmd_analyze(args) -> int:
 def _format_exact(sign: int, square) -> str:
     """sign * sqrt(square) for a Fraction square: an integer or a fraction
     where the square is the square of a rational, else sqrt(n/d)."""
+    from .angular import _rational_sqrt
     if sign == 0:
         return "0"
     prefix = "-" if sign < 0 else ""
@@ -114,6 +113,9 @@ def _format_exact(sign: int, square) -> str:
 
 
 def cmd_coeff(args) -> int:
+    from .angular import (EulerAngles, clebsch_gordan_exact, wigner_6j_exact,
+                          wigner_9j, wigner_d)
+    from .halfint import HalfInt
     kind = args.kind
     vals = args.values
     counts = {"cg": 6, "6j": 6, "9j": 9, "d": 6}
@@ -143,6 +145,7 @@ def cmd_coeff(args) -> int:
 
 
 def cmd_table1(args) -> int:
+    from .table1 import evaluate_table
     results = evaluate_table()
     labels = ("Var_x0", "Var_y0", "Sz0/2")
     print(f"{'spin':>4} {'t2_0':>6} {'t2_2':>6} {'t1_0':>6}  "
@@ -183,6 +186,10 @@ def cmd_scan(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    import json
+
+    from .density import (check_positivity, classify_orientation,
+                          load_state_file, purity_residual)
     params, rho = load_state_file(args.state)
     pos = check_positivity(rho)
     orient = classify_orientation(rho)
@@ -208,6 +215,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_channel(args) -> int:
+    import json
+
+    from .channel import (channel_squeezing, compare_correlations,
+                          correlations, correlations_oracle, couple_spin1)
     for name in ("p1", "p2", "theta", "phi"):
         if not math.isfinite(getattr(args, name)):
             raise SchemaError(f"--{name} must be finite")

@@ -29,8 +29,8 @@ import numpy as np
 from . import _lapack
 # clebsch_gordan, racah_w and build_tau are unused here; they stay as
 # attributes of this module because perfbench/spans.py patches them here.
-from .angular import (SPIN_CACHE_SIZE, _record, _record_eq, _spin_cached,  # noqa: F401
-                      clebsch_gordan, racah_w)
+from .angular import (SPIN_CACHE_SIZE, _record, _record_eq,  # noqa: F401
+                      _record_hash, _spin_cached, clebsch_gordan, racah_w)
 from .errors import (AngularMomentumError, HermiticityError, SchemaError,
                      UnphysicalStateError)
 from .halfint import HalfInt, check_magnitude
@@ -339,11 +339,16 @@ class Spin1Bound:
 
 @dataclass(frozen=True)
 class PositivityReport:
+    """Verdict of :func:`check_positivity`. Reports compare their
+    eigenvalues by value (``angular._record_eq``) and hash by ``psd``
+    alone (``angular._record_hash``), so equal reports hash equal."""
+
     psd: bool
     eigenvalues: np.ndarray          # ascending, trace-normalized
     state: SpinDensity = field(repr=False, compare=False)
 
     __eq__ = _record_eq
+    __hash__ = _record_hash
 
     @property
     def min_eigenvalue(self) -> float:
@@ -496,11 +501,17 @@ def _commutator_rows(mat: np.ndarray, stack: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OrientationReport:
+    """Verdict of :func:`classify_orientation`. Reports compare their
+    arrays by value (``angular._record_eq``) and hash by the fields that
+    are not arrays (``angular._record_hash``), so equal reports hash
+    equal."""
+
     oriented: bool
     axis: Optional[np.ndarray]
     populations: Optional[np.ndarray]   # along the axis, ordered m = s..-s
 
     __eq__ = _record_eq
+    __hash__ = _record_hash
 
 
 _NOT_ORIENTED = OrientationReport(False, None, None)

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .angular import EulerAngles, _record, _record_eq
+from .angular import EulerAngles, _record, _record_eq, _record_hash
 from .density import (SpinDensity, _certainly_psd, _moments, check_positivity,
                       spin_scale_rank1, spin_scale_rank2)
 from .errors import AngularMomentumError, LakinFrameUndefined, UnphysicalStateError
@@ -64,7 +64,9 @@ class SqueezingReport:
     ``q_margin = sz_half - min_variance``; the state is squeezed exactly
     when the margin exceeds the strict-inequality tolerance. ``xi`` is
     the metrological figure of merit sqrt(2s Var_perp) / |<S.n>|,
-    reported for information only.
+    reported for information only. Reports compare ``mean_spin`` by value
+    (``angular._record_eq``) and hash by the other fields
+    (``angular._record_hash``), so equal reports hash equal.
     """
 
     mean_spin: np.ndarray        # unit vector, or zeros when undefined
@@ -80,6 +82,7 @@ class SqueezingReport:
     reason: Optional[str] = None
 
     __eq__ = _record_eq
+    __hash__ = _record_hash
 
     def variance_at(self, phi: float) -> float:
         """Transverse variance at azimuth phi from the x0 axis."""

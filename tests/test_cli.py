@@ -785,7 +785,6 @@ def test_channel_evaluates_each_correlation_route_once(capsys, monkeypatch):
 
     closed = counted("closed", channel.correlations)
     monkeypatch.setattr(channel, "correlations", closed)
-    monkeypatch.setattr(cli, "correlations", closed)
     # every oracle route projects the pair once
     monkeypatch.setattr(channel, "project_oracle",
                         counted("oracle", channel.project_oracle))

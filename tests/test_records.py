@@ -100,6 +100,21 @@ def test_reports_compare_their_arrays_by_value(ts, kind):
 
 
 @pytest.mark.parametrize("ts", SPINS)
+@pytest.mark.parametrize("kind", ["mixed", "pure", "oriented"])
+def test_equal_reports_hash_equal(ts, kind):
+    """Two reports of one state, computed apart, hash equal and collapse
+    in a set, oriented orientation reports, which hold arrays, included."""
+    rng = np.random.default_rng([ts, 38])
+    rho = _seeded_state(rng, ts, kind)
+    if kind == "oriented":
+        assert classify_orientation(rho).oriented
+    for report in (analyze, check_positivity, classify_orientation):
+        first, again = report(rho), report(rho)
+        assert hash(first) == hash(again)
+        assert len({first, again}) == 1
+
+
+@pytest.mark.parametrize("ts", SPINS)
 def test_records_of_the_identity_state(ts):
     """No vector polarization in analyze(), and the identity shortcut of
     classify_orientation."""
