@@ -12,7 +12,7 @@ Two layers:
 The scalar API in ``channel.py`` computes the same invariants from the
 polarization vectors and calls :func:`_closed_forms` on floats, so each
 formula exists once. :func:`evaluate_into` fills all 14 columns for
-scans in blocks of about :data:`BLOCK` points, and :func:`_margin` the
+scans in blocks of at most :data:`BLOCK` points, and :func:`_margin` the
 q_value column alone over a theta row; both take q from
 :func:`_margin_terms`. The threshold search evaluates q at a few theta
 points on Python floats, through :func:`_invariants` and
@@ -31,6 +31,18 @@ Column layout (matches scan.COLUMNS):
 Rows with p1 + p2 = 0 have no distinguished frame: weight, t1_0 and
 sz_half are still defined (0 for the latter two), squeezed is 0, and
 the frame-dependent columns are NaN.
+
+:data:`BLOCK` is 2,048 points, sized so that one block's live arrays fit
+in a 2 MiB L2 cache: the (2048, 14) result takes 229 kB and each of the
+about 30 float64 arrays that :func:`evaluate_into` holds at once 16 kB,
+about 0.7 MB in all (2.9 MB at 8,192 points). On a 2-vCPU Xeon with a
+2 MiB L2, blocks of 1,024, 2,048, 4,096 and 8,192 points gave the CLI
+scan of 41,811 CSV rows a tracemalloc peak of 0.67, 1.05, 1.82 and
+3.36 MiB, and ``evaluate_points`` on 153k points took 33.4, 29.7, 26.8
+and 26.6 ms (medians of 40, one CPU). The 3 ms that 2,048 costs against
+8,192 is under 0.5 % of a scan, and no block size moved the end-to-end
+scan time beyond its run-to-run spread. The bytes of a scan do not
+depend on the block.
 """
 
 from math import sqrt
@@ -46,9 +58,10 @@ _SQRT23 = sqrt(2.0 / 3.0)
 DEGENERATE_TOL2 = 1e-20
 MARGIN_TOL = 1e-12
 
-# Points per block: the ~30 float64 temporaries of a block take about
-# 2 MB, so the kernel's temporaries do not grow with the grid.
-BLOCK = 8192
+# Points per block, sized to fit one block's live arrays in L2 (see the
+# module docstring): about 0.7 MB at 2,048 points, and no kernel array
+# grows with the grid.
+BLOCK = 2048
 
 
 def _invariants(a, b, theta, sin=np.sin, cos=np.cos):

@@ -41,8 +41,48 @@ from .halfint import HalfInt, check_magnitude
 __all__ = ["SqueezingReport", "analyze", "lf_criterion", "lf_variances",
            "oriented_margin", "SQUEEZING_MARGIN_TOL"]
 
+_EPS = float(np.finfo(float).eps)
+
 # Strict inequality: the coherent-state equality case is not squeezed.
+# The floor of the tolerance; _margin_tol raises it where the rounding
+# of q_margin is larger, from s of about 23.
 SQUEEZING_MARGIN_TOL = 1e-12
+
+
+def _margin_tol(sv: float) -> float:
+    """The margin above which :func:`analyze` calls a state of spin sv
+    squeezed: max(SQUEEZING_MARGIN_TOL, 8 eps s(s+1)), eps = 2^-52.
+
+    8 eps s(s+1) estimates the rounding of q_margin to first order in
+    u = eps/2. q_margin = |<S>|/2 - Var_min, and Var_min, the smaller
+    principal value of the transverse covariance, is formed from
+    cov_ab = <S_a S_b>_sym - <S_a><S_b>: two terms that reach s^2, whose
+    difference is O(s) near the boundary, where a coherent state's true
+    margin is exactly 0.
+
+    * ``density._moments``: each moment is the stack product, counted as
+      one rounding, divided by the trace, so it carries a relative error
+      of 2u. Each <S_a><S_b> then carries 5u and each cov_ab gains u from
+      the subtraction: |d cov_ab| <= 2u |M_ab| + 5u |<S_a><S_b>| +
+      u |cov_ab|, with M the second-moment matrix.
+    * M and cov are positive semi-definite, so |M_ab| <= sqrt(M_aa M_bb)
+      and the same for cov, and Tr M = <S^2> = s(s+1) per unit trace.
+      For a unit vector w, Cauchy-Schwarz gives |w^T (d cov) w| <=
+      (2 + 5 + 1) u s(s+1) = 4 eps s(s+1).
+    * ``frames._lakin_frame`` forms Q_xx, Q_yy and Q_xy from two nested
+      three-term dot products (6u on terms bounded, the same way, by
+      Tr cov <= s(s+1)) and the principal value (Q_xx + Q_yy)/2 -
+      hypot(Q_xx - Q_yy, 2 Q_xy)/2 (2u more): 4 eps s(s+1) more.
+      |<S>|/2 adds O(u s).
+
+    The count treats the stack product's sum of up to 3(2s+1) non-zero
+    products as one rounding, which is how it behaves on the states
+    measured; a worst-case bound would carry a factor of the sum's
+    length. On about 3,000 spin coherent states in random directions,
+    2s from 1 to 400, |q_margin| stayed below 2.5 eps s(s+1). The
+    estimate stays below the 1e-12 floor up to s of about 23, so no
+    verdict changes for a state file, whose spin is at most 20."""
+    return max(SQUEEZING_MARGIN_TOL, 8.0 * _EPS * sv * (sv + 1.0))
 
 
 def lf_variances(s, t10: float, t20: float, t22: float) -> tuple[float, float, float]:
@@ -62,7 +102,8 @@ class SqueezingReport:
     """Verdict record produced by :func:`analyze`.
 
     ``q_margin = sz_half - min_variance``; the state is squeezed exactly
-    when the margin exceeds the strict-inequality tolerance. ``xi`` is
+    when the margin exceeds the strict-inequality tolerance, which grows
+    with the rounding of the margin at large spin (``_margin_tol``). ``xi`` is
     the metrological figure of merit sqrt(2s Var_perp) / |<S.n>|,
     reported for information only. Reports compare ``mean_spin`` by value
     (``angular._record_eq``) and hash by the other fields
@@ -159,7 +200,7 @@ def analyze(rho: SpinDensity) -> SqueezingReport:
         mean_spin=np.array((x / norm, y / norm, z / norm)), sz_half=sz_half,
         variance_x0=vx, variance_y0=vy, phi_min=phi_min,
         min_variance=min_variance, q_margin=q_margin, xi=xi,
-        squeezed=bool(q_margin > SQUEEZING_MARGIN_TOL),
+        squeezed=bool(q_margin > _margin_tol(sv)),
         frame=rotation, reason=None)
 
 

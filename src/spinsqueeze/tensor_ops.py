@@ -33,7 +33,10 @@ from .halfint import HalfInt, check_magnitude
 __all__ = ["build_tau", "spin_matrices"]
 
 # Largest spin whose T^k_q stack is built: the stack holds (2s+1)^4
-# complex numbers, 45 MB at s = 20 and 26 GB at s = 100.
+# complex numbers, 45 MB at s = 20 and 26 GB at s = 100. _tau_stack keeps
+# one stack per spin used for the life of the process, so once every spin
+# up to 20 has gone through to_tensors or purity_residual the stacks hold
+# about 394 MB together. ROADMAP.md item 6 replaces the dense stack.
 MAX_STATE_SPIN = 20
 
 

@@ -547,24 +547,26 @@ def test_cli_scan_bytes_equal_the_pinned_digest():
         assert cli.main(grid.argv("-")) == 0
     assert sink.sha256.hexdigest() == scanspec.CSV_SHA256_DEFAULT_SEED
     assert sink.chars == 35_926_879     # 153,307 rows
-    config = ScanConfig(
-        p1=cli._parse_axis(grid.p1.spec, 1.0), p2=cli._parse_axis(grid.p2.spec, 1.0),
-        theta=cli._parse_axis(grid.theta.spec, 1.0, scale=np.radians),
-        phi=cli._parse_axis(grid.phi.spec, 1.0, scale=np.radians))
     library = _ByteCount()
-    write_csv(run_scan(config), library)
+    write_csv(run_scan(_grid_config(grid)), library)
     assert library.sha256.hexdigest() == scanspec.CSV_SHA256_DEFAULT_SEED
 
 
-def test_cli_scan_memory_does_not_grow_with_rows():
-    """The CLI streams the first three p1 rows of the seed-0 scan-csv grid,
-    41,811 rows or more than five kernel blocks, with a tracemalloc peak
-    under 4 MiB, where the coordinate and result arrays of the whole grid
-    take about 6 MB."""
-    full = scanspec.scan_grid("scan-csv", scanspec.DEFAULT_SEED)
+def _grid_config(grid) -> ScanConfig:
+    """The ScanConfig of a benchmark grid, parsed as the CLI parses it."""
+    return ScanConfig(
+        p1=cli._parse_axis(grid.p1.spec, 1.0), p2=cli._parse_axis(grid.p2.spec, 1.0),
+        theta=cli._parse_axis(grid.theta.spec, 1.0, scale=np.radians),
+        phi=cli._parse_axis(grid.phi.spec, 1.0, scale=np.radians))
+
+
+def _cli_scan_peak(workload: str):
+    """The first three p1 rows of the benchmark's seed-0 grid of
+    ``workload``, and the output sink and tracemalloc peak, in bytes, of
+    the CLI streaming them."""
+    full = scanspec.scan_grid(workload, scanspec.DEFAULT_SEED)
     p1 = full.p1
     grid = dataclasses.replace(full, p1=scanspec.Axis.of(float(p1.start), float(p1.step), 3))
-    assert grid.rows == 41_811 > 4 * _kernel.BLOCK
     sink = _ByteCount()
     tracemalloc.start()
     try:
@@ -573,5 +575,30 @@ def test_cli_scan_memory_does_not_grow_with_rows():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return grid, sink, peak
+
+
+def test_cli_scan_memory_does_not_grow_with_rows():
+    """The CLI streams the first three p1 rows of the seed-0 scan-csv grid,
+    41,811 rows or more than four kernel blocks, with a tracemalloc peak
+    under 4 MiB, where the coordinate and result arrays of the whole grid
+    take about 6 MB."""
+    grid, sink, peak = _cli_scan_peak("scan-csv")
+    assert grid.rows == 41_811 > 4 * _kernel.BLOCK
     assert sink.lines == grid.rows + 1
     assert peak < 4 * 2 ** 20, f"the CLI scan peaked at {peak / 2 ** 20:.1f} MiB"
+
+
+@pytest.mark.parametrize("workload, rows, writer", [
+    ("scan-csv", 41_811, write_csv), ("scan-json", 11_946, write_json)])
+def test_cli_scan_memory_stays_within_one_small_block(workload, rows, writer):
+    """The CLI's own tracemalloc peak on the first three p1 rows of each
+    seed-0 scan grid stays under 1.5 MiB: 1.05 MiB (CSV) and 1.19 MiB
+    (JSON) with 2,048-point kernel blocks, 3.36 and 3.18 MiB with
+    8,192-point blocks. Its bytes are those of the library's writer."""
+    grid, sink, peak = _cli_scan_peak(workload)
+    assert grid.rows == rows
+    assert peak < 1.5 * 2 ** 20, f"the CLI scan peaked at {peak / 2 ** 20:.2f} MiB"
+    library = _ByteCount()
+    writer(run_scan(_grid_config(grid)), library)
+    assert sink.sha256.hexdigest() == library.sha256.hexdigest()

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import count_calls, random_density, random_oriented, rotate_state
@@ -412,3 +412,52 @@ def test_no_go_theorems_property(rho):
     assert not rep.squeezed
     if rho.spin.twice == 1:
         assert rep.frame.gamma == 0.0
+
+
+# spins at which the rounding of q_margin is below the 1e-12 floor of the
+# squeezing tolerance (2s <= 40) and above it (2s >= 80)
+_LARGE_SPIN_TWICES = (1, 2, 3, 40, 80, 120, 200)
+# populations by index m = s..-s, taken modulo 2s + 1: the coherent states
+# |s, s> and |s, -s>, or up to four integer weights
+_POPULATIONS = st.one_of(
+    st.sampled_from([{0: 1}, {-1: 1}]),
+    st.dictionaries(st.integers(0, 200), st.integers(1, 1000), min_size=1, max_size=4))
+
+
+@settings(max_examples=100)
+@given(ts=st.sampled_from(_LARGE_SPIN_TWICES),
+       angles=st.tuples(st.floats(0.0, 2.0 * math.pi), st.floats(0.0, math.pi),
+                        st.floats(0.0, 2.0 * math.pi)),
+       weights=_POPULATIONS)
+# coherent states that a tolerance of 1e-12 alone called squeezed, with
+# q_margin = 1.24e-12 and 1.31e-12
+@example(ts=200, angles=(3.9, 0.79, 2.51), weights={0: 1})
+@example(ts=200, angles=(0.71, 1.46, 0.58), weights={-1: 1})
+def test_rotated_diagonal_states_are_never_squeezed_at_any_spin(ts, angles, weights):
+    """Coherent states lie on the boundary (true margin 0), and the other
+    states diagonal in a rotated |s m> basis below it. The rounding of
+    q_margin grows like s^2 and passes 1e-12 from 2s of about 120; the
+    spin-scaled tolerance keeps every one of them unsqueezed."""
+    p = np.zeros(ts + 1)
+    for i, w in weights.items():
+        p[i % (ts + 1)] += w
+    u = angular.wigner_d_matrix(HalfInt(ts), EulerAngles(*angles))
+    rho = SpinDensity(HalfInt(ts), u @ np.diag(p / p.sum()) @ u.conj().T)
+    rep = analyze(rho)
+    assert not rep.squeezed
+    assert rep.q_margin <= squeezing._margin_tol(ts / 2)
+
+
+def test_twisted_coherent_state_is_squeezed_at_large_spin():
+    """One-axis twisting e^{-i mu S_z^2 / 2} squeezes the coherent state
+    along x: at 2s = 200 and mu = 0.05 its margin is about 45, far above
+    the tolerance."""
+    ts, mu = 200, 0.05
+    s = ts / 2
+    m = np.arange(ts, -ts - 1, -2) / 2
+    log_binomial = [math.lgamma(ts + 1) - math.lgamma(s + mi + 1) - math.lgamma(s - mi + 1)
+                    for mi in m]
+    psi = np.exp(0.5 * np.array(log_binomial) - s * math.log(2.0)) * np.exp(-0.5j * mu * m * m)
+    rep = analyze(SpinDensity(HalfInt(ts), np.outer(psi, psi.conj())))
+    assert rep.squeezed
+    assert rep.q_margin == pytest.approx(45.0, abs=0.5)
